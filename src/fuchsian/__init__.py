@@ -45,7 +45,6 @@ from .duality import (
     build_omega_dual,
     dual_family_check,
     dual_params,
-    dual_step,
     verify_duality,
 )
 from .attractor import attractor_experiment
@@ -78,7 +77,6 @@ __all__ = [
     "compute_h_d",
     "dual_family_check",
     "dual_params",
-    "dual_step",
     "extension_step",
     "from_three_points",
     "geo_step",

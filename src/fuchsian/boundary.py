@@ -29,7 +29,17 @@ from enum import IntEnum
 
 import numpy as np
 
-from .circle import TOL, TWO_PI, Arc, CirclePoint, MoebiusMap, ccw_distance, wrap_angle
+from .circle import (
+    TOL,
+    TWO_PI,
+    Arc,
+    CirclePartition,
+    CirclePoint,
+    MoebiusMap,
+    angdiff,
+    ccw_distance,
+    moebius_angles,
+)
 from .errors import (
     BijectivityError,
     ContradictionError,
@@ -56,11 +66,16 @@ class IndexType(IntEnum):
 
 @dataclass(frozen=True)
 class ExtremalParams:
-    """A choice A_i in {P_i, Q_i} for each side, as a word over {P, Q}."""
+    """A choice A_i in {P_i, Q_i} for each side, as a word over {P, Q}.
+
+    `partition` cuts the circle at A_1..A_N: the circle map applies T_i on
+    its arc i, [A_i, A_{i+1}).
+    """
 
     surface: SurfaceGroup
     word: str
     points: tuple[CirclePoint, ...] = field(init=False)
+    partition: CirclePartition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.surface.n
@@ -73,49 +88,13 @@ class ExtremalParams:
             for i in range(1, n + 1)
         )
         object.__setattr__(self, "points", pts)
-        base = pts[0].angle
-        breaks = np.array([ccw_distance(base, p.angle) for p in pts])
-        object.__setattr__(self, "_base", base)
-        object.__setattr__(self, "_breaks", breaks)
-        object.__setattr__(
-            self, "_gen_a", np.array([self.surface.t(i).a for i in range(1, n + 1)])
-        )
-        object.__setattr__(
-            self, "_gen_c", np.array([self.surface.t(i).c for i in range(1, n + 1)])
-        )
-
-    @property
-    def n(self) -> int:
-        return self.surface.n
+        object.__setattr__(self, "partition", CirclePartition([p.angle for p in pts]))
 
     def choice(self, i: int) -> str:
         return self.word[self.surface.wrap(i) - 1]
 
     def a(self, i: int) -> CirclePoint:
         return self.points[self.surface.wrap(i) - 1]
-
-    def branch(self, x: CirclePoint | float) -> int:
-        """The index i with x in [A_i, A_{i+1}), exact half-open convention."""
-        theta = x.angle if isinstance(x, CirclePoint) else wrap_angle(x)
-        s = ccw_distance(self._base, theta)
-        idx = int(np.searchsorted(self._breaks, s, side="right")) - 1
-        return idx % self.n + 1
-
-    def branch_many(self, thetas: np.ndarray) -> np.ndarray:
-        s = np.remainder(np.asarray(thetas, dtype=float) - self._base, TWO_PI)
-        idx = np.searchsorted(self._breaks, s, side="right") - 1
-        return idx % self.n + 1
-
-    def boundary_distance(self, thetas: np.ndarray) -> np.ndarray:
-        """Angular distance to the nearest partition point A_i."""
-        s = np.remainder(np.asarray(thetas, dtype=float)[:, None] - self._base, TWO_PI)
-        d = np.abs(s - self._breaks[None, :])
-        d = np.minimum(d, TWO_PI - d)
-        return d.min(axis=1)
-
-
-def extremal_params(surface: SurfaceGroup, word: str) -> ExtremalParams:
-    return ExtremalParams(surface, word)
 
 
 def classify_type(params: ExtremalParams, i: int) -> IndexType:
@@ -296,7 +275,7 @@ def solve(surface: SurfaceGroup, word: str, tol: float = TOL) -> SolvedParams:
             raise RangeError(f"D_{i} lies outside [P_{i}, Q_{i}]")
         sp1 = surface.wrap(surface.sigma(i) + 1)
         img = surface.t(surface.sigma(i)).apply(h_pts[sp1 - 1])
-        if abs(math.remainder(img.angle - d_pts[i - 1].angle, TWO_PI)) > tol:
+        if angdiff(img.angle, d_pts[i - 1].angle) > tol:
             raise RangeError(f"D_{i} != T_sigma({i}) H_{sp1}")
     return SolvedParams(
         params=params,
@@ -311,33 +290,35 @@ def solve(surface: SurfaceGroup, word: str, tol: float = TOL) -> SolvedParams:
 # -- the boundary map and its two-coordinate extension ------------------------
 
 
-def boundary_step(params: ExtremalParams, x: CirclePoint) -> tuple[CirclePoint, int]:
-    """One application of the circle map: T_i(x) for x in [A_i, A_{i+1})."""
-    i = params.branch(x)
+def boundary_step(params, x: CirclePoint) -> tuple[CirclePoint, int]:
+    """One application of the circle map: T_i(x) for x in arc i of params.partition.
+
+    Like the extension steps, it runs the dual map when given a DualParams.
+    """
+    i = params.partition.index(x.angle)
     return params.surface.t(i).apply(x), i
 
 
-def extension_step(
-    params: ExtremalParams, u: CirclePoint, w: CirclePoint
-) -> tuple[CirclePoint, CirclePoint, int]:
-    """One application of the two-coordinate extension; the index is chosen by w."""
-    if abs(math.remainder(u.angle - w.angle, TWO_PI)) <= TOL:
+def extension_step(params, u: CirclePoint, w: CirclePoint) -> tuple[CirclePoint, CirclePoint, int]:
+    """One application of the two-coordinate extension; the index is chosen by w.
+
+    `params` is anything with a `surface` and a `partition`: an
+    ExtremalParams, or a DualParams for the dual extension.
+    """
+    if angdiff(u.angle, w.angle) <= TOL:
         raise OutsideDomainError("extension map requires u != w")
-    i = params.branch(w)
+    i = params.partition.index(w.angle)
     t = params.surface.t(i)
     return t.apply(u), t.apply(w), i
 
 
-def extension_step_many(params: ExtremalParams, u_thetas, w_thetas):
-    """Vectorized extension step on angle arrays; returns (u', w', index)."""
-    idx = params.branch_many(w_thetas)
-    ai = params._gen_a[idx - 1]
-    ci = params._gen_c[idx - 1]
+def extension_step_many(params, u_thetas, w_thetas):
+    """Vectorized extension_step on angle arrays; returns (u', w', index)."""
+    idx = params.partition.index_many(w_thetas)
+    a, c = params.surface.gen_a[idx - 1], params.surface.gen_c[idx - 1]
     zu = np.exp(1j * np.asarray(u_thetas, dtype=float))
     zw = np.exp(1j * np.asarray(w_thetas, dtype=float))
-    u2 = (ai * zu + np.conj(ci)) / (ci * zu + np.conj(ai))
-    w2 = (ai * zw + np.conj(ci)) / (ci * zw + np.conj(ai))
-    return np.remainder(np.angle(u2), TWO_PI), np.remainder(np.angle(w2), TWO_PI), idx
+    return moebius_angles(a, c, zu), moebius_angles(a, c, zw), idx
 
 
 # -- the rectangle domain -----------------------------------------------------
@@ -378,16 +359,12 @@ class RectDomain:
     """A finite union of rectangles with half-open membership semantics.
 
     The y-arcs of the rectangles tile the circle (indexed lookups go
-    through searchsorted); the x-arcs are arbitrary.
+    through a CirclePartition of their starts); the x-arcs are arbitrary.
     """
 
     def __init__(self, rects: list[DomainRect]):
         self.rects = rects
-        self._y_base = rects[0].y.start.angle
-        starts = np.array([ccw_distance(self._y_base, r.y.start.angle) for r in rects])
-        order = np.argsort(starts, kind="stable")
-        self._y_breaks = starts[order]
-        self._slot_to_rect = np.asarray(order, dtype=np.int64)
+        self._y = CirclePartition([r.y.start.angle for r in rects])
         self._x0 = np.array([r.x.start.angle for r in rects])
         self._xw = np.array([r.x.length for r in rects])
         self._y0 = np.array([r.y.start.angle for r in rects])
@@ -405,10 +382,7 @@ class RectDomain:
 
     def locate_many(self, u_thetas, w_thetas) -> np.ndarray:
         """Vectorized locate; -1 where outside."""
-        wv = np.remainder(np.asarray(w_thetas, dtype=float) - self._y_base, TWO_PI)
-        slot = np.searchsorted(self._y_breaks, wv, side="right") - 1
-        slot = slot % len(self.rects)
-        ridx = self._slot_to_rect[slot]
+        ridx = self._y.index_many(w_thetas) - 1
         s = np.remainder(np.asarray(u_thetas, dtype=float) - self._x0[ridx], TWO_PI)
         inside = s < self._xw[ridx]
         return np.where(inside, ridx, -1)
@@ -478,9 +452,6 @@ def build_domain(solved: SolvedParams) -> RectDomain:
     return RectDomain(rects)
 
 
-build_omega = build_domain
-
-
 def invariant_measure(rect: DomainRect) -> float:
     """Mass of du dw / |e^{iu} - e^{iw}|^2 on a rectangle, in closed form.
 
@@ -527,7 +498,7 @@ def inverse_step(
         t_inv = s.t(s.sigma(i))
         u2 = t_inv.apply(u)
         w2 = t_inv.apply(w)
-        if params.branch(w2) != i:
+        if params.partition.index(w2.angle) != i:
             continue
         if domain.contains(u2, w2):
             hits.append((u2, w2, i))
@@ -540,8 +511,8 @@ def inverse_step(
     base = hits[0]
     for other in hits[1:]:
         if (
-            abs(math.remainder(base[0].angle - other[0].angle, TWO_PI)) > tol
-            or abs(math.remainder(base[1].angle - other[1].angle, TWO_PI)) > tol
+            angdiff(base[0].angle, other[0].angle) > tol
+            or angdiff(base[1].angle, other[1].angle) > tol
         ):
             raise BijectivityError(f"multiple preimages found: branches {[h[2] for h in hits]}")
     return base
@@ -560,10 +531,9 @@ def inverse_step_many(solved: SolvedParams, domain: RectDomain, u_thetas, w_thet
     count = np.zeros(m, dtype=np.int64)
     for i in range(1, s.n + 1):
         t_inv = s.t(s.sigma(i))
-        a, c = t_inv.a, t_inv.c
-        u2 = np.remainder(np.angle((a * zu + np.conj(c)) / (c * zu + np.conj(a))), TWO_PI)
-        w2 = np.remainder(np.angle((a * zw + np.conj(c)) / (c * zw + np.conj(a))), TWO_PI)
-        ok = (params.branch_many(w2) == i) & domain.contains_many(u2, w2)
+        u2 = moebius_angles(t_inv.a, t_inv.c, zu)
+        w2 = moebius_angles(t_inv.a, t_inv.c, zw)
+        ok = (params.partition.index_many(w2) == i) & domain.contains_many(u2, w2)
         newhit = ok & (count == 0)
         best_u = np.where(newhit, u2, best_u)
         best_w = np.where(newhit, w2, best_w)
@@ -601,7 +571,7 @@ class BijectivityReport:
 
     @property
     def mc_passed(self) -> bool:
-        return self.mc_checked and not (
+        return self.mc_checked and self.mc_samples > 0 and not (
             self.mc_image_misses
             or self.mc_injectivity_collisions
             or self.mc_preimage_misses
@@ -638,10 +608,6 @@ class BijectivityReport:
         }
 
 
-def _angdiff(a: float, b: float) -> float:
-    return abs(math.remainder(a - b, TWO_PI))
-
-
 def verify_bijectivity(
     solved: SolvedParams,
     domain: RectDomain,
@@ -666,7 +632,7 @@ def verify_bijectivity(
 
 
 def _corner_check(report, name, actual: CirclePoint, expected: CirclePoint, tol):
-    dev = _angdiff(actual.angle, expected.angle)
+    dev = angdiff(actual.angle, expected.angle)
     report.max_corner_deviation = max(report.max_corner_deviation, dev)
     if dev > tol:
         report.corner_failures.append(f"{name} off by {dev:.3g}")
@@ -700,7 +666,7 @@ def _verify_analytic(solved: SolvedParams, report: BijectivityReport, tol: float
 
     # Degeneracy happens exactly where the image decomposition drops a piece.
     for m in range(1, n + 1):
-        head_deg = _angdiff(solved.h(m + 1).angle, solved.d(m + 2).angle) <= tol
+        head_deg = angdiff(solved.h(m + 1).angle, solved.d(m + 2).angle) <= tol
         head_expected = params.choice(s.tau_sigma(m)) == "P"
         if head_deg != head_expected:
             report.degeneracy_failures.append(
@@ -708,7 +674,7 @@ def _verify_analytic(solved: SolvedParams, report: BijectivityReport, tol: float
                 f"but choice at tau_sigma({m}) is {params.choice(s.tau_sigma(m))}"
             )
         for j in (m - 2, m - 1):
-            tail_deg = _angdiff(solved.g(j).angle, solved.d(j).angle) <= tol
+            tail_deg = angdiff(solved.g(j).angle, solved.d(j).angle) <= tol
             tail_expected = params.choice(s.sigma(j)) == "Q"
             if tail_deg != tail_expected:
                 report.degeneracy_failures.append(
@@ -738,7 +704,7 @@ def _verify_analytic(solved: SolvedParams, report: BijectivityReport, tol: float
                         f"strip {m} {kind}: piece {label} reversed (width {width:.3g})"
                     )
                     width = 0.0
-                if prev_end is not None and _angdiff(prev_end.angle, a.angle) > tol:
+                if prev_end is not None and angdiff(prev_end.angle, a.angle) > tol:
                     report.tiling_failures.append(
                         f"strip {m} {kind}: gap before {label}"
                     )

@@ -5,14 +5,19 @@ at infinity stored by its angle, a counterclockwise arc between two such
 points, and a disk-preserving Moebius transformation stored in the
 normalized form  z -> (a*z + conj(c)) / (c*z + conj(a))  with
 |a|^2 - |c|^2 = 1.  All operations are pure; all objects are immutable.
+A CirclePartition cuts the circle into half-open arcs at given points,
+and moebius_angles applies such maps to arrays of points.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .errors import (
     DegeneratePointsError,
@@ -47,6 +52,11 @@ def angular_separation(a: float, b: float) -> float:
     """Shortest angular distance between two angles, in [0, pi]."""
     d = wrap_angle(b - a)
     return min(d, TWO_PI - d)
+
+
+def angdiff(a: float, b: float) -> float:
+    """|a - b| reduced to [0, pi] by math.remainder; the corner-check metric."""
+    return abs(math.remainder(a - b, TWO_PI))
 
 
 @dataclass(frozen=True)
@@ -126,8 +136,39 @@ class Arc:
         return f"Arc{lb}{self.start.angle:.6f}, {self.end.angle:.6f}{rb}"
 
 
-def arc_contains(arc: Arc, x: CirclePoint, tol: float = TOL) -> bool:
-    return arc.contains(x, tol)
+class CirclePartition:
+    """The circle cut at n breakpoints, given in any order.
+
+    Arc k (1-based, numbered like the breakpoints) runs from breakpoint k
+    to the next breakpoint counterclockwise, closed on the left and open
+    on the right, so the arcs partition the circle.
+    """
+
+    def __init__(self, angles):
+        angles = np.asarray(angles, dtype=float)
+        self.base = float(angles[0])
+        rel = np.remainder(angles - self.base, TWO_PI)
+        order = np.argsort(rel, kind="stable")
+        self.breaks, self.labels = rel[order], order + 1
+        # `index` runs once per orbit step; plain lists keep numpy out of it.
+        self._break_list, self._label_list = self.breaks.tolist(), self.labels.tolist()
+
+    def _rel(self, thetas) -> np.ndarray:
+        return np.remainder(np.asarray(thetas, dtype=float) - self.base, TWO_PI)
+
+    def index_many(self, thetas) -> np.ndarray:
+        """The 1-based arc containing each angle."""
+        return self.labels[np.searchsorted(self.breaks, self._rel(thetas), side="right") - 1]
+
+    def index(self, theta: float) -> int:
+        """index_many for one angle; Python's float % rounds as np.remainder does."""
+        rel = (theta - self.base) % TWO_PI
+        return self._label_list[bisect.bisect_right(self._break_list, rel) - 1]
+
+    def distance_many(self, thetas) -> np.ndarray:
+        """Angular distance from each angle to the nearest breakpoint."""
+        d = np.abs(self._rel(thetas)[:, None] - self.breaks[None, :])
+        return np.minimum(d, TWO_PI - d).min(axis=1)
 
 
 @dataclass(frozen=True)
@@ -212,6 +253,15 @@ class MoebiusMap:
 
     def __repr__(self):
         return f"MoebiusMap(a={self.a:.12g}, c={self.c:.12g})"
+
+
+def moebius_angles(a, c, z: np.ndarray) -> np.ndarray:
+    """Angles of the images of unit points z under z -> (a z + conj c) / (c z + conj a).
+
+    a and c are one map's coefficients or arrays of them matching z; the
+    angles are reduced mod 2*pi by np.remainder.
+    """
+    return np.remainder(np.angle((a * z + np.conj(c)) / (c * z + np.conj(a))), TWO_PI)
 
 
 def _det3(m) -> complex:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -82,17 +83,38 @@ def _check_word(word: str, genus: int) -> str | None:
     return None
 
 
+def _check_options(args) -> str | None:
+    """One line naming the first misused option, or None.
+
+    Resolves a missing --tol from FUCHSIAN_TOL, so commands read args.tol.
+    """
+    lows = {"genus": 2, "samples": 1, "random": 1, "iters": 0, "future": 0, "past": 0}
+    for name, low in lows.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            return f"--{name} must be at least {low}; got {value}"
+    if args.tol is None:
+        source, raw = "FUCHSIAN_TOL", os.environ.get("FUCHSIAN_TOL")
+        try:
+            args.tol = default_tol()
+        except ValueError:
+            args.tol = math.nan
+    else:
+        source, raw = "--tol", args.tol
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        return f"{source} must be a positive number; got {raw!r}"
+    if args.command == "render" and args.what != "polygon" and not args.params:
+        return "render --what omega/omega-dual/omega-geo requires --params"
+    if getattr(args, "params", None) is not None:
+        return _check_word(args.params, args.genus)
+    return None
+
+
 def _prepare(args):
-    tol = args.tol if args.tol is not None else default_tol()
     surface = build_regular_surface(args.genus, offset=args.offset)
-    if hasattr(args, "params"):
-        msg = _check_word(args.params, args.genus)
-        if msg:
-            print(msg, file=sys.stderr)
-            raise SystemExit(USAGE_ERROR)
-        solved = solve(surface, args.params.upper(), tol)
-        return surface, solved, tol
-    return surface, None, tol
+    if getattr(args, "params", None) is not None:
+        return surface, solve(surface, args.params.upper(), args.tol), args.tol
+    return surface, None, args.tol
 
 
 def cmd_surface(args) -> int:
@@ -107,23 +129,23 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _rects_json(rects) -> list[dict]:
+    return [
+        {
+            "strip": r.strip,
+            "kind": r.kind,
+            "x": [r.x.start.angle, r.x.length],
+            "y": [r.y.start.angle, r.y.length],
+            "degenerate": r.degenerate,
+        }
+        for r in rects
+    ]
+
+
 def cmd_omega(args) -> int:
     _, solved, _ = _prepare(args)
-    domain = build_domain(solved)
-    doc = {
-        "genus": args.genus,
-        "params": solved.params.word,
-        "rectangles": [
-            {
-                "strip": r.strip,
-                "kind": r.kind,
-                "x": [r.x.start.angle, r.x.length],
-                "y": [r.y.start.angle, r.y.length],
-                "degenerate": r.degenerate,
-            }
-            for r in domain.rects
-        ],
-    }
+    rects = build_domain(solved).rects
+    doc = {"genus": args.genus, "params": solved.params.word, "rectangles": _rects_json(rects)}
     _emit(json.dumps(doc, indent=2), args.out)
     return 0
 
@@ -132,16 +154,7 @@ def cmd_dual(args) -> int:
     _, solved, _ = _prepare(args)
     dual_domain = build_omega_dual(solved)
     doc = json.loads(dual_domain.dual.to_json())
-    doc["rectangles"] = [
-        {
-            "strip": r.strip,
-            "kind": r.kind,
-            "x": [r.x.start.angle, r.x.length],
-            "y": [r.y.start.angle, r.y.length],
-            "degenerate": r.degenerate,
-        }
-        for r in dual_domain.rectangles()
-    ]
+    doc["rectangles"] = _rects_json(dual_domain.rectangles())
     _emit(json.dumps(doc, indent=2), args.out)
     return 0
 
@@ -211,7 +224,7 @@ def cmd_code(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    tol = args.tol if args.tol is not None else default_tol()
+    tol = args.tol
     surface = build_regular_surface(args.genus, offset=args.offset)
     n = surface.n
     if args.genus == 2 and args.random is None:
@@ -256,11 +269,7 @@ def cmd_attractor(args) -> int:
 
 
 def cmd_render(args) -> int:
-    surface, solved, tol = _prepare(args) if args.what != "polygon" else (
-        build_regular_surface(args.genus, offset=args.offset),
-        None,
-        args.tol or default_tol(),
-    )
+    surface, solved, tol = _prepare(args)
     if args.what == "polygon":
         spec = polygon_spec(surface)
     elif args.what == "omega":
@@ -268,7 +277,7 @@ def cmd_render(args) -> int:
     elif args.what == "omega-dual":
         spec = omega_dual_spec(solved, build_omega_dual(solved, tol))
     else:  # omega-geo
-        spec = omega_geo_spec(solved.surface if solved else surface)
+        spec = omega_geo_spec(surface)
     _emit(render_svg(spec), args.out)
     return 0
 
@@ -345,18 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "render" and args.what != "polygon":
-        if not args.params:
-            print("render --what omega/omega-dual/omega-geo requires --params", file=sys.stderr)
-            return USAGE_ERROR
-        msg = _check_word(args.params, args.genus)
-        if msg:
-            print(msg, file=sys.stderr)
-            return USAGE_ERROR
+    msg = _check_options(args)
+    if msg:
+        print(msg, file=sys.stderr)
+        return USAGE_ERROR
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     except FuchsianError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VERIFY_FAILURE

@@ -16,12 +16,20 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
-from .circle import TOL, TWO_PI, Arc, CirclePoint, MoebiusMap
+from .circle import (
+    TOL,
+    TWO_PI,
+    Arc,
+    CirclePartition,
+    CirclePoint,
+    MoebiusMap,
+    angdiff,
+    moebius_angles,
+)
 from .errors import (
     BijectivityError,
     DegeneratePointsError,
@@ -210,16 +218,9 @@ class _RegionLocator:
         self.clipper = GeodesicClipper(s)
         self.p_angles = np.array([s.p(i).angle for i in range(1, s.n + 1)])
         self.q_angles = np.array([s.q(i).angle for i in range(1, s.n + 1)])
+        self.p_partition = CirclePartition(self.p_angles)
+        self.q_partition = CirclePartition(self.q_angles)
         self.u_maps = [regions.solved.u(i) for i in range(1, s.n + 1)]
-
-    def letter_between(self, thetas: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-        """1-based k with theta in [anchors_k, anchors_{k+1})."""
-        base = anchors[0]
-        rel = np.remainder(thetas - base, TWO_PI)
-        breaks = np.remainder(anchors - base, TWO_PI)
-        order = np.argsort(breaks)
-        idx = np.searchsorted(breaks[order], rel, side="right") - 1
-        return order[idx % len(anchors)] + 1
 
     def in_box(self, thetas, start_angles, end_angles, tol=TOL):
         width = np.remainder(end_angles - start_angles, TWO_PI)
@@ -235,13 +236,13 @@ class _RegionLocator:
         code[inside_geo & in_domain] = 0
         rest = inside_geo & ~in_domain
         if rest.any():
-            i_low = self.letter_between(w_thetas, self.p_angles)  # w in [P_i, P_{i+1})
+            i_low = self.p_partition.index_many(w_thetas)  # w in [P_i, P_{i+1})
             x0 = self.q_angles[i_low % n]  # Q_{i+1}
             x1 = self.q_angles[(i_low + 1) % n]  # Q_{i+2}
             low_ok = rest & self.in_box(u_thetas, x0, x1)
             code[low_ok] = 1
             index[low_ok] = i_low[low_ok]
-            i_up = self.letter_between(w_thetas, self.q_angles)  # w in [Q_j, Q_{j+1})
+            i_up = self.q_partition.index_many(w_thetas)  # w in [Q_j, Q_{j+1})
             x0u = self.p_angles[(i_up - 2) % n]  # P_{j-1}
             x1u = self.p_angles[(i_up - 1) % n]  # P_j
             up_ok = rest & ~low_ok & self.in_box(u_thetas, x0u, x1u)
@@ -261,14 +262,8 @@ class _RegionLocator:
             for i in np.unique(index[mask]):
                 m = self.u_maps[(s.tau(int(i)) + tau_shift - 1) % s.n]
                 sel = mask & (index == i)
-                zu = np.exp(1j * u2[sel])
-                zw = np.exp(1j * w2[sel])
-                u2[sel] = np.remainder(
-                    np.angle((m.a * zu + np.conj(m.c)) / (m.c * zu + np.conj(m.a))), TWO_PI
-                )
-                w2[sel] = np.remainder(
-                    np.angle((m.a * zw + np.conj(m.c)) / (m.c * zw + np.conj(m.a))), TWO_PI
-                )
+                u2[sel] = moebius_angles(m.a, m.c, np.exp(1j * u2[sel]))
+                w2[sel] = moebius_angles(m.a, m.c, np.exp(1j * w2[sel]))
         return u2, w2
 
 
@@ -293,7 +288,7 @@ def sample_curvilinear(
         good = (hi - lo > margin) & (entry > 0) & (exit_ > 0)
         good &= (lo_ties < 2) & (hi_ties < 2)
         good &= regions.domain.boundary_distance_many(u, w) > margin
-        good &= regions.solved.params.boundary_distance(w) > margin
+        good &= regions.solved.params.partition.distance_many(w) > margin
         u, w = u[good], w[good]
         out_u.append(u[:need])
         out_w.append(w[:need])
@@ -320,12 +315,9 @@ def verify_conjugacy(
     ok = (hi - lo > margin) & (exit_ > 0) & (hi_ties < 2)
 
     # geometric step
-    a = np.array([solved.surface.t(i).a for i in range(1, solved.surface.n + 1)])
-    c = np.array([solved.surface.t(i).c for i in range(1, solved.surface.n + 1)])
-    ae, ce = a[exit_ - 1], c[exit_ - 1]
-    zu, zw = np.exp(1j * u), np.exp(1j * w)
-    gu = np.remainder(np.angle((ae * zu + np.conj(ce)) / (ce * zu + np.conj(ae))), TWO_PI)
-    gw = np.remainder(np.angle((ae * zw + np.conj(ce)) / (ce * zw + np.conj(ae))), TWO_PI)
+    ae, ce = solved.surface.gen_a[exit_ - 1], solved.surface.gen_c[exit_ - 1]
+    gu = moebius_angles(ae, ce, np.exp(1j * u))
+    gw = moebius_angles(ae, ce, np.exp(1j * w))
 
     # classify both p and geo(p); skip any sample whose classification is
     # ambiguous or whose image sits within the margin of a boundary
@@ -337,7 +329,7 @@ def verify_conjugacy(
     code_g, idx_g = loc.classify(gu, gw, g_inside, in_dom_g)
     ok &= (code_p >= 0) & (code_g >= 0)
     ok &= regions.domain.boundary_distance_many(gu, gw) > margin
-    ok &= solved.params.boundary_distance(gw) > margin
+    ok &= solved.params.partition.distance_many(gw) > margin
 
     report.skipped_boundary = int((~ok).sum())
     if not ok.any():
@@ -401,7 +393,7 @@ def code_geodesic(
 
     cu, cw = u, w
     for _ in range(n_future):
-        if params.boundary_distance(np.array([cw.angle]))[0] <= tol:
+        if params.partition.distance_many([cw.angle])[0] <= tol:
             truncated = True
             break
         cu, cw, i = extension_step(params, cu, cw)
@@ -414,7 +406,7 @@ def code_geodesic(
         except (OutsideDomainError, BijectivityError):
             truncated = True
             break
-        if params.boundary_distance(np.array([cw.angle]))[0] <= tol:
+        if params.partition.distance_many([cw.angle])[0] <= tol:
             truncated = True
             break
         past.append(s.sigma(i))
@@ -469,10 +461,6 @@ class TransitionMatrix:
         )
 
 
-def _wrap2(k: int, m: int) -> int:
-    return (k - 1) % m + 1
-
-
 def markov_transition_matrix(
     solved_or_params: SolvedParams | ExtremalParams, tol: float = TOL
 ) -> TransitionMatrix:
@@ -500,72 +488,62 @@ def markov_transition_matrix(
 
     def fill_block(row: int, start: int, count: int):
         for j in range(count):
-            matrix[row - 1, _wrap2(start + j, m) - 1] = True
+            matrix[row - 1, (start + j - 1) % m] = True
 
     for i in range(1, n + 1):
         si = s.sigma(i)
-        # odd row 2i-1: interval (P_i, Q_i)
-        row = 2 * i - 1
+        # Per row: generator applied, claimed endpoint images, first column
+        # and width of the row's block.  Odd row 2i-1 is (P_i, Q_i).
         if params.choice(i) == "P":
-            branch[row - 1] = i
-            expected = (s.q(si + 1), s.q(si + 2))
-            fill_block(row, 2 * si + 2, 2)
+            odd = (i, (s.q(si + 1), s.q(si + 2)), 2 * si + 2, 2)
         else:
-            branch[row - 1] = s.wrap(i - 1)
             k = s.tau_sigma(i)
-            expected = (s.p(k), s.p(k + 1))
-            fill_block(row, 2 * k - 1, 2)
-        a, b = interval_endpoints(row)
-        t = s.t(branch[row - 1])
-        for actual, claim, name in (
-            (t.apply(a), expected[0], "left"),
-            (t.apply(b), expected[1], "right"),
-        ):
-            if abs(math.remainder(actual.angle - claim.angle, TWO_PI)) > tol:
-                raise MarkovError(f"row {row}: {name} endpoint image mismatch")
+            odd = (s.wrap(i - 1), (s.p(k), s.p(k + 1)), 2 * k - 1, 2)
         # even row 2i: interval (Q_i, P_{i+1})
-        row = 2 * i
-        branch[row - 1] = i
-        expected = (s.q(si + 2), s.p(si - 1))
-        fill_block(row, 2 * si + 4, 2 * n - 7)
-        a, b = interval_endpoints(row)
-        t = s.t(i)
-        for actual, claim, name in (
-            (t.apply(a), expected[0], "left"),
-            (t.apply(b), expected[1], "right"),
-        ):
-            if abs(math.remainder(actual.angle - claim.angle, TWO_PI)) > tol:
-                raise MarkovError(f"row {row}: {name} endpoint image mismatch")
+        even = (i, (s.q(si + 2), s.p(si - 1)), 2 * si + 4, 2 * n - 7)
+        for row, (gen, expected, start, count) in ((2 * i - 1, odd), (2 * i, even)):
+            branch[row - 1] = gen
+            fill_block(row, start, count)
+            t = s.t(gen)
+            for end, claim, name in zip(interval_endpoints(row), expected, ("left", "right")):
+                if angdiff(t.apply(end).angle, claim.angle) > tol:
+                    raise MarkovError(f"row {row}: {name} endpoint image mismatch")
 
     return TransitionMatrix(genus=s.genus, matrix=matrix, branch=tuple(branch))
 
 
 @dataclass(frozen=True)
 class SoficGraph:
-    """Edge-labeled presentation on the side alphabet {1..8g-4}."""
+    """Edge-labeled presentation on the side alphabet {1..8g-4}.
+
+    `triples` holds one (from, to, label) entry per labeled edge.
+    """
 
     genus: int
-    graph: nx.MultiDiGraph = field(compare=False)
+    triples: frozenset[tuple[int, int, int]]
 
     @property
     def n(self) -> int:
         return 8 * self.genus - 4
 
     def edges(self) -> list[tuple[int, int, int]]:
-        return sorted(
-            (u, v, data["label"]) for u, v, data in self.graph.edges(data=True)
-        )
+        return sorted(self.triples)
 
     def is_strongly_connected(self) -> bool:
-        return nx.is_strongly_connected(self.graph)
+        """A forward and a reverse search from vertex 1 both reach every vertex."""
+        forward = {(a, b) for a, b, _ in self.triples}
+        for arrows in (forward, {(b, a) for a, b in forward}):
+            seen = frontier = {1}
+            while frontier:
+                frontier = {b for a, b in arrows if a in frontier} - seen
+                seen = seen | frontier
+            if len(seen) != self.n:
+                return False
+        return True
 
     def accepts(self, states: list[int], labels: list[int]) -> bool:
         """True iff consecutive states are joined by edges with the labels."""
-        for a, b, lab in zip(states, states[1:], labels):
-            data = self.graph.get_edge_data(a, b, default=None)
-            if not data or not any(d.get("label") == lab for d in data.values()):
-                return False
-        return True
+        return all(edge in self.triples for edge in zip(states, states[1:], labels))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -583,21 +561,9 @@ class SoficGraph:
 def sofic_amalgamate(params: ExtremalParams, matrix: TransitionMatrix) -> SoficGraph:
     """Merge interval pairs 2k-1, 2k into the letter k and keep edge labels."""
     s = params.surface
-    g = nx.MultiDiGraph()
-    g.add_nodes_from(range(1, s.n + 1))
-    seen = set()
-    for row in range(1, matrix.size + 1):
-        src = (row + 1) // 2
-        lab = s.sigma(matrix.branch[row - 1])
-        for col in matrix.row_entries(row):
-            dst = (col + 1) // 2
-            key = (src, dst, lab)
-            if key not in seen:
-                seen.add(key)
-                g.add_edge(src, dst, label=lab)
-    return SoficGraph(genus=s.genus, graph=g)
-
-
-def refine_to_matrix(params: ExtremalParams, graph: SoficGraph) -> set[tuple[int, int, int]]:
-    """The (src_letter, dst_letter, label) triples of a transition matrix."""
-    return set(graph.edges())
+    triples = frozenset(
+        ((row + 1) // 2, (col + 1) // 2, s.sigma(matrix.branch[row - 1]))
+        for row in range(1, matrix.size + 1)
+        for col in matrix.row_entries(row)
+    )
+    return SoficGraph(genus=s.genus, triples=triples)

@@ -23,19 +23,26 @@ from .boundary import (
     DomainRect,
     RectDomain,
     SolvedParams,
+    boundary_step,
     build_domain,
+    extension_step_many,
     inverse_step_many,
     solve,
 )
-from .circle import TOL, TWO_PI, Arc, CirclePoint, ccw_distance, wrap_angle
-from .errors import ConstructionError, OutsideDomainError
+from .circle import TOL, TWO_PI, Arc, CirclePartition, CirclePoint, angdiff
+from .errors import ConstructionError
 from .surface import SurfaceGroup
 from .words import GroupWord
 
 
 @dataclass(frozen=True)
 class DualParams:
-    """The dual choice: one point in [P_i, Q_i] per side, with its words."""
+    """The dual choice: one point in [P_i, Q_i] per side, with its words.
+
+    `partition` cuts the circle at D_1..D_N; the dual map applies T_i on
+    its arc i, [D_i, D_{i+1}), so the extension steps of `boundary` run the
+    dual extension when given a DualParams.
+    """
 
     solved: SolvedParams  # provenance: the extremal choice this is dual to
 
@@ -58,42 +65,8 @@ class DualParams:
         return self.solved.d_word(i)
 
     @cached_property
-    def _breaks(self) -> np.ndarray:
-        base = self.d(1).angle
-        return np.array([ccw_distance(base, self.d(i).angle) for i in range(1, self.n + 1)])
-
-    @cached_property
-    def _angles(self) -> np.ndarray:
-        return np.array([self.d(i).angle for i in range(1, self.n + 1)])
-
-    @cached_property
-    def _gen(self) -> tuple[np.ndarray, np.ndarray]:
-        s = self.surface
-        return (
-            np.array([s.t(i).a for i in range(1, s.n + 1)]),
-            np.array([s.t(i).c for i in range(1, s.n + 1)]),
-        )
-
-    def branch(self, w: CirclePoint | float) -> int:
-        theta = w.angle if isinstance(w, CirclePoint) else wrap_angle(w)
-        rel = ccw_distance(self.d(1).angle, theta)
-        idx = int(np.searchsorted(self._breaks, rel, side="right")) - 1
-        return idx % self.n + 1
-
-    def branch_many(self, thetas) -> np.ndarray:
-        rel = np.remainder(np.asarray(thetas, dtype=float) - self.d(1).angle, TWO_PI)
-        idx = np.searchsorted(self._breaks, rel, side="right") - 1
-        return idx % self.n + 1
-
-    def boundary_distance(self, thetas) -> np.ndarray:
-        d = np.abs(
-            np.remainder(
-                np.asarray(thetas, dtype=float)[:, None] - self._angles[None, :] + math.pi,
-                TWO_PI,
-            )
-            - math.pi
-        )
-        return d.min(axis=1)
+    def partition(self) -> CirclePartition:
+        return CirclePartition([self.d(i).angle for i in range(1, self.n + 1)])
 
     def extremal_word(self, tol: float = TOL) -> str | None:
         """The {P,Q} word matching the dual points, or None if non-extremal."""
@@ -101,9 +74,9 @@ class DualParams:
         out = []
         for i in range(1, self.n + 1):
             di = self.d(i)
-            if abs(math.remainder(di.angle - s.p(i).angle, TWO_PI)) <= tol:
+            if angdiff(di.angle, s.p(i).angle) <= tol:
                 out.append("P")
-            elif abs(math.remainder(di.angle - s.q(i).angle, TWO_PI)) <= tol:
+            elif angdiff(di.angle, s.q(i).angle) <= tol:
                 out.append("Q")
             else:
                 return None
@@ -147,14 +120,8 @@ class DualDomain:
     def rectangles(self) -> list[DomainRect]:
         return list(self.wide) + list(self.head) + list(self.tail)
 
-    def contains_vertical(self, u: CirclePoint, w: CirclePoint) -> bool:
-        return self.vertical.contains(w, u)
-
     def contains_vertical_many(self, u_thetas, w_thetas) -> np.ndarray:
         return self.vertical.contains_many(w_thetas, u_thetas)
-
-    def contains_horizontal(self, u: CirclePoint, w: CirclePoint) -> bool:
-        return bool(self.contains_horizontal_many(np.array([u.angle]), np.array([w.angle]))[0])
 
     def contains_horizontal_many(self, u_thetas, w_thetas) -> np.ndarray:
         dual = self.dual
@@ -162,7 +129,7 @@ class DualDomain:
         n = s.n
         u = np.asarray(u_thetas, dtype=float)
         w = np.asarray(w_thetas, dtype=float)
-        i = dual.branch_many(w)
+        i = dual.partition.index_many(w)
 
         def in_arc(theta, a0, a1):
             width = np.remainder(a1 - a0, TWO_PI)
@@ -237,17 +204,14 @@ def build_omega_dual(solved: SolvedParams, tol: float = TOL) -> DualDomain:
             )
         )
 
-    def near(a: CirclePoint, b: CirclePoint) -> bool:
-        return abs(math.remainder(a.angle - b.angle, TWO_PI)) <= tol
-
     for i in range(1, n + 1):
-        head_empty = near(solved.h(i), dual.d(i + 1))
+        head_empty = angdiff(solved.h(i).angle, dual.d(i + 1).angle) <= tol
         if head_empty != (params.choice(s.sigma(i) + 1) == "P"):
             raise ConstructionError(
                 f"dual head rectangle {i}: empty={head_empty} contradicts the "
                 f"choice at sigma({i})+1"
             )
-        tail_empty = near(dual.d(i), solved.g(i))
+        tail_empty = angdiff(dual.d(i).angle, solved.g(i).angle) <= tol
         if tail_empty != (params.choice(s.sigma(i)) == "Q"):
             raise ConstructionError(
                 f"dual tail rectangle {i}: empty={tail_empty} contradicts the "
@@ -257,32 +221,13 @@ def build_omega_dual(solved: SolvedParams, tol: float = TOL) -> DualDomain:
     # The vertical strips must be exactly the flipped primal strips.
     for i in range(1, n + 1):
         lower = vertical.rects[2 * (i - 1)]
-        if not (near(lower.y.start, s.p(i)) and near(lower.x.start, solved.h(i + 1))):
+        if (
+            angdiff(lower.y.start.angle, s.p(i).angle) > tol
+            or angdiff(lower.x.start.angle, solved.h(i + 1).angle) > tol
+        ):
             raise ConstructionError(f"vertical strip {i} does not flip onto the primal strip")
 
     return DualDomain(dual=dual, vertical=vertical, wide=tuple(wide), head=tuple(head), tail=tuple(tail))
-
-
-def dual_step(
-    dual: DualParams, u: CirclePoint, w: CirclePoint
-) -> tuple[CirclePoint, CirclePoint, int]:
-    """One application of the dual extension; the index is chosen by w."""
-    if abs(math.remainder(u.angle - w.angle, TWO_PI)) <= TOL:
-        raise OutsideDomainError("dual extension requires u != w")
-    i = dual.branch(w)
-    t = dual.surface.t(i)
-    return t.apply(u), t.apply(w), i
-
-
-def dual_step_many(dual: DualParams, u_thetas, w_thetas):
-    idx = dual.branch_many(w_thetas)
-    a, c = dual._gen
-    ai, ci = a[idx - 1], c[idx - 1]
-    zu = np.exp(1j * np.asarray(u_thetas, dtype=float))
-    zw = np.exp(1j * np.asarray(w_thetas, dtype=float))
-    u2 = (ai * zu + np.conj(ci)) / (ci * zu + np.conj(ai))
-    w2 = (ai * zw + np.conj(ci)) / (ci * zw + np.conj(ai))
-    return np.remainder(np.angle(u2), TWO_PI), np.remainder(np.angle(w2), TWO_PI), idx
 
 
 # -- verification -------------------------------------------------------------
@@ -327,10 +272,6 @@ class DualityReport:
         }
 
 
-def _angdiff(a: float, b: float) -> float:
-    return abs(math.remainder(a - b, TWO_PI))
-
-
 def verify_dual_images(
     solved: SolvedParams, dual_domain: DualDomain, tol: float = TOL
 ) -> list[str]:
@@ -346,7 +287,7 @@ def verify_dual_images(
     fails: list[str] = []
 
     def check(name: str, actual: CirclePoint, expected: CirclePoint):
-        dev = _angdiff(actual.angle, expected.angle)
+        dev = angdiff(actual.angle, expected.angle)
         if dev > tol:
             fails.append(f"{name} off by {dev:.3g}")
 
@@ -403,13 +344,13 @@ def verify_duality(
 
     # (b) the defining identity, on points away from the dual partition.
     u, w = domain.sample(rng, samples)
-    keep = dual.boundary_distance(u) > 10 * tol
+    keep = dual.partition.distance_many(u) > 10 * tol
     keep &= domain.boundary_distance_many(u, w) > 10 * tol
     report.skipped = int((~keep).sum())
     u, w = u[keep], w[keep]
     pu, pw, bidx, count = inverse_step_many(solved, domain, u, w)
     good = count == 1
-    fu, fw, _ = dual_step_many(dual, w[good], u[good])
+    fu, fw, _ = extension_step_many(dual, w[good], u[good])
     dev = np.maximum(
         np.abs(np.remainder(fu - pw[good] + math.pi, TWO_PI) - math.pi),
         np.abs(np.remainder(fw - pu[good] + math.pi, TWO_PI) - math.pi),
@@ -434,12 +375,11 @@ def verify_duality(
         branches = []
         bad = False
         for _ in range(code_depth):
-            if dual.boundary_distance(np.array([x.angle]))[0] <= 10 * tol:
+            if dual.partition.distance_many([x.angle])[0] <= 10 * tol:
                 bad = True
                 break
-            j = dual.branch(x)
+            x, j = boundary_step(dual, x)
             branches.append(j)
-            x = dual.surface.t(j).apply(x)
         if bad:
             report.skipped += 1
             continue

@@ -16,6 +16,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -118,6 +119,16 @@ class SurfaceGroup:
 
     def t(self, i: int) -> MoebiusMap:
         return self.generators[self.maps.wrap(i) - 1]
+
+    @cached_property
+    def gen_a(self) -> np.ndarray:
+        """The coefficients a of T_1..T_N, for array Moebius maps."""
+        return np.array([m.a for m in self.generators])
+
+    @cached_property
+    def gen_c(self) -> np.ndarray:
+        """The coefficients c of T_1..T_N, for array Moebius maps."""
+        return np.array([m.c for m in self.generators])
 
     def sigma(self, i: int) -> int:
         return self.maps.sigma(i)

@@ -55,13 +55,13 @@ class TestParams:
     def test_branch_left_closed(self, genus2):
         params = ExtremalParams(genus2, "P" * 12)
         for i in range(1, 13):
-            assert params.branch(params.a(i)) == i
+            assert params.partition.index(params.a(i).angle) == i
 
     def test_branch_oracle_by_arc(self, genus2):
         params = ExtremalParams(genus2, EXAMPLE_WORD)
         rng = np.random.default_rng(2)
         for theta in rng.uniform(0, TWO_PI, 200):
-            i = params.branch(CirclePoint(theta))
+            i = params.partition.index(theta)
             arc = Arc(params.a(i), params.a(i + 1))
             assert arc.contains(CirclePoint(theta))
 

@@ -8,17 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuchsian.boundary import ExtremalParams, solve
 from fuchsian.circle import (
     TOL,
     TWO_PI,
     Arc,
+    CirclePartition,
     CirclePoint,
     MoebiusMap,
+    angdiff,
     ccw,
     from_three_points,
     geodesic_endpoints,
     half_turn,
+    moebius_angles,
 )
+from fuchsian.duality import dual_params
 from fuchsian.errors import (
     DegeneratePointsError,
     NoCircleFixedPointsError,
@@ -113,6 +118,89 @@ class TestArc:
         assert arc.length == 0.0
         assert arc.contains(CirclePoint(1.0))
         assert not arc.contains(CirclePoint(1.1))
+
+
+PARTITION_WORDS = [
+    (2, "P" * 12),
+    (2, "Q" * 12),
+    (2, "PQ" * 6),
+    (2, "PPPPQPQQPPQQ"),
+    (3, "PQQPPQPQPQQPQPPQQPPQ"),
+    (3, "PPQQ" * 5),
+]
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(g, w, side) for g, w in PARTITION_WORDS for side in ("primal", "dual")],
+    ids=lambda p: f"g{p[0]}-{p[1]}-{p[2]}",
+)
+def partition_case(request):
+    """(breakpoint angles, CirclePartition) of a parameter choice or its dual."""
+    genus, word, side = request.param
+    surface = request.getfixturevalue(f"genus{genus}")
+    if side == "primal":
+        params = ExtremalParams(surface, word)
+        angles = [p.angle for p in params.points]
+    else:
+        params = dual_params(solve(surface, word))
+        angles = [params.d(i).angle for i in range(1, surface.n + 1)]
+    return np.array(angles), params.partition
+
+
+class TestCirclePartition:
+    def test_scalar_matches_array_at_breakpoints(self, partition_case):
+        angles, part = partition_case
+        probes = np.concatenate(
+            [np.nextafter(angles, -np.inf), angles, np.nextafter(angles, np.inf)]
+        )
+        assert [part.index(float(t)) for t in probes] == part.index_many(probes).tolist()
+        # The breakpoints themselves open their own arcs (closed on the left).
+        assert part.index_many(angles).tolist() == list(range(1, len(angles) + 1))
+
+    def test_scalar_matches_array_random(self, partition_case):
+        _, part = partition_case
+        thetas = np.random.default_rng(5).uniform(0.0, TWO_PI, 10_000)
+        assert [part.index(float(t)) for t in thetas] == part.index_many(thetas).tolist()
+
+    def test_arcs_follow_breakpoint_order(self, partition_case):
+        angles, part = partition_case
+        thetas = np.random.default_rng(6).uniform(0.0, TWO_PI, 2_000)
+        for theta, k in zip(thetas, part.index_many(thetas)):
+            arc = Arc(CirclePoint(angles[k - 1]), CirclePoint(angles[k % len(angles)]))
+            assert arc.contains(CirclePoint(theta), 0.0)
+
+    def test_shuffled_breakpoints_give_same_arcs(self, partition_case):
+        angles, part = partition_case
+        perm = np.random.default_rng(7).permutation(len(angles))
+        shuffled = CirclePartition(angles[perm])
+        thetas = np.concatenate([angles, np.random.default_rng(8).uniform(0.0, TWO_PI, 10_000)])
+        assert (perm[shuffled.index_many(thetas) - 1] + 1 == part.index_many(thetas)).all()
+
+    def test_distance_matches_dense_oracle(self, partition_case):
+        angles, part = partition_case
+        thetas = np.concatenate([angles, np.random.default_rng(9).uniform(0.0, TWO_PI, 2_000)])
+        dense = [min(angdiff(t, a) for a in angles) for t in thetas]
+        assert np.allclose(part.distance_many(thetas), dense, rtol=0.0, atol=1e-14)
+
+
+class TestMoebiusAngles:
+    @pytest.mark.parametrize("genus", [2, 3])
+    def test_matches_scalar_apply_angle(self, request, genus):
+        surface = request.getfixturevalue(f"genus{genus}")
+        rng = np.random.default_rng(genus)
+        thetas = rng.uniform(0.0, TWO_PI, 10_000)
+        z = np.exp(1j * thetas)
+        images = []
+        for t in surface.generators:
+            got = moebius_angles(t.a, t.c, z)
+            want = np.array([t.apply_angle(x) for x in thetas])
+            assert np.abs(np.remainder(got - want + math.pi, TWO_PI) - math.pi).max() <= 1e-12
+            images.append(got)
+        # Per-row coefficient arrays select each row's generator.
+        pick = rng.integers(0, surface.n, size=thetas.size)
+        got = moebius_angles(surface.gen_a[pick], surface.gen_c[pick], z)
+        assert (got == np.array(images)[pick, np.arange(thetas.size)]).all()
 
 
 class TestMoebius:

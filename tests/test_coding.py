@@ -9,6 +9,7 @@ import pytest
 from fuchsian.boundary import build_domain, extension_step, solve
 from fuchsian.circle import TOL, TWO_PI, CirclePoint
 from fuchsian.coding import (
+    SoficGraph,
     apply_phi,
     build_regions,
     code_geodesic,
@@ -359,7 +360,7 @@ class TestMarkov:
             b = s.q(i).angle if row % 2 else s.p(i + 1).angle
             width = (b - a) % TWO_PI
             grid = a + np.linspace(1e-6, width - 1e-6, 3000)
-            idx = params.branch_many(grid)
+            idx = params.partition.index_many(grid)
             assert (idx == tm.branch[row - 1]).all()
             t = s.t(tm.branch[row - 1])
             images = np.angle(
@@ -388,8 +389,15 @@ class TestSofic:
         tm = markov_transition_matrix(solved_example)
         graph = sofic_amalgamate(solved_example.params, tm)
         assert graph.n == 12
-        assert set(graph.graph.nodes) == set(range(1, 13))
+        assert {v for edge in graph.edges() for v in edge[:2]} == set(range(1, 13))
         assert graph.is_strongly_connected()
+
+    def test_connectivity_needs_both_directions(self):
+        path = frozenset((k, k + 1, 1) for k in range(1, 12))
+        assert not SoficGraph(genus=2, triples=path).is_strongly_connected()
+        cycle = path | {(12, 1, 1)}
+        assert SoficGraph(genus=2, triples=cycle).is_strongly_connected()
+        assert not SoficGraph(genus=2, triples=cycle - {(5, 6, 1)}).is_strongly_connected()
 
     def test_refinement_reproduces_matrix(self, genus2, solved_example):
         tm = markov_transition_matrix(solved_example)

@@ -5,13 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fuchsian.boundary import build_domain, solve
+from fuchsian.boundary import build_domain, extension_step, solve
 from fuchsian.circle import TOL, TWO_PI, CirclePoint
 from fuchsian.duality import (
     build_omega_dual,
     dual_family_check,
     dual_params,
-    dual_step,
     family_words,
     verify_dual_images,
     verify_duality,
@@ -120,7 +119,7 @@ class TestDualStep:
     def test_step_branch_is_left_closed(self, solved_example, dual_example):
         dual = dual_example.dual
         for i in range(1, 13):
-            _, _, idx = dual_step(dual, CirclePoint(dual.d(i).angle + 2.0), dual.d(i))
+            _, _, idx = extension_step(dual, CirclePoint(dual.d(i).angle + 2.0), dual.d(i))
             assert idx == i
 
 

@@ -1,0 +1,52 @@
+"""Package integrity: exports, declared dependencies and benchmark bindings."""
+
+import ast
+import importlib
+import importlib.util
+import pathlib
+import re
+import sys
+
+import pytest
+
+import fuchsian
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "fuchsian"
+
+
+def test_every_export_resolves():
+    missing = [name for name in fuchsian.__all__ if not hasattr(fuchsian, name)]
+    assert missing == []
+
+
+def test_third_party_imports_match_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    imported = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"fuchsian"}
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in deps}
+    assert third_party == declared
+
+
+def test_benchmark_trace_bindings_exist():
+    """Every binding the benchmark's trace mode wraps is still defined."""
+    spec = importlib.util.spec_from_file_location("_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module, path, _, _ in tracing.WRAPS:
+        owner = importlib.import_module(f"fuchsian.{module}")
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part, None)
+        if owner is None or attr not in vars(owner):
+            missing.append(f"{module}.{path}")
+    assert missing == []

@@ -223,3 +223,25 @@ class TestCli:
         assert default_tol() == 1e-8
         monkeypatch.delenv("FUCHSIAN_TOL")
         assert default_tol() == 1e-9
+
+    @pytest.mark.parametrize(
+        "argv, env_tol",
+        [
+            (["surface", "--genus", "1"], None),
+            (["verify", "bijectivity", "--params", EXAMPLE_WORD, "--tol", "-1"], None),
+            (["attractor", "--params", EXAMPLE_WORD, "--iters", "-1"], None),
+            (["verify", "conjugacy", "--params", EXAMPLE_WORD, "--samples", "0"], None),
+            (["verify", "bijectivity", "--params", EXAMPLE_WORD, "--samples", "0"], None),
+            (["sweep", "--random", "0"], None),
+            (["solve", "--params", EXAMPLE_WORD], "0"),
+            (["solve", "--params", EXAMPLE_WORD], "tight"),
+        ],
+    )
+    def test_misuse_exits_2_with_one_line(self, monkeypatch, capsys, argv, env_tol):
+        if env_tol is not None:
+            monkeypatch.setenv("FUCHSIAN_TOL", env_tol)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "Traceback" not in captured.err
