@@ -48,6 +48,7 @@ from .duality import (
     verify_duality,
 )
 from .attractor import attractor_experiment
+from .sweep import sweep
 from .render import render_svg
 
 __all__ = [
@@ -91,6 +92,7 @@ __all__ = [
     "sofic_amalgamate",
     "solve",
     "solve_g",
+    "sweep",
     "tau",
     "verify_bijectivity",
     "verify_conjugacy",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import RectDomain, SolvedParams, extension_step_many
-from .circle import TOL, TWO_PI
+from .circle import TOL, TWO_PI, angdiff_many
 
 HISTOGRAM_EDGES = (1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 1e-2, 1e-1, 1.0, float("inf"))
 
@@ -71,8 +71,7 @@ def attractor_experiment(
 
     u = rng.random(samples) * TWO_PI
     w = rng.random(samples) * TWO_PI
-    gap = np.abs(np.remainder(u - w + np.pi, TWO_PI) - np.pi)
-    keep = gap > tol
+    keep = angdiff_many(u, w) > tol
     u, w = u[keep], w[keep]
 
     report.baseline_fraction = float(

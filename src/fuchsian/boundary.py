@@ -37,6 +37,7 @@ from .circle import (
     CirclePoint,
     MoebiusMap,
     angdiff,
+    angdiff_many,
     ccw_distance,
     moebius_angles,
 )
@@ -410,8 +411,8 @@ class RectDomain:
         w = np.asarray(w_thetas, dtype=float)[:, None]
         xe = np.concatenate([self._x0, np.remainder(self._x0 + self._xw, TWO_PI)])
         ye = np.concatenate([self._y0, np.remainder(self._y0 + self._yw, TWO_PI)])
-        du = np.abs(np.remainder(u - xe[None, :] + math.pi, TWO_PI) - math.pi).min(axis=1)
-        dw = np.abs(np.remainder(w - ye[None, :] + math.pi, TWO_PI) - math.pi).min(axis=1)
+        du = angdiff_many(u, xe[None, :]).min(axis=1)
+        dw = angdiff_many(w, ye[None, :]).min(axis=1)
         return np.minimum(du, dw)
 
     def sample(self, rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:

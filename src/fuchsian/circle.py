@@ -59,6 +59,11 @@ def angdiff(a: float, b: float) -> float:
     return abs(math.remainder(a - b, TWO_PI))
 
 
+def angdiff_many(a, b) -> np.ndarray:
+    """Array angdiff: |a - b| reduced to [0, pi], element-wise (broadcasts)."""
+    return np.abs(np.remainder(a - b + math.pi, TWO_PI) - math.pi)
+
+
 @dataclass(frozen=True)
 class CirclePoint:
     """A point of the circle at infinity, stored by its angle in [0, 2*pi)."""

@@ -45,6 +45,7 @@ from .render import (
     render_svg,
 )
 from .surface import build_regular_surface
+from .sweep import sweep
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
@@ -93,6 +94,10 @@ def _check_options(args) -> str | None:
         value = getattr(args, name, None)
         if value is not None and value < low:
             return f"--{name} must be at least {low}; got {value}"
+    for name in ("offset", "u", "w"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            return f"--{name} must be a finite number; got {value}"
     if args.tol is None:
         source, raw = "FUCHSIAN_TOL", os.environ.get("FUCHSIAN_TOL")
         try:
@@ -111,20 +116,21 @@ def _check_options(args) -> str | None:
 
 
 def _prepare(args):
+    """The surface, and the solved --params word or None."""
     surface = build_regular_surface(args.genus, offset=args.offset)
-    if getattr(args, "params", None) is not None:
-        return surface, solve(surface, args.params.upper(), args.tol), args.tol
-    return surface, None, args.tol
+    if getattr(args, "params", None) is None:
+        return surface, None
+    return surface, solve(surface, args.params.upper(), args.tol)
 
 
 def cmd_surface(args) -> int:
-    surface = build_regular_surface(args.genus, offset=args.offset)
+    surface, _ = _prepare(args)
     _emit(surface.to_json(), args.out)
     return 0
 
 
 def cmd_solve(args) -> int:
-    _, solved, _ = _prepare(args)
+    _, solved = _prepare(args)
     _emit(solved.to_json(), args.out)
     return 0
 
@@ -143,7 +149,7 @@ def _rects_json(rects) -> list[dict]:
 
 
 def cmd_omega(args) -> int:
-    _, solved, _ = _prepare(args)
+    _, solved = _prepare(args)
     rects = build_domain(solved).rects
     doc = {"genus": args.genus, "params": solved.params.word, "rectangles": _rects_json(rects)}
     _emit(json.dumps(doc, indent=2), args.out)
@@ -151,7 +157,7 @@ def cmd_omega(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    _, solved, _ = _prepare(args)
+    _, solved = _prepare(args)
     dual_domain = build_omega_dual(solved)
     doc = json.loads(dual_domain.dual.to_json())
     doc["rectangles"] = _rects_json(dual_domain.rectangles())
@@ -160,122 +166,88 @@ def cmd_dual(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    surface, solved, tol = _prepare(args)
+    _, solved = _prepare(args)
     domain = build_domain(solved)
+    if args.what == "markov":
+        return _verify_markov(args, solved)
+    checks = dict(samples=args.samples, seed=args.seed, tol=args.tol)
     if args.what == "bijectivity":
-        report = verify_bijectivity(
-            solved, domain, mode="both", samples=args.samples, seed=args.seed, tol=tol
-        )
-        doc = report.to_json()
-        passed = report.passed
+        report = verify_bijectivity(solved, domain, **checks)
     elif args.what == "conjugacy":
-        report = verify_conjugacy(solved, domain, samples=args.samples, seed=args.seed, tol=tol)
-        doc = report.to_json()
-        passed = report.passed
-    elif args.what == "duality":
-        dual_domain = build_omega_dual(solved, tol)
-        report = verify_duality(
-            solved, domain, dual_domain, samples=args.samples, seed=args.seed, tol=tol
-        )
-        doc = report.to_json()
-        passed = report.passed
-    else:  # markov
-        try:
-            tm = markov_transition_matrix(solved, tol)
-        except FuchsianError as exc:
-            _emit(json.dumps({"passed": False, "error": str(exc)}, indent=2), args.out)
-            return VERIFY_FAILURE
-        graph = sofic_amalgamate(solved.params, tm)
-        if args.matrix_out:
-            with open(args.matrix_out, "w") as fh:
-                fh.write(tm.to_text() + "\n")
-        if args.sofic_out:
-            with open(args.sofic_out, "w") as fh:
-                fh.write(graph.to_json() + "\n")
-        doc = {
-            "passed": True,
-            "intervals": tm.size,
-            "odd_row_entries": sorted({len(tm.row_entries(2 * i - 1)) for i in range(1, surface.n + 1)}),
-            "even_row_entries": sorted({len(tm.row_entries(2 * i)) for i in range(1, surface.n + 1)}),
-            "adjacency": {str(k): tm.row_entries(k) for k in range(1, tm.size + 1)},
-            "sofic_vertices": graph.n,
-            "sofic_edges": len(graph.edges()),
-            "strongly_connected": graph.is_strongly_connected(),
-        }
-        passed = True
+        report = verify_conjugacy(solved, domain, **checks)
+    else:  # duality
+        report = verify_duality(solved, domain, build_omega_dual(solved, args.tol), **checks)
+    _emit(json.dumps(report.to_json(), indent=2), args.out)
+    return 0 if report.passed else VERIFY_FAILURE
+
+
+def _verify_markov(args, solved) -> int:
+    try:
+        tm = markov_transition_matrix(solved, args.tol)
+    except FuchsianError as exc:
+        _emit(json.dumps({"passed": False, "error": str(exc)}, indent=2), args.out)
+        return VERIFY_FAILURE
+    graph = sofic_amalgamate(solved.params, tm)
+    if args.matrix_out:
+        _emit(tm.to_text() + "\n", args.matrix_out)
+    if args.sofic_out:
+        _emit(graph.to_json() + "\n", args.sofic_out)
+    doc = {
+        "passed": True,
+        "intervals": tm.size,
+        "odd_row_entries": sorted({len(tm.row_entries(k)) for k in range(1, tm.size + 1, 2)}),
+        "even_row_entries": sorted({len(tm.row_entries(k)) for k in range(2, tm.size + 1, 2)}),
+        "adjacency": {str(k): tm.row_entries(k) for k in range(1, tm.size + 1)},
+        "sofic_vertices": graph.n,
+        "sofic_edges": len(graph.edges()),
+        "strongly_connected": graph.is_strongly_connected(),
+    }
     _emit(json.dumps(doc, indent=2), args.out)
-    return 0 if passed else VERIFY_FAILURE
+    return 0
 
 
 def cmd_code(args) -> int:
-    _, solved, tol = _prepare(args)
-    domain = build_domain(solved)
-    seq = code_geodesic(
-        solved,
-        domain,
-        CirclePoint(args.u),
-        CirclePoint(args.w),
-        args.future,
-        args.past,
-        tol,
-    )
+    _, solved = _prepare(args)
+    u, w = CirclePoint(args.u), CirclePoint(args.w)
+    seq = code_geodesic(solved, build_domain(solved), u, w, args.future, args.past, args.tol)
     _emit(json.dumps(seq.to_json(), indent=2), args.out)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    tol = args.tol
-    surface = build_regular_surface(args.genus, offset=args.offset)
-    n = surface.n
+    surface, _ = _prepare(args)
     if args.genus == 2 and args.random is None:
-        words = ("".join(bits) for bits in itertools.product("PQ", repeat=n))
-        total = 2**n
+        words = ("".join(bits) for bits in itertools.product("PQ", repeat=surface.n))
     else:
-        count = args.random if args.random is not None else 100
         rng = np.random.default_rng(args.seed)
-        words = ("".join(rng.choice(["P", "Q"], size=n)) for _ in range(count))
-        total = count
-    failures = 0
-    lines = []
-    for word in words:
-        try:
-            solved = solve(surface, word, tol)
-            domain = build_domain(solved)
-            mode = "analytic" if args.analytic_only else "both"
-            report = verify_bijectivity(
-                solved, domain, mode=mode, samples=args.samples, seed=args.seed, tol=tol
-            )
-            ok = report.passed
-        except FuchsianError as exc:
-            ok = False
-            lines.append(f"{word} ERROR {exc}")
-        else:
-            lines.append(f"{word} {'PASS' if ok else 'FAIL'}")
-        if not ok:
-            failures += 1
-    lines.append(f"sweep genus={args.genus} words={total} failures={failures} seed={args.seed}")
+        count = 100 if args.random is None else args.random
+        words = ("".join(rng.choice(["P", "Q"], size=surface.n)) for _ in range(count))
+    mode = "analytic" if args.analytic_only else "both"
+    results = list(sweep(surface, words, mode, args.samples, args.seed, args.tol))
+    failures = sum(not r.passed for r in results)
+    lines = [f"{r.word} {r.verdict}" for r in results]
+    lines.append(f"sweep genus={args.genus} words={len(results)} failures={failures} seed={args.seed}")
     _emit("\n".join(lines), args.out)
     return 0 if failures == 0 else VERIFY_FAILURE
 
 
 def cmd_attractor(args) -> int:
-    _, solved, tol = _prepare(args)
-    domain = build_domain(solved)
+    _, solved = _prepare(args)
     report = attractor_experiment(
-        solved, domain, iterations=args.iters, samples=args.samples, seed=args.seed, tol=tol
+        solved, build_domain(solved), args.iters, args.samples, args.seed, args.tol
     )
     _emit(json.dumps(report.to_json(), indent=2), args.out)
     return 0 if report.forward_invariant_ok else VERIFY_FAILURE
 
 
 def cmd_render(args) -> int:
-    surface, solved, tol = _prepare(args)
+    surface, solved = _prepare(args)
     if args.what == "polygon":
         spec = polygon_spec(surface)
     elif args.what == "omega":
         spec = omega_spec(solved, build_domain(solved))
     elif args.what == "omega-dual":
-        spec = omega_dual_spec(solved, build_omega_dual(solved, tol))
+        spec = omega_dual_spec(solved, build_omega_dual(solved, args.tol))
     else:  # omega-geo
         spec = omega_geo_spec(surface)
     _emit(render_svg(spec), args.out)
@@ -291,21 +263,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("surface", help="emit surface data as JSON")
-    _add_common(p, with_params=False)
-    p.set_defaults(func=cmd_surface)
-
-    p = sub.add_parser("solve", help="solve a parameter word")
-    _add_common(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("omega", help="emit the rectangle domain")
-    _add_common(p)
-    p.set_defaults(func=cmd_omega)
-
-    p = sub.add_parser("dual", help="emit the dual solution and domain")
-    _add_common(p)
-    p.set_defaults(func=cmd_dual)
+    for name, func, text in (
+        ("surface", cmd_surface, "emit surface data as JSON"),
+        ("solve", cmd_solve, "solve a parameter word"),
+        ("omega", cmd_omega, "emit the rectangle domain"),
+        ("dual", cmd_dual, "emit the dual solution and domain"),
+    ):
+        p = sub.add_parser(name, help=text)
+        _add_common(p, with_params=name != "surface")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="run one verifier")
     p.add_argument("what", choices=["bijectivity", "conjugacy", "duality", "markov"])
@@ -327,8 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="verify many parameter words")
     _add_common(p, with_params=False)
     p.add_argument("--samples", type=int, default=1000, help="Monte Carlo samples per word")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--random", type=int, default=None, help="number of random words (required for genus > 2)")
+    p.add_argument("--seed", type=int, default=0, help="word k gets Monte Carlo seed SEED + k")
+    p.add_argument(
+        "--random", type=int, default=None,
+        help="number of random words (default 100; genus 2 without it sweeps all 4096 words)",
+    )
     p.add_argument("--analytic-only", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
@@ -341,11 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="write an SVG")
     p.add_argument("--what", choices=["omega", "omega-dual", "omega-geo", "polygon"], required=True)
-    p.add_argument("--genus", type=int, default=2)
-    p.add_argument("--offset", type=float, default=0.0)
-    p.add_argument("--params", default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--out", default=None)
+    _add_common(p, with_params=False)
+    p.add_argument("--params", default=None, help="word over {P,Q}; needed except for polygon")
     p.set_defaults(func=cmd_render)
 
     return parser
@@ -363,6 +329,9 @@ def main(argv: list[str] | None = None) -> int:
     except FuchsianError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VERIFY_FAILURE
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

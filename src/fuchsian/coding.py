@@ -15,7 +15,6 @@ pair gives a sofic presentation on the side alphabet.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ from .circle import (
     CirclePoint,
     MoebiusMap,
     angdiff,
+    angdiff_many,
     moebius_angles,
 )
 from .errors import (
@@ -277,8 +277,8 @@ def sample_curvilinear(
     classify robustly on both sides of the conjugacy.
     """
     loc = _RegionLocator(regions)
-    out_u: list[np.ndarray] = []
-    out_w: list[np.ndarray] = []
+    out_u: list[np.ndarray] = [np.empty(0)]
+    out_w: list[np.ndarray] = [np.empty(0)]
     need = k
     while need > 0:
         batch = max(4 * need, 256)
@@ -339,9 +339,7 @@ def verify_conjugacy(
     left_u, left_w = loc.phi_many(gu[ok], gw[ok], code_g[ok], idx_g[ok])
     right_u, right_w, _ = extension_step_many(solved.params, pu, pw)
 
-    du = np.abs(np.remainder(left_u - right_u + math.pi, TWO_PI) - math.pi)
-    dw = np.abs(np.remainder(left_w - right_w + math.pi, TWO_PI) - math.pi)
-    dev = np.maximum(du, dw)
+    dev = np.maximum(angdiff_many(left_u, right_u), angdiff_many(left_w, right_w))
     report.checked = int(ok.sum())
     report.max_deviation = float(dev.max())
     report.failures = int((dev > tol).sum())

@@ -13,7 +13,6 @@ flipped rectangle domain.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,7 +28,7 @@ from .boundary import (
     inverse_step_many,
     solve,
 )
-from .circle import TOL, TWO_PI, Arc, CirclePartition, CirclePoint, angdiff
+from .circle import TOL, TWO_PI, Arc, CirclePartition, CirclePoint, angdiff, angdiff_many
 from .errors import ConstructionError
 from .surface import SurfaceGroup
 from .words import GroupWord
@@ -351,10 +350,7 @@ def verify_duality(
     pu, pw, bidx, count = inverse_step_many(solved, domain, u, w)
     good = count == 1
     fu, fw, _ = extension_step_many(dual, w[good], u[good])
-    dev = np.maximum(
-        np.abs(np.remainder(fu - pw[good] + math.pi, TWO_PI) - math.pi),
-        np.abs(np.remainder(fw - pu[good] + math.pi, TWO_PI) - math.pi),
-    )
+    dev = np.maximum(angdiff_many(fu, pw[good]), angdiff_many(fw, pu[good]))
     report.identity_checked = int(good.sum())
     report.skipped += int((~good).sum())
     if report.identity_checked:

@@ -19,13 +19,13 @@ from fuchsian.boundary import (
     extension_step_many,
     inverse_step_many,
     solve,
-    verify_bijectivity,
 )
 from fuchsian.circle import TWO_PI, CirclePoint
 from fuchsian.cli import main as cli_main
 from fuchsian.coding import code_geodesic, markov_transition_matrix, verify_conjugacy
 from fuchsian.duality import build_omega_dual, dual_family_check, verify_duality
 from fuchsian.surface import build_regular_surface, verify_group_relations
+from fuchsian.sweep import sweep
 
 EXAMPLE_WORD = "PPPPQPQQPPQQ"
 EPS = 1e-9
@@ -81,26 +81,15 @@ def test_criterion_1_worked_example(capsys, genus2):
 
 def test_criterion_2_bijectivity_sweep(genus2, genus3):
     """Analytic reassembly for all 4096 genus-2 words and 100 genus-3 words,
-    with a 1000-sample Monte Carlo cross-check per word."""
+    with a 1000-sample Monte Carlo cross-check per word (word k of each
+    sweep gets seed k) and the Markov rows validated."""
     start = time.monotonic()
-    failures: list[str] = []
-
-    for seed, bits in enumerate(itertools.product("PQ", repeat=12)):
-        word = "".join(bits)
-        solved = solve(genus2, word)
-        domain = build_domain(solved)
-        rep = verify_bijectivity(solved, domain, mode="both", samples=1000, seed=seed, tol=EPS)
-        if not rep.passed:
-            failures.append(word)
-
+    g2_words = ("".join(bits) for bits in itertools.product("PQ", repeat=12))
     rng = np.random.default_rng(3)
-    for k in range(100):
-        word = "".join(rng.choice(["P", "Q"], size=genus3.n))
-        solved = solve(genus3, word)
-        domain = build_domain(solved)
-        rep = verify_bijectivity(solved, domain, mode="both", samples=1000, seed=k, tol=EPS)
-        if not rep.passed:
-            failures.append(f"g3:{word}")
+    g3_words = ("".join(rng.choice(["P", "Q"], size=genus3.n)) for _ in range(100))
+    g2 = sweep(genus2, g2_words, samples=1000, seed=0, tol=EPS)
+    g3 = sweep(genus3, g3_words, samples=1000, seed=0, tol=EPS)
+    failures = [r.word for r in g2 if not r.passed] + [f"g3:{r.word}" for r in g3 if not r.passed]
 
     elapsed = time.monotonic() - start
     report(

@@ -17,6 +17,7 @@ from fuchsian.circle import (
     CirclePoint,
     MoebiusMap,
     angdiff,
+    angdiff_many,
     ccw,
     from_three_points,
     geodesic_endpoints,
@@ -201,6 +202,25 @@ class TestMoebiusAngles:
         pick = rng.integers(0, surface.n, size=thetas.size)
         got = moebius_angles(surface.gen_a[pick], surface.gen_c[pick], z)
         assert (got == np.array(images)[pick, np.arange(thetas.size)]).all()
+
+
+class TestAngdiffMany:
+    def test_matches_scalar_angdiff(self):
+        rng = np.random.default_rng(5)
+        edges = np.array([0.0, 1e-12, math.pi - 1e-12, math.pi, math.pi + 1e-12, TWO_PI - 1e-12])
+        a = np.concatenate([rng.uniform(0.0, TWO_PI, 10_000), edges, edges])
+        b = np.concatenate([rng.uniform(0.0, TWO_PI, 10_000), np.zeros(edges.size), edges[::-1]])
+        want = np.array([angdiff(x, y) for x, y in zip(a, b)])
+        got = angdiff_many(a, b)
+        assert ((got >= 0.0) & (got <= math.pi)).all()
+        assert np.abs(got - want).max() <= 1e-15
+
+    def test_broadcasts(self):
+        a = np.array([0.1, 3.0])
+        b = np.array([0.2, 6.2, 1.0])
+        got = angdiff_many(a[:, None], b[None, :])
+        assert got.shape == (2, 3)
+        assert got[1, 1] == angdiff_many(3.0, 6.2)
 
 
 class TestMoebius:

@@ -235,6 +235,14 @@ class TestConjugacy:
         report = verify_conjugacy(broken, domain_example, samples=2000, seed=11)
         assert report.failures > 0
 
+    def test_zero_samples_checks_nothing_and_fails(self, solved_example, domain_example):
+        regions = build_regions(solved_example, domain_example)
+        u, w = sample_curvilinear(regions, np.random.default_rng(0), 0)
+        assert u.shape == w.shape == (0,)
+        report = verify_conjugacy(solved_example, domain_example, samples=0)
+        assert report.checked == 0
+        assert report.passed is False
+
 
 class TestCoding:
     def test_fixed_axis_code(self, genus2, solved_all_p):

@@ -235,12 +235,30 @@ class TestCli:
             (["sweep", "--random", "0"], None),
             (["solve", "--params", EXAMPLE_WORD], "0"),
             (["solve", "--params", EXAMPLE_WORD], "tight"),
+            (["code", "--params", EXAMPLE_WORD, "--u", "0.3", "--w", "inf"], None),
+            (["code", "--params", EXAMPLE_WORD, "--u", "nan", "--w", "2.9"], None),
+            (["surface", "--offset", "nan"], None),
+            (["solve", "--params", EXAMPLE_WORD, "--offset", "inf"], None),
         ],
     )
     def test_misuse_exits_2_with_one_line(self, monkeypatch, capsys, argv, env_tol):
         if env_tol is not None:
             monkeypatch.setenv("FUCHSIAN_TOL", env_tol)
         assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--params", EXAMPLE_WORD, "--out"],
+            ["verify", "markov", "--params", EXAMPLE_WORD, "--matrix-out"],
+        ],
+    )
+    def test_unwritable_output_exits_2_with_one_line(self, tmp_path, capsys, argv):
+        assert main(argv + [str(tmp_path / "missing" / "out.txt")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
