@@ -371,15 +371,18 @@ class RectDomain:
         self._y0 = np.array([r.y.start.angle for r in rects])
         self._yw = np.array([r.y.length for r in rects])
         self._areas = self._xw * self._yw
+        # `locate` runs once per inverse-step candidate; lists keep numpy out of it.
+        self._x0_list, self._xw_list = self._x0.tolist(), self._xw.tolist()
 
     @property
     def area(self) -> float:
         return float(self._areas.sum())
 
     def locate(self, u: CirclePoint, w: CirclePoint) -> int | None:
-        """Index of the rectangle containing (u, w), or None."""
-        hits = self.locate_many(np.array([u.angle]), np.array([w.angle]))
-        return int(hits[0]) if hits[0] >= 0 else None
+        """Index of the rectangle containing (u, w), or None; locate_many for one pair."""
+        ridx = self._y.index(w.angle) - 1
+        inside = (u.angle - self._x0_list[ridx]) % TWO_PI < self._xw_list[ridx]
+        return ridx if inside else None
 
     def locate_many(self, u_thetas, w_thetas) -> np.ndarray:
         """Vectorized locate; -1 where outside."""

@@ -66,11 +66,12 @@ def _add_common(parser: argparse.ArgumentParser, with_params: bool = True):
 
 
 def _emit(text: str, out: str | None):
+    text = text if text.endswith("\n") else text + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _check_word(word: str, genus: int) -> str | None:

@@ -15,17 +15,15 @@ pair gives a sofic presentation on the side alphabet.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .circle import (
     TOL,
     TWO_PI,
-    Arc,
     CirclePartition,
     CirclePoint,
-    MoebiusMap,
     angdiff,
     angdiff_many,
     moebius_angles,
@@ -44,38 +42,47 @@ from .boundary import (
     extension_step_many,
     inverse_step,
 )
-from .surface import GeodesicClipper, SurfaceGroup, trace_geodesic
+from .surface import SurfaceGroup
+
+
+def _check_distinct(u: CirclePoint, w: CirclePoint, tol: float):
+    if angdiff(u.angle, w.angle) <= tol:
+        raise DegeneratePointsError("geodesic endpoints coincide")
 
 
 def geo_step(
     surface: SurfaceGroup, u: CirclePoint, w: CirclePoint, tol: float = TOL
 ) -> tuple[CirclePoint, CirclePoint, int]:
     """Apply the exit-side generator to a geodesic crossing the polygon."""
-    trace = trace_geodesic(surface, u, w, tol)
-    if trace.status != "inside":
-        raise OutsideDomainError(f"geodesic does not cross the polygon ({trace.status})")
-    if trace.vertex_exit:
+    _check_distinct(u, w, tol)
+    lo, hi, entry, exit_, _, hi_ties = surface.clipper.clip([u.angle], [w.angle])
+    if not (hi[0] - lo[0] > tol and entry[0] > 0 and exit_[0] > 0):
+        raise OutsideDomainError("geodesic does not cross the polygon")
+    if hi_ties[0] > 1:
         raise DegeneratePointsError("geodesic exits through a vertex")
-    t = surface.t(trace.exit_side)
-    return t.apply(u), t.apply(w), trace.exit_side
+    t = surface.t(int(exit_[0]))
+    return t.apply(u), t.apply(w), int(exit_[0])
 
 
 # -- bulges and corners -------------------------------------------------------
 
+#: Samples closer than this to a boundary curve, a rectangle edge or a
+#: partition point are not drawn or checked by the conjugacy verifier.
+MARGIN = 1e-7
 
-@dataclass(frozen=True)
-class Region:
-    """One bulge or corner: a bounding box plus its defining memberships."""
-
-    name: str  # e.g. "B_3" (lower bulge), "B^3" (upper), "C_3", "C^3"
-    index: int
-    box_x: Arc
-    box_y: Arc
+# Names of the RegionTable.classify codes; code -1 (undecided) picks the last.
+_KINDS = ("core", "bulge_lower", "bulge_upper", "boundary")
 
 
-@dataclass(frozen=True)
+def _in_box(thetas, start_angles, end_angles, tol=TOL):
+    """Membership in the closed counterclockwise arcs [start, end], within tol."""
+    width = np.remainder(end_angles - start_angles, TWO_PI)
+    rel = np.remainder(thetas - start_angles, TWO_PI)
+    return (rel <= width + tol) | (rel >= TWO_PI - tol)
+
+
 class RegionTable:
-    """Bounding boxes of all bulges and corners for one parameter choice.
+    """Array locator of the bulges and corners for one parameter choice.
 
     Lower bulge/corner i live in [Q_{i+1}, Q_{i+2}] x [P_i, P_{i+1}];
     upper bulge/corner i live in [P_{i-1}, P_i] x [Q_i, Q_{i+1}].  Bulges
@@ -84,81 +91,74 @@ class RegionTable:
     one.
     """
 
-    solved: SolvedParams
-    domain: RectDomain
-    lower: tuple[Region, ...]
-    upper: tuple[Region, ...]
+    def __init__(self, solved: SolvedParams, domain: RectDomain):
+        s = solved.surface
+        self.solved = solved
+        self.domain = domain
+        self.p_angles = np.array([pt.angle for pt in s.P])
+        self.q_angles = np.array([pt.angle for pt in s.Q])
+        self.p_partition = CirclePartition(self.p_angles)
+        self.q_partition = CirclePartition(self.q_angles)
 
     @property
     def surface(self) -> SurfaceGroup:
         return self.solved.surface
 
+    def classify(self, u_thetas, w_thetas, inside_geo, tol: float = TOL):
+        """Codes: 0 core, 1 lower bulge, 2 upper bulge, -1 undecided; plus index."""
+        n = self.surface.n
+        code = np.full(len(u_thetas), -1, dtype=np.int64)
+        index = np.zeros(len(u_thetas), dtype=np.int64)
+        in_domain = self.domain.contains_many(u_thetas, w_thetas)
+        code[inside_geo & in_domain] = 0
+        rest = inside_geo & ~in_domain
+        if rest.any():
+            i_low = self.p_partition.index_many(w_thetas)  # w in [P_i, P_{i+1})
+            x0 = self.q_angles[i_low % n]  # Q_{i+1}
+            x1 = self.q_angles[(i_low + 1) % n]  # Q_{i+2}
+            low_ok = rest & _in_box(u_thetas, x0, x1, tol)
+            code[low_ok] = 1
+            index[low_ok] = i_low[low_ok]
+            i_up = self.q_partition.index_many(w_thetas)  # w in [Q_j, Q_{j+1})
+            x0u = self.p_angles[(i_up - 2) % n]  # P_{j-1}
+            x1u = self.p_angles[(i_up - 1) % n]  # P_j
+            up_ok = rest & ~low_ok & _in_box(u_thetas, x0u, x1u, tol)
+            code[up_ok] = 2
+            index[up_ok] = i_up[up_ok]
+        return code, index
+
+    def phi_many(self, u_thetas, w_thetas, code, index):
+        """Apply the conjugacy given classification codes."""
+        s = self.surface
+        u2 = np.array(u_thetas, dtype=float, copy=True)
+        w2 = np.array(w_thetas, dtype=float, copy=True)
+        for kind, tau_shift in ((1, 1), (2, 0)):
+            mask = code == kind
+            if not mask.any():
+                continue
+            for i in np.unique(index[mask]):
+                m = self.solved.u(s.tau(int(i)) + tau_shift)
+                sel = mask & (index == i)
+                u2[sel] = moebius_angles(m.a, m.c, np.exp(1j * u2[sel]))
+                w2[sel] = moebius_angles(m.a, m.c, np.exp(1j * w2[sel]))
+        return u2, w2
+
 
 def build_regions(solved: SolvedParams, domain: RectDomain) -> RegionTable:
-    s = solved.surface
-    lower = []
-    upper = []
-    for i in range(1, s.n + 1):
-        lower.append(
-            Region(
-                name=f"B_{i}",
-                index=i,
-                box_x=Arc(s.q(i + 1), s.q(i + 2), True, True),
-                box_y=Arc(s.p(i), s.p(i + 1), True, True),
-            )
-        )
-        upper.append(
-            Region(
-                name=f"B^{i}",
-                index=i,
-                box_x=Arc(s.p(i - 1), s.p(i), True, True),
-                box_y=Arc(s.q(i), s.q(i + 1), True, True),
-            )
-        )
-    return RegionTable(solved=solved, domain=domain, lower=tuple(lower), upper=tuple(upper))
+    return RegionTable(solved, domain)
 
 
 def locate_region(
     regions: RegionTable, u: CirclePoint, w: CirclePoint, tol: float = TOL
 ) -> tuple[str, int | None]:
     """('core'|'bulge_lower'|'bulge_upper'|'outside'|'boundary', index)."""
-    s = regions.surface
-    status = trace_geodesic(s, u, w, tol).status
-    if status == "outside":
+    _check_distinct(u, w, tol)
+    ut, wt = np.array([u.angle]), np.array([w.angle])
+    status = regions.surface.clipper.status_codes(ut, wt, tol)
+    if status[0] < 0:
         return ("outside", None)
-    if status == "boundary":
-        return ("boundary", None)
-    if regions.domain.contains(u, w):
-        return ("core", None)
-    for reg in regions.lower:
-        if reg.box_x.contains(u, tol) and reg.box_y.contains(w, tol):
-            return ("bulge_lower", reg.index)
-    for reg in regions.upper:
-        if reg.box_x.contains(u, tol) and reg.box_y.contains(w, tol):
-            return ("bulge_upper", reg.index)
-    return ("boundary", None)
-
-
-def _phi_map(solved: SolvedParams, kind: str, i: int) -> MoebiusMap:
-    s = solved.surface
-    if kind == "bulge_lower":
-        return solved.u(s.tau(i) + 1)
-    if kind == "bulge_upper":
-        return solved.u(s.tau(i))
-    return MoebiusMap.identity()
-
-
-def apply_phi(
-    regions: RegionTable, u: CirclePoint, w: CirclePoint, tol: float = TOL
-) -> tuple[CirclePoint, CirclePoint]:
-    """The conjugacy: identity on the core, a vertex word on each bulge."""
-    kind, i = locate_region(regions, u, w, tol)
-    if kind == "outside":
-        raise OutsideDomainError("conjugacy applied outside the curvilinear domain")
-    if kind in ("core", "boundary"):
-        return u, w
-    m = _phi_map(regions.solved, kind, i)
-    return m.apply(u), m.apply(w)
+    code, index = regions.classify(ut, wt, status == 1, tol)
+    return (_KINDS[code[0]], int(index[0]) if code[0] > 0 else None)
 
 
 def reduce_geodesic(
@@ -172,12 +172,19 @@ def reduce_geodesic(
     kind, i = locate_region(regions, u, w, tol)
     if kind == "outside":
         raise OutsideDomainError("geodesic does not cross the polygon")
-    if kind in ("core", "boundary"):
+    if i is None:
         return u, w, None
     s = regions.surface
     j = s.wrap(s.tau(i) + 1) if kind == "bulge_lower" else s.tau(i)
-    m = _phi_map(regions.solved, kind, i)
-    return m.apply(u), m.apply(w), j
+    pu, pw = regions.phi_many([u.angle], [w.angle], np.array([_KINDS.index(kind)]), np.array([i]))
+    return CirclePoint(pu[0]), CirclePoint(pw[0]), j
+
+
+def apply_phi(
+    regions: RegionTable, u: CirclePoint, w: CirclePoint, tol: float = TOL
+) -> tuple[CirclePoint, CirclePoint]:
+    """The conjugacy: identity on the core, a vertex word on each bulge."""
+    return reduce_geodesic(regions, u, w, tol)[:2]
 
 
 # -- conjugacy verification ---------------------------------------------------
@@ -197,86 +204,19 @@ class ConjugacyReport:
         return self.checked > 0 and self.failures == 0
 
     def to_json(self) -> dict:
-        return {
-            "samples": self.samples,
-            "checked": self.checked,
-            "skipped_boundary": self.skipped_boundary,
-            "max_deviation": self.max_deviation,
-            "failures": self.failures,
-            "seed": self.seed,
-            "passed": self.passed,
-        }
-
-
-class _RegionLocator:
-    """Vectorized region location for conjugacy sampling."""
-
-    def __init__(self, regions: RegionTable):
-        s = regions.surface
-        self.s = s
-        self.regions = regions
-        self.clipper = GeodesicClipper(s)
-        self.p_angles = np.array([s.p(i).angle for i in range(1, s.n + 1)])
-        self.q_angles = np.array([s.q(i).angle for i in range(1, s.n + 1)])
-        self.p_partition = CirclePartition(self.p_angles)
-        self.q_partition = CirclePartition(self.q_angles)
-        self.u_maps = [regions.solved.u(i) for i in range(1, s.n + 1)]
-
-    def in_box(self, thetas, start_angles, end_angles, tol=TOL):
-        width = np.remainder(end_angles - start_angles, TWO_PI)
-        rel = np.remainder(thetas - start_angles, TWO_PI)
-        return (rel <= width + tol) | (rel >= TWO_PI - tol)
-
-    def classify(self, u_thetas, w_thetas, inside_geo, in_domain):
-        """Codes: 0 core, 1 lower bulge, 2 upper bulge, -1 undecided; plus index."""
-        s = self.s
-        n = s.n
-        code = np.full(len(u_thetas), -1, dtype=np.int64)
-        index = np.zeros(len(u_thetas), dtype=np.int64)
-        code[inside_geo & in_domain] = 0
-        rest = inside_geo & ~in_domain
-        if rest.any():
-            i_low = self.p_partition.index_many(w_thetas)  # w in [P_i, P_{i+1})
-            x0 = self.q_angles[i_low % n]  # Q_{i+1}
-            x1 = self.q_angles[(i_low + 1) % n]  # Q_{i+2}
-            low_ok = rest & self.in_box(u_thetas, x0, x1)
-            code[low_ok] = 1
-            index[low_ok] = i_low[low_ok]
-            i_up = self.q_partition.index_many(w_thetas)  # w in [Q_j, Q_{j+1})
-            x0u = self.p_angles[(i_up - 2) % n]  # P_{j-1}
-            x1u = self.p_angles[(i_up - 1) % n]  # P_j
-            up_ok = rest & ~low_ok & self.in_box(u_thetas, x0u, x1u)
-            code[up_ok] = 2
-            index[up_ok] = i_up[up_ok]
-        return code, index
-
-    def phi_many(self, u_thetas, w_thetas, code, index):
-        """Apply the conjugacy given classification codes."""
-        s = self.s
-        u2 = np.array(u_thetas, dtype=float, copy=True)
-        w2 = np.array(w_thetas, dtype=float, copy=True)
-        for kind, tau_shift in ((1, 1), (2, 0)):
-            mask = code == kind
-            if not mask.any():
-                continue
-            for i in np.unique(index[mask]):
-                m = self.u_maps[(s.tau(int(i)) + tau_shift - 1) % s.n]
-                sel = mask & (index == i)
-                u2[sel] = moebius_angles(m.a, m.c, np.exp(1j * u2[sel]))
-                w2[sel] = moebius_angles(m.a, m.c, np.exp(1j * w2[sel]))
-        return u2, w2
+        return {**asdict(self), "passed": self.passed}
 
 
 def sample_curvilinear(
-    regions: RegionTable, rng: np.random.Generator, k: int, margin: float = 1e-7
+    regions: RegionTable, rng: np.random.Generator, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rejection-sample k pairs inside the curvilinear domain, off boundaries.
 
-    Points within `margin` of the domain's boundary curves, of the
+    Points within MARGIN of the domain's boundary curves, of the
     rectangle edges, or of the partition points are rejected, so samples
     classify robustly on both sides of the conjugacy.
     """
-    loc = _RegionLocator(regions)
+    clipper = regions.surface.clipper
     out_u: list[np.ndarray] = [np.empty(0)]
     out_w: list[np.ndarray] = [np.empty(0)]
     need = k
@@ -284,11 +224,11 @@ def sample_curvilinear(
         batch = max(4 * need, 256)
         u = rng.random(batch) * TWO_PI
         w = rng.random(batch) * TWO_PI
-        lo, hi, entry, exit_, lo_ties, hi_ties = loc.clipper.clip(u, w)
-        good = (hi - lo > margin) & (entry > 0) & (exit_ > 0)
+        lo, hi, entry, exit_, lo_ties, hi_ties = clipper.clip(u, w)
+        good = (hi - lo > MARGIN) & (entry > 0) & (exit_ > 0)
         good &= (lo_ties < 2) & (hi_ties < 2)
-        good &= regions.domain.boundary_distance_many(u, w) > margin
-        good &= regions.solved.params.partition.distance_many(w) > margin
+        good &= regions.domain.boundary_distance_many(u, w) > MARGIN
+        good &= regions.solved.params.partition.distance_many(w) > MARGIN
         u, w = u[good], w[good]
         out_u.append(u[:need])
         out_w.append(w[:need])
@@ -302,17 +242,16 @@ def verify_conjugacy(
     samples: int = 10_000,
     seed: int = 0,
     tol: float = TOL,
-    margin: float = 1e-7,
 ) -> ConjugacyReport:
     """Check conjugacy(geo step) == extension step(conjugacy) on samples."""
     regions = build_regions(solved, domain)
-    loc = _RegionLocator(regions)
+    clipper = solved.surface.clipper
     rng = np.random.default_rng(seed)
     report = ConjugacyReport(samples=samples, seed=seed)
 
-    u, w = sample_curvilinear(regions, rng, samples, margin)
-    lo, hi, entry, exit_, lo_ties, hi_ties = loc.clipper.clip(u, w)
-    ok = (hi - lo > margin) & (exit_ > 0) & (hi_ties < 2)
+    u, w = sample_curvilinear(regions, rng, samples)
+    lo, hi, entry, exit_, lo_ties, hi_ties = clipper.clip(u, w)
+    ok = (hi - lo > MARGIN) & (exit_ > 0) & (hi_ties < 2)
 
     # geometric step
     ae, ce = solved.surface.gen_a[exit_ - 1], solved.surface.gen_c[exit_ - 1]
@@ -321,22 +260,18 @@ def verify_conjugacy(
 
     # classify both p and geo(p); skip any sample whose classification is
     # ambiguous or whose image sits within the margin of a boundary
-    in_dom_p = regions.domain.contains_many(u, w)
-    code_p, idx_p = loc.classify(u, w, np.ones_like(ok, bool), in_dom_p)
-    glo, ghi, gentry, gexit, glt, ght = loc.clipper.clip(gu, gw)
-    g_inside = (ghi - glo > margin) & (gentry > 0) & (gexit > 0)
-    in_dom_g = regions.domain.contains_many(gu, gw)
-    code_g, idx_g = loc.classify(gu, gw, g_inside, in_dom_g)
+    code_p, idx_p = regions.classify(u, w, np.ones_like(ok, bool))
+    code_g, idx_g = regions.classify(gu, gw, clipper.status_codes(gu, gw, MARGIN) == 1)
     ok &= (code_p >= 0) & (code_g >= 0)
-    ok &= regions.domain.boundary_distance_many(gu, gw) > margin
-    ok &= solved.params.partition.distance_many(gw) > margin
+    ok &= domain.boundary_distance_many(gu, gw) > MARGIN
+    ok &= solved.params.partition.distance_many(gw) > MARGIN
 
     report.skipped_boundary = int((~ok).sum())
     if not ok.any():
         return report
 
-    pu, pw = loc.phi_many(u[ok], w[ok], code_p[ok], idx_p[ok])
-    left_u, left_w = loc.phi_many(gu[ok], gw[ok], code_g[ok], idx_g[ok])
+    pu, pw = regions.phi_many(u[ok], w[ok], code_p[ok], idx_p[ok])
+    left_u, left_w = regions.phi_many(gu[ok], gw[ok], code_g[ok], idx_g[ok])
     right_u, right_w, _ = extension_step_many(solved.params, pu, pw)
 
     dev = np.maximum(angdiff_many(left_u, right_u), angdiff_many(left_w, right_w))

@@ -318,8 +318,9 @@ def verify_duality(
 ) -> DualityReport:
     """Check the flip of domains and the defining inverse identity.
 
-    (a) flipped membership both ways on samples plus the structural image
-    corners; (b) flip(inverse step(p)) == dual step(flip(p)) away from the
+    (a) flipped membership both ways on samples, agreement of the
+    horizontal and vertical decompositions of the dual domain on the dual
+    samples, and the structural image corners; (b) flip(inverse step(p)) == dual step(flip(p)) away from the
     dual partition points; (c) the backward digits of the primal code equal
     the forward branch indices of the dual orbit of the first coordinate.
     """
@@ -340,6 +341,9 @@ def verify_duality(
     dmargin = dual_domain.vertical.boundary_distance_many(dw, du) > 10 * tol
     back_in = domain.contains_many(dw, du)
     report.flip_failures += int((~back_in & dmargin).sum())
+    h_in = dual_domain.contains_horizontal_many(du, dw)
+    v_in = dual_domain.contains_vertical_many(du, dw)
+    report.flip_failures += int(((h_in != v_in) & dmargin).sum())
 
     # (b) the defining identity, on points away from the dual partition.
     u, w = domain.sample(rng, samples)

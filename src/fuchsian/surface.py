@@ -130,6 +130,11 @@ class SurfaceGroup:
         """The coefficients c of T_1..T_N, for array Moebius maps."""
         return np.array([m.c for m in self.generators])
 
+    @cached_property
+    def clipper(self) -> "GeodesicClipper":
+        """The array polygon clipper of this surface, built once."""
+        return GeodesicClipper(self)
+
     def sigma(self, i: int) -> int:
         return self.maps.sigma(i)
 
@@ -404,7 +409,6 @@ class GeodesicTrace:
     lo: float = 0.0
     hi: float = 1.0
     vertex_exit: bool = False
-    vertex_entry: bool = False
 
 
 class _GeodesicParam:
@@ -471,7 +475,6 @@ def trace_geodesic(
     par = _GeodesicParam(u, w)
     lo, hi = 0.0, 1.0
     lo_side = hi_side = None
-    lo_cuts: list[float] = []
     hi_cuts: list[float] = []
     for i in range(1, surface.n + 1):
         c, r = surface.side_circle(i)  # type: ignore[misc]
@@ -479,7 +482,6 @@ def trace_geodesic(
         if kind == "dead":
             return GeodesicTrace(status="outside")
         if kind == "lo":
-            lo_cuts.append(s)
             if s > lo:
                 lo, lo_side = s, i
         elif kind == "hi":
@@ -499,7 +501,6 @@ def trace_geodesic(
         lo=lo,
         hi=hi,
         vertex_exit=sum(1 for s in hi_cuts if abs(s - hi) <= tol) > 1,
-        vertex_entry=sum(1 for s in lo_cuts if abs(s - lo) <= tol) > 1,
     )
 
 

@@ -284,6 +284,27 @@ class TestDomain:
             else:
                 assert brute == []
 
+    def test_scalar_locate_matches_locate_many(self, domain_example):
+        # Random pairs, then every rectangle edge and one ulp on either side
+        # of it, paired with the edges and midpoints of the other coordinate.
+        rng = np.random.default_rng(19)
+        rects = domain_example.rects
+
+        def near(arcs):
+            edges = np.array([[a.start.angle, a.start.angle + a.length] for a in arcs]).ravel()
+            return np.concatenate([edges, np.nextafter(edges, -7.0), np.nextafter(edges, 7.0)])
+
+        xs = np.concatenate([near(r.x for r in rects), [r.x.midpoint().angle for r in rects]])
+        ys = np.concatenate([near(r.y for r in rects), [r.y.midpoint().angle for r in rects]])
+        ux, wy = np.meshgrid(xs, ys)
+        u = np.concatenate([rng.uniform(0, TWO_PI, 100_000), ux.ravel()])
+        w = np.concatenate([rng.uniform(0, TWO_PI, 100_000), wy.ravel()])
+        u = np.array([CirclePoint(a).angle for a in u])
+        w = np.array([CirclePoint(a).angle for a in w])
+        many = domain_example.locate_many(u, w)
+        scalar = [domain_example.locate(CirclePoint(a), CirclePoint(b)) for a, b in zip(u, w)]
+        assert [-1 if k is None else k for k in scalar] == many.tolist()
+
     def test_distance_zero_inside(self, domain_example):
         rng = np.random.default_rng(10)
         u, w = domain_example.sample(rng, 100)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fuchsian.boundary import build_domain, extension_step, solve
-from fuchsian.circle import TOL, TWO_PI, CirclePoint
+from fuchsian.circle import TOL, TWO_PI, Arc, CirclePoint
 from fuchsian.coding import (
     SoficGraph,
     apply_phi,
@@ -22,7 +22,12 @@ from fuchsian.coding import (
     verify_conjugacy,
 )
 from fuchsian.errors import OutsideDomainError
-from fuchsian.surface import geodesic_intersects_polygon, trace_geodesic
+from fuchsian.surface import (
+    GeodesicClipper,
+    build_regular_surface,
+    geodesic_intersects_polygon,
+    trace_geodesic,
+)
 
 EXAMPLE_WORD = "PPPPQPQQPPQQ"
 
@@ -30,6 +35,13 @@ EXAMPLE_WORD = "PPPPQPQQPPQQ"
 @pytest.fixture(scope="module")
 def regions_example(solved_example, domain_example):
     return build_regions(solved_example, domain_example)
+
+
+def bulge_box(s, kind, i):
+    """Closed bounding box (x-arc, y-arc) of the lower or upper bulge/corner i."""
+    if kind == "lower":
+        return Arc(s.q(i + 1), s.q(i + 2), True, True), Arc(s.p(i), s.p(i + 1), True, True)
+    return Arc(s.p(i - 1), s.p(i), True, True), Arc(s.q(i), s.q(i + 1), True, True)
 
 
 def random_interior_pair(surface, rng):
@@ -119,8 +131,8 @@ class TestRegions:
             seen[kind] += 1
             assert not domain_example.contains(pu, pw)
             assert geodesic_intersects_polygon(genus2, pu, pw) == "inside"
-            reg = (regions_example.lower if kind == "bulge_lower" else regions_example.upper)[i - 1]
-            assert reg.box_x.contains(pu, TOL) and reg.box_y.contains(pw, TOL)
+            box_x, box_y = bulge_box(genus2, kind.removeprefix("bulge_"), i)
+            assert box_x.contains(pu, TOL) and box_y.contains(pw, TOL)
         assert seen["bulge_lower"] > 10 and seen["bulge_upper"] > 10
 
     def test_bulge_point_near_h_edge(self, genus2, solved_example, regions_example, domain_example):
@@ -181,13 +193,9 @@ class TestPhi:
             pu, pw = CirclePoint(u[k]), CirclePoint(w[k])
             kind, i = locate_region(regions_example, pu, pw)
             if kind == "bulge_lower":
-                j = s.wrap(s.tau(i) + 1)
-                box_x = regions_example.upper[j - 1].box_x
-                box_y = regions_example.upper[j - 1].box_y
+                box_x, box_y = bulge_box(s, "upper", s.wrap(s.tau(i) + 1))
             elif kind == "bulge_upper":
-                j = s.wrap(s.tau(i) - 1)
-                box_x = regions_example.lower[j - 1].box_x
-                box_y = regions_example.lower[j - 1].box_y
+                box_x, box_y = bulge_box(s, "lower", s.wrap(s.tau(i) - 1))
             else:
                 continue
             iu, iw = apply_phi(regions_example, pu, pw)
@@ -234,6 +242,17 @@ class TestConjugacy:
         broken = dataclasses.replace(solved_example, U=tuple(rolled))
         report = verify_conjugacy(broken, domain_example, samples=2000, seed=11)
         assert report.failures > 0
+
+    def test_one_clipper_per_surface(self, monkeypatch):
+        # The sampler, the step and the classification share the surface's clipper.
+        built = []
+        init = GeodesicClipper.__init__
+        monkeypatch.setattr(
+            GeodesicClipper, "__init__", lambda self, s: built.append(s) or init(self, s)
+        )
+        solved = solve(build_regular_surface(2), EXAMPLE_WORD)
+        verify_conjugacy(solved, build_domain(solved), samples=200, seed=1)
+        assert len(built) == 1
 
     def test_zero_samples_checks_nothing_and_fails(self, solved_example, domain_example):
         regions = build_regions(solved_example, domain_example)

@@ -146,6 +146,16 @@ class TestVerifyDuality:
         report = verify_duality(broken, domain, dual_domain, samples=2000, seed=33)
         assert not report.passed
 
+    def test_decompositions_disagreeing_fails(self, solved_example, domain_example, dual_example):
+        # With H_i moved onto D_{i+1}, every head rectangle [H_i, D_{i+1}) of
+        # the horizontal view is empty; the vertical view still holds them.
+        moved = solved_example.D[1:] + solved_example.D[:1]
+        headless = dual_params(dataclasses.replace(solved_example, H=tuple(moved)))
+        broken = dataclasses.replace(dual_example, dual=headless)
+        report = verify_duality(solved_example, domain_example, broken, samples=2000, seed=33)
+        assert report.flip_failures > 0
+        assert not report.passed
+
 
 class TestFamilies:
     @pytest.mark.parametrize("g", [2, 3])

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import pathlib
 import re
 import sys
@@ -36,13 +37,17 @@ def test_third_party_imports_match_declared_dependencies():
     assert third_party == declared
 
 
-def test_benchmark_trace_bindings_exist():
-    """Every binding the benchmark's trace mode wraps is still defined."""
+def _trace_wraps():
     spec = importlib.util.spec_from_file_location("_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing.WRAPS
+
+
+def test_benchmark_trace_bindings_exist():
+    """Every binding the benchmark's trace mode wraps is still defined."""
     missing = []
-    for module, path, _, _ in tracing.WRAPS:
+    for module, path, _, _ in _trace_wraps():
         owner = importlib.import_module(f"fuchsian.{module}")
         *outer, attr = path.split(".")
         for part in outer:
@@ -50,3 +55,18 @@ def test_benchmark_trace_bindings_exist():
         if owner is None or attr not in vars(owner):
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+def test_benchmark_row_arguments_are_angle_arrays():
+    """The argument a trace counts rows of is an array of angles."""
+    wrong = []
+    for module, path, _, row_arg in _trace_wraps():
+        if row_arg is None:
+            continue
+        fn = importlib.import_module(f"fuchsian.{module}")
+        for part in path.split("."):
+            fn = getattr(fn, part)
+        name = list(inspect.signature(fn).parameters)[row_arg]
+        if not name.endswith(("thetas", "angles")):
+            wrong.append(f"{module}.{path} argument {row_arg} is {name!r}")
+    assert wrong == []

@@ -208,6 +208,20 @@ class TestCli:
         )
         assert out2.read_text() == text
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--genus", "2", "--params", EXAMPLE_WORD],
+            ["sweep", "--genus", "2", "--random", "2"],
+        ],
+    )
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsysbinary, argv):
+        code = main(argv)
+        stdout = capsysbinary.readouterr().out
+        out = tmp_path / "out.txt"
+        assert main(argv + ["--out", str(out)]) == code
+        assert out.read_bytes() == stdout
+
     def test_render_requires_params_for_domains(self, capsys):
         assert main(["render", "--what", "omega", "--genus", "2"]) == 2
 
