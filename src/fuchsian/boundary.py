@@ -37,7 +37,6 @@ from .circle import (
     CirclePoint,
     MoebiusMap,
     angdiff,
-    angdiff_many,
     ccw_distance,
     moebius_angles,
 )
@@ -92,10 +91,10 @@ class ExtremalParams:
         object.__setattr__(self, "partition", CirclePartition([p.angle for p in pts]))
 
     def choice(self, i: int) -> str:
-        return self.word[self.surface.wrap(i) - 1]
+        return self.word[i % len(self.word) - 1]
 
     def a(self, i: int) -> CirclePoint:
-        return self.points[self.surface.wrap(i) - 1]
+        return self.points[i % len(self.points) - 1]
 
 
 def classify_type(params: ExtremalParams, i: int) -> IndexType:
@@ -173,7 +172,10 @@ class SolvedPoint:
 
 @dataclass(frozen=True)
 class SolvedParams:
-    """The solved corner data for one extremal parameter choice."""
+    """The solved corner data for one extremal parameter choice.
+
+    The accessors g/h/d/u take any integer i and read entry i mod N.
+    """
 
     params: ExtremalParams
     types: tuple[IndexType, ...]
@@ -187,25 +189,25 @@ class SolvedParams:
         return self.params.surface
 
     def g(self, i: int) -> CirclePoint:
-        return self.G[self.surface.wrap(i) - 1].point
+        return self.G[i % len(self.G) - 1].point
 
     def h(self, i: int) -> CirclePoint:
-        return self.H[self.surface.wrap(i) - 1].point
+        return self.H[i % len(self.H) - 1].point
 
     def d(self, i: int) -> CirclePoint:
-        return self.D[self.surface.wrap(i) - 1].point
+        return self.D[i % len(self.D) - 1].point
 
     def g_word(self, i: int) -> GroupWord:
-        return self.G[self.surface.wrap(i) - 1].word
+        return self.G[i % len(self.G) - 1].word
 
     def h_word(self, i: int) -> GroupWord:
-        return self.H[self.surface.wrap(i) - 1].word
+        return self.H[i % len(self.H) - 1].word
 
     def d_word(self, i: int) -> GroupWord:
-        return self.D[self.surface.wrap(i) - 1].word
+        return self.D[i % len(self.D) - 1].word
 
     def u(self, i: int) -> MoebiusMap:
-        return self.U[self.surface.wrap(i) - 1]
+        return self.U[i % len(self.U) - 1]
 
     def to_json(self) -> str:
         doc = {
@@ -244,7 +246,7 @@ def compute_h_d(
     u_maps: list[MoebiusMap] = []
     for i in range(1, n + 1):
         u_map = s.t(s.sigma(i - 1)) @ s.t(s.tau(i))
-        u_alt = s.t(s.sigma(i)) @ s.t(s.wrap(s.tau(i) - 1))
+        u_alt = s.t(s.sigma(i)) @ s.t(s.tau(i) - 1)
         if u_map.distance_to(u_alt) > tol:
             raise ContradictionError(f"the two expressions for U_{i} disagree")
         u_maps.append(u_map)
@@ -360,7 +362,8 @@ class RectDomain:
     """A finite union of rectangles with half-open membership semantics.
 
     The y-arcs of the rectangles tile the circle (indexed lookups go
-    through a CirclePartition of their starts); the x-arcs are arbitrary.
+    through a CirclePartition of their starts, which are also their ends);
+    the x-arcs are arbitrary.
     """
 
     def __init__(self, rects: list[DomainRect]):
@@ -371,6 +374,7 @@ class RectDomain:
         self._y0 = np.array([r.y.start.angle for r in rects])
         self._yw = np.array([r.y.length for r in rects])
         self._areas = self._xw * self._yw
+        self._x_edges = CirclePartition(np.concatenate([self._x0, self._x0 + self._xw]))
         # `locate` runs once per inverse-step candidate; lists keep numpy out of it.
         self._x0_list, self._xw_list = self._x0.tolist(), self._xw.tolist()
 
@@ -410,13 +414,7 @@ class RectDomain:
 
     def boundary_distance_many(self, u_thetas, w_thetas) -> np.ndarray:
         """Angular distance to the nearest rectangle edge line (for skip flags)."""
-        u = np.asarray(u_thetas, dtype=float)[:, None]
-        w = np.asarray(w_thetas, dtype=float)[:, None]
-        xe = np.concatenate([self._x0, np.remainder(self._x0 + self._xw, TWO_PI)])
-        ye = np.concatenate([self._y0, np.remainder(self._y0 + self._yw, TWO_PI)])
-        du = angdiff_many(u, xe[None, :]).min(axis=1)
-        dw = angdiff_many(w, ye[None, :]).min(axis=1)
-        return np.minimum(du, dw)
+        return np.minimum(self._x_edges.distance_many(u_thetas), self._y.distance_many(w_thetas))
 
     def sample(self, rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:
         """k points uniform on the union (area-weighted over rectangles)."""
@@ -686,35 +684,29 @@ def _verify_analytic(solved: SolvedParams, report: BijectivityReport, tol: float
                     f"but choice at sigma({j}) is {params.choice(s.sigma(j))}"
                 )
 
-    # Re-tile each strip from the image pieces and compare widths.
+    # Re-tile each strip from the image pieces and compare widths.  The
+    # pieces run from each point of the chain H_{m+1}, D_{m+2}, ..., D_end,
+    # G_end to the next, so they are contiguous by construction.
+    corner = {"H": solved.h, "D": solved.d, "G": solved.g}
     for m in range(1, n + 1):
-        for kind in ("lower", "upper"):
-            end = m - 2 if kind == "lower" else m - 1
-            pieces = [(solved.h(m + 1), solved.d(m + 2), f"[H_{s.wrap(m+1)},D_{s.wrap(m+2)}]")]
-            j = s.wrap(m + 2)
-            while j != s.wrap(end):
-                pieces.append((solved.d(j), solved.d(j + 1), f"[D_{s.wrap(j)},D_{s.wrap(j+1)}]"))
-                j = s.wrap(j + 1)
-            pieces.append((solved.d(end), solved.g(end), f"[D_{s.wrap(end)},G_{s.wrap(end)}]"))
+        for kind, end in (("lower", m + n - 2), ("upper", m + n - 1)):
+            chain = [("H", m + 1), *(("D", j) for j in range(m + 2, end + 1)), ("G", end)]
+            angles = [corner[name](j).angle for name, j in chain]
             total = 0.0
-            prev_end: CirclePoint | None = None
-            for a, b, label in pieces:
-                width = ccw_distance(a.angle, b.angle)
+            for k in range(len(chain) - 1):
+                width = ccw_distance(angles[k], angles[k + 1])
                 if width > TWO_PI - n * tol:
                     width = 0.0  # degenerate piece rounded microscopically past zero
                 elif width > math.pi:
                     # a genuinely reversed piece would wrap most of the circle
+                    (a, ia), (b, ib) = chain[k], chain[k + 1]
                     report.tiling_failures.append(
-                        f"strip {m} {kind}: piece {label} reversed (width {width:.3g})"
+                        f"strip {m} {kind}: piece [{a}_{s.wrap(ia)},{b}_{s.wrap(ib)}] "
+                        f"reversed (width {width:.3g})"
                     )
                     width = 0.0
-                if prev_end is not None and angdiff(prev_end.angle, a.angle) > tol:
-                    report.tiling_failures.append(
-                        f"strip {m} {kind}: gap before {label}"
-                    )
-                prev_end = b
                 total += width
-            strip_width = ccw_distance(solved.h(m + 1).angle, solved.g(end).angle)
+            strip_width = ccw_distance(angles[0], angles[-1])
             if strip_width > TWO_PI - n * tol:
                 strip_width = 0.0
             if abs(total - strip_width) > n * tol:

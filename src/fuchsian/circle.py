@@ -172,8 +172,11 @@ class CirclePartition:
 
     def distance_many(self, thetas) -> np.ndarray:
         """Angular distance from each angle to the nearest breakpoint."""
-        d = np.abs(self._rel(thetas)[:, None] - self.breaks[None, :])
-        return np.minimum(d, TWO_PI - d).min(axis=1)
+        # min_k min(d_k, 2*pi - d_k) is min(min d, 2*pi - max d), so one
+        # m x n matrix is live at a time.
+        d = self._rel(thetas)[:, None] - self.breaks[None, :]
+        np.abs(d, out=d)
+        return np.minimum(d.min(axis=1), TWO_PI - d.max(axis=1))
 
 
 @dataclass(frozen=True)

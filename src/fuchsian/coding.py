@@ -95,10 +95,8 @@ class RegionTable:
         s = solved.surface
         self.solved = solved
         self.domain = domain
-        self.p_angles = np.array([pt.angle for pt in s.P])
-        self.q_angles = np.array([pt.angle for pt in s.Q])
-        self.p_partition = CirclePartition(self.p_angles)
-        self.q_partition = CirclePartition(self.q_angles)
+        self.p_partition = CirclePartition(s.p_angles)
+        self.q_partition = CirclePartition(s.q_angles)
 
     @property
     def surface(self) -> SurfaceGroup:
@@ -106,7 +104,8 @@ class RegionTable:
 
     def classify(self, u_thetas, w_thetas, inside_geo, tol: float = TOL):
         """Codes: 0 core, 1 lower bulge, 2 upper bulge, -1 undecided; plus index."""
-        n = self.surface.n
+        s = self.surface
+        n = s.n
         code = np.full(len(u_thetas), -1, dtype=np.int64)
         index = np.zeros(len(u_thetas), dtype=np.int64)
         in_domain = self.domain.contains_many(u_thetas, w_thetas)
@@ -114,14 +113,14 @@ class RegionTable:
         rest = inside_geo & ~in_domain
         if rest.any():
             i_low = self.p_partition.index_many(w_thetas)  # w in [P_i, P_{i+1})
-            x0 = self.q_angles[i_low % n]  # Q_{i+1}
-            x1 = self.q_angles[(i_low + 1) % n]  # Q_{i+2}
+            x0 = s.q_angles[i_low % n]  # Q_{i+1}
+            x1 = s.q_angles[(i_low + 1) % n]  # Q_{i+2}
             low_ok = rest & _in_box(u_thetas, x0, x1, tol)
             code[low_ok] = 1
             index[low_ok] = i_low[low_ok]
             i_up = self.q_partition.index_many(w_thetas)  # w in [Q_j, Q_{j+1})
-            x0u = self.p_angles[(i_up - 2) % n]  # P_{j-1}
-            x1u = self.p_angles[(i_up - 1) % n]  # P_j
+            x0u = s.p_angles[(i_up - 2) % n]  # P_{j-1}
+            x1u = s.p_angles[(i_up - 1) % n]  # P_j
             up_ok = rest & ~low_ok & _in_box(u_thetas, x0u, x1u, tol)
             code[up_ok] = 2
             index[up_ok] = i_up[up_ok]
@@ -209,16 +208,17 @@ class ConjugacyReport:
 
 def sample_curvilinear(
     regions: RegionTable, rng: np.random.Generator, k: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rejection-sample k pairs inside the curvilinear domain, off boundaries.
 
     Points within MARGIN of the domain's boundary curves, of the
     rectangle edges, or of the partition points are rejected, so samples
-    classify robustly on both sides of the conjugacy.
+    classify robustly on both sides of the conjugacy.  Returns the angles
+    u, w and the side each geodesic exits the polygon through, which is
+    never shared with another side (no vertex exits).
     """
     clipper = regions.surface.clipper
-    out_u: list[np.ndarray] = [np.empty(0)]
-    out_w: list[np.ndarray] = [np.empty(0)]
+    parts = [(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))]
     need = k
     while need > 0:
         batch = max(4 * need, 256)
@@ -229,11 +229,10 @@ def sample_curvilinear(
         good &= (lo_ties < 2) & (hi_ties < 2)
         good &= regions.domain.boundary_distance_many(u, w) > MARGIN
         good &= regions.solved.params.partition.distance_many(w) > MARGIN
-        u, w = u[good], w[good]
-        out_u.append(u[:need])
-        out_w.append(w[:need])
-        need -= min(need, len(u))
-    return np.concatenate(out_u), np.concatenate(out_w)
+        keep = np.flatnonzero(good)[:need]
+        parts.append((u[keep], w[keep], exit_[keep]))
+        need -= len(keep)
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def verify_conjugacy(
@@ -249,9 +248,7 @@ def verify_conjugacy(
     rng = np.random.default_rng(seed)
     report = ConjugacyReport(samples=samples, seed=seed)
 
-    u, w = sample_curvilinear(regions, rng, samples)
-    lo, hi, entry, exit_, lo_ties, hi_ties = clipper.clip(u, w)
-    ok = (hi - lo > MARGIN) & (exit_ > 0) & (hi_ties < 2)
+    u, w, exit_ = sample_curvilinear(regions, rng, samples)
 
     # geometric step
     ae, ce = solved.surface.gen_a[exit_ - 1], solved.surface.gen_c[exit_ - 1]
@@ -260,9 +257,9 @@ def verify_conjugacy(
 
     # classify both p and geo(p); skip any sample whose classification is
     # ambiguous or whose image sits within the margin of a boundary
-    code_p, idx_p = regions.classify(u, w, np.ones_like(ok, bool))
+    code_p, idx_p = regions.classify(u, w, np.ones(len(u), dtype=bool))
     code_g, idx_g = regions.classify(gu, gw, clipper.status_codes(gu, gw, MARGIN) == 1)
-    ok &= (code_p >= 0) & (code_g >= 0)
+    ok = (code_p >= 0) & (code_g >= 0)
     ok &= domain.boundary_distance_many(gu, gw) > MARGIN
     ok &= solved.params.partition.distance_many(gw) > MARGIN
 

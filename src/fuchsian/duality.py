@@ -137,8 +137,7 @@ class DualDomain:
             rel = np.remainder(theta - a0, TWO_PI)
             return rel < width
 
-        q_ang = np.array([s.q(k).angle for k in range(1, n + 1)])
-        p_ang = np.array([s.p(k).angle for k in range(1, n + 1)])
+        q_ang, p_ang = s.q_angles, s.p_angles
         d_ang = np.array([dual.d(k).angle for k in range(1, n + 1)])
         h_ang = np.array([dual.solved.h(k).angle for k in range(1, n + 1)])
         g_ang = np.array([dual.solved.g(k).angle for k in range(1, n + 1)])

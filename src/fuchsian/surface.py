@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -62,7 +62,12 @@ def rho(i: int, g: int) -> int:
 
 @dataclass(frozen=True)
 class SideIndexMaps:
-    """The involutions sigma, tau and the shift rho on side indices."""
+    """The involutions sigma, tau and the shift rho on side indices.
+
+    Each map is a tuple built once from the closed forms above, with entry
+    r serving every i with i mod N = r, so each method is one lookup that
+    takes any integer and answers in {1, ..., N}.
+    """
 
     genus: int
     n: int = field(init=False)
@@ -70,22 +75,29 @@ class SideIndexMaps:
     def __post_init__(self):
         if self.genus < 2:
             raise ValueError("genus must be at least 2")
-        object.__setattr__(self, "n", 8 * self.genus - 4)
+        g, n = self.genus, 8 * self.genus - 4
+        object.__setattr__(self, "n", n)
+        sides = [_wrap(r, n) for r in range(n)]  # N, 1, 2, ..., N-1
+        object.__setattr__(self, "_wrap", tuple(sides))
+        object.__setattr__(self, "_sigma", tuple(sigma(i, g) for i in sides))
+        object.__setattr__(self, "_tau", tuple(tau(i, g) for i in sides))
+        object.__setattr__(self, "_tau_sigma", tuple(tau(sigma(i, g), g) for i in sides))
+        object.__setattr__(self, "_rho", tuple(rho(i, g) for i in sides))
 
     def wrap(self, i: int) -> int:
-        return _wrap(i, self.n)
+        return self._wrap[i % self.n]
 
     def sigma(self, i: int) -> int:
-        return sigma(self.wrap(i), self.genus)
+        return self._sigma[i % self.n]
 
     def tau(self, i: int) -> int:
-        return tau(self.wrap(i), self.genus)
-
-    def rho(self, i: int) -> int:
-        return rho(self.wrap(i), self.genus)
+        return self._tau[i % self.n]
 
     def tau_sigma(self, i: int) -> int:
-        return self.tau(self.sigma(i))
+        return self._tau_sigma[i % self.n]
+
+    def rho(self, i: int) -> int:
+        return self._rho[i % self.n]
 
 
 @dataclass(frozen=True)
@@ -93,7 +105,9 @@ class SurfaceGroup:
     """Polygon data plus the generators identifying its sides.
 
     vertices[k] is V_{k+1}; P[k], Q[k] are the ideal points P_{k+1}, Q_{k+1};
-    generators[k] is T_{k+1}.  Use the 1-based accessors v/p/q/t, which wrap.
+    generators[k] is T_{k+1}.  Use the 1-based accessors v/p/q/t, which read
+    entry i mod N (index -1 is entry N).  n, wrap, sigma, tau and tau_sigma
+    are those of `maps`, bound on the instance.
     """
 
     genus: int
@@ -104,21 +118,21 @@ class SurfaceGroup:
     maps: SideIndexMaps
     offset: float = 0.0
 
-    @property
-    def n(self) -> int:
-        return self.maps.n
+    def __post_init__(self):
+        for name in ("n", "wrap", "sigma", "tau", "tau_sigma"):
+            object.__setattr__(self, name, getattr(self.maps, name))
 
     def v(self, i: int) -> complex:
-        return self.vertices[self.maps.wrap(i) - 1]
+        return self.vertices[i % self.n - 1]
 
     def p(self, i: int) -> CirclePoint:
-        return self.P[self.maps.wrap(i) - 1]
+        return self.P[i % self.n - 1]
 
     def q(self, i: int) -> CirclePoint:
-        return self.Q[self.maps.wrap(i) - 1]
+        return self.Q[i % self.n - 1]
 
     def t(self, i: int) -> MoebiusMap:
-        return self.generators[self.maps.wrap(i) - 1]
+        return self.generators[i % self.n - 1]
 
     @cached_property
     def gen_a(self) -> np.ndarray:
@@ -131,32 +145,26 @@ class SurfaceGroup:
         return np.array([m.c for m in self.generators])
 
     @cached_property
+    def p_angles(self) -> np.ndarray:
+        """The angles of P_1..P_N, for array lookups."""
+        return np.array([pt.angle for pt in self.P])
+
+    @cached_property
+    def q_angles(self) -> np.ndarray:
+        """The angles of Q_1..Q_N, for array lookups."""
+        return np.array([pt.angle for pt in self.Q])
+
+    @cached_property
     def clipper(self) -> "GeodesicClipper":
         """The array polygon clipper of this surface, built once."""
         return GeodesicClipper(self)
-
-    def sigma(self, i: int) -> int:
-        return self.maps.sigma(i)
-
-    def tau(self, i: int) -> int:
-        return self.maps.tau(i)
-
-    def tau_sigma(self, i: int) -> int:
-        return self.maps.tau_sigma(i)
-
-    def wrap(self, i: int) -> int:
-        return self.maps.wrap(i)
 
     def side_circle(self, i: int) -> tuple[complex, float] | None:
         """Center/radius of the circle extending side i (None for a diameter)."""
         return geodesic_circle(self.v(i), self.v(i + 1))
 
     def boundary_points_in_order(self) -> list[CirclePoint]:
-        out = []
-        for i in range(1, self.n + 1):
-            out.append(self.p(i))
-            out.append(self.q(i))
-        return out
+        return [pt for pair in zip(self.P, self.Q) for pt in pair]
 
     def to_json(self) -> str:
         doc = {
@@ -205,17 +213,13 @@ def assemble_surface(
     n = maps.n
     if len(vertices) != n or len(generators) != n:
         raise ValueError(f"expected {n} vertices and generators")
-    p_pts: list[CirclePoint | None] = [None] * n
-    q_pts: list[CirclePoint | None] = [None] * n
-    for i in range(1, n + 1):
-        backward, forward = geodesic_endpoints(vertices[i - 1], vertices[i % n])
-        p_pts[i - 1] = backward
-        q_pts[i % n] = forward
+    # Side i, extended backward and forward, ends at P_i and Q_{i+1}.
+    ends = [geodesic_endpoints(vertices[i - 1], vertices[i % n]) for i in range(1, n + 1)]
     return SurfaceGroup(
         genus=genus,
         vertices=tuple(vertices),
-        P=tuple(p_pts),  # type: ignore[arg-type]
-        Q=tuple(q_pts),  # type: ignore[arg-type]
+        P=tuple(p for p, _ in ends),
+        Q=tuple(q for _, q in ends[-1:] + ends[:-1]),
         generators=tuple(generators),
         maps=maps,
         offset=offset,
@@ -242,42 +246,23 @@ def build_regular_surface(genus: int, offset: float = 0.0) -> SurfaceGroup:
     P_i -> Q_{sigma(i)+1}, Q_{i+1} -> P_{sigma(i)}, V_i -> V_{sigma(i)+1}
     and the result is validated against all group relations.
     """
-    if genus < 2:
-        raise ValueError("genus must be at least 2")
-    maps = SideIndexMaps(genus)
-    n = maps.n
+    n = SideIndexMaps(genus).n
     r = regular_vertex_radius(genus)
     vertices = [r * cmath.exp(1j * (TWO_PI * k / n + offset)) for k in range(n)]
-
-    p_pts: list[CirclePoint | None] = [None] * n
-    q_pts: list[CirclePoint | None] = [None] * n
+    polygon = assemble_surface(genus, vertices, [MoebiusMap.identity()] * n, offset)
+    gens = []
     for i in range(1, n + 1):
-        backward, forward = geodesic_endpoints(vertices[i - 1], vertices[i % n])
-        p_pts[i - 1] = backward
-        q_pts[i % n] = forward
-
-    gens: list[MoebiusMap] = []
-    for i in range(1, n + 1):
-        si = sigma(i, genus)
+        si = polygon.sigma(i)
         gens.append(
             from_three_points(
                 [
-                    (p_pts[i - 1].value, q_pts[_wrap(si + 1, n) - 1].value),
-                    (q_pts[i % n].value, p_pts[si - 1].value),
-                    (vertices[i - 1], vertices[_wrap(si + 1, n) - 1]),
+                    (polygon.p(i).value, polygon.q(si + 1).value),
+                    (polygon.q(i + 1).value, polygon.p(si).value),
+                    (polygon.v(i), polygon.v(si + 1)),
                 ]
             )
         )
-
-    surface = SurfaceGroup(
-        genus=genus,
-        vertices=tuple(vertices),
-        P=tuple(p_pts),  # type: ignore[arg-type]
-        Q=tuple(q_pts),  # type: ignore[arg-type]
-        generators=tuple(gens),
-        maps=maps,
-        offset=offset,
-    )
+    surface = replace(polygon, generators=tuple(gens))
     report = verify_group_relations(surface)
     if not report.passed:
         name, dev = report.failures[0]
@@ -331,7 +316,7 @@ def interior_angle(surface: SurfaceGroup, i: int) -> float:
             t = -t
         return t
 
-    t_prev = tangent_toward(surface.wrap(i - 1), surface.v(i - 1))
+    t_prev = tangent_toward(i - 1, surface.v(i - 1))
     t_next = tangent_toward(i, surface.v(i + 1))
     dot = (t_prev.conjugate() * t_next).real
     return math.acos(max(-1.0, min(1.0, dot)))

@@ -339,6 +339,30 @@ class TestBijectivity:
         assert not report.analytic_passed
         assert any("H_5" in f for f in report.corner_failures)
 
+    def test_reversed_tiling_piece_is_named(self, solved_example, domain_example):
+        # D_5 moved past D_6 reverses the piece [D_5, D_6] in every strip using it.
+        bad_d = list(solved_example.D)
+        bad_d[4] = dataclasses.replace(bad_d[4], point=CirclePoint(bad_d[4].point.angle + 1.0))
+        broken = dataclasses.replace(solved_example, D=tuple(bad_d))
+        report = verify_bijectivity(broken, domain_example, mode="analytic")
+        assert not report.analytic_passed
+        assert "strip 1 lower: piece [D_5,D_6] reversed (width 5.77)" in report.tiling_failures
+        assert any(f.startswith("strip 1 lower: pieces cover") for f in report.tiling_failures)
+        assert not report.degeneracy_failures
+
+    def test_lost_degeneracy_is_named(self, solved_example, domain_example):
+        # Moving every H_i off its D partner undoes the degenerate head pieces.
+        bad_h = tuple(
+            dataclasses.replace(h, point=CirclePoint(h.point.angle + 1e-6)) for h in solved_example.H
+        )
+        broken = dataclasses.replace(solved_example, H=bad_h)
+        report = verify_bijectivity(broken, domain_example, mode="analytic")
+        assert not report.analytic_passed
+        assert (
+            "[H_2, D_3] degenerate=False but choice at tau_sigma(1) is P"
+            in report.degeneracy_failures
+        )
+
     def test_inverse_round_trip_bulk(self, solved_example, domain_example):
         rng = np.random.default_rng(12)
         u, w = domain_example.sample(rng, 10_000)

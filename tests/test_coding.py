@@ -121,7 +121,7 @@ class TestRegions:
         # Oracle: every sampled bulge point crosses the polygon but is not
         # in the rectangle domain, and sits in the right bounding box.
         rng = np.random.default_rng(3)
-        u, w = sample_curvilinear(regions_example, rng, 2000)
+        u, w, _ = sample_curvilinear(regions_example, rng, 2000)
         seen = {"bulge_lower": 0, "bulge_upper": 0}
         for k in range(2000):
             pu, pw = CirclePoint(u[k]), CirclePoint(w[k])
@@ -187,7 +187,7 @@ class TestPhi:
         # curvilinear one, inside the corner box of the partner index.
         s = genus2
         rng = np.random.default_rng(5)
-        u, w = sample_curvilinear(regions_example, rng, 3000)
+        u, w, _ = sample_curvilinear(regions_example, rng, 3000)
         checked = 0
         for k in range(3000):
             pu, pw = CirclePoint(u[k]), CirclePoint(w[k])
@@ -219,7 +219,7 @@ class TestPhi:
 
     def test_reduce_lands_in_domain(self, regions_example, domain_example):
         rng = np.random.default_rng(7)
-        u, w = sample_curvilinear(regions_example, rng, 500)
+        u, w, _ = sample_curvilinear(regions_example, rng, 500)
         for k in range(500):
             ru, rw, j = reduce_geodesic(regions_example, CirclePoint(u[k]), CirclePoint(w[k]))
             assert domain_example.contains(ru, rw) or domain_example.boundary_distance_many(
@@ -254,9 +254,29 @@ class TestConjugacy:
         verify_conjugacy(solved, build_domain(solved), samples=200, seed=1)
         assert len(built) == 1
 
+    def test_samples_are_clipped_once(self, solved_example, domain_example, monkeypatch):
+        # One clip per sampler batch plus one for the status of the images;
+        # the samples' exit sides come from the sampler, not a second clip.
+        calls = []
+        clip = GeodesicClipper.clip
+        monkeypatch.setattr(
+            GeodesicClipper, "clip", lambda self, u, w: calls.append(len(u)) or clip(self, u, w)
+        )
+        regions = build_regions(solved_example, domain_example)
+        sample_curvilinear(regions, np.random.default_rng(5), 300)
+        sampler_calls = len(calls)
+        calls.clear()
+        verify_conjugacy(solved_example, domain_example, samples=300, seed=5)
+        assert len(calls) == sampler_calls + 1
+
+    def test_sampler_exit_sides_match_clip(self, genus2, regions_example):
+        u, w, exit_ = sample_curvilinear(regions_example, np.random.default_rng(3), 2000)
+        assert exit_.dtype == np.int64 and exit_.shape == u.shape
+        assert np.array_equal(exit_, genus2.clipper.clip(u, w)[3])
+
     def test_zero_samples_checks_nothing_and_fails(self, solved_example, domain_example):
         regions = build_regions(solved_example, domain_example)
-        u, w = sample_curvilinear(regions, np.random.default_rng(0), 0)
+        u, w, _ = sample_curvilinear(regions, np.random.default_rng(0), 0)
         assert u.shape == w.shape == (0,)
         report = verify_conjugacy(solved_example, domain_example, samples=0)
         assert report.checked == 0
@@ -295,7 +315,7 @@ class TestCoding:
         self, genus2, solved_example, domain_example, regions_example
     ):
         rng = np.random.default_rng(14)
-        u, w = sample_curvilinear(regions_example, rng, 60)
+        u, w, _ = sample_curvilinear(regions_example, rng, 60)
         checked = 0
         for k in range(60):
             qu, qw = CirclePoint(u[k]), CirclePoint(w[k])

@@ -1,5 +1,6 @@
 """Index maps, regular polygon construction, and polygon intersection."""
 
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from fuchsian.circle import TOL, TWO_PI, CirclePoint, MoebiusMap
 from fuchsian.errors import ConstructionError, DegeneratePointsError
 from fuchsian.surface import (
     GeodesicClipper,
+    SideIndexMaps,
     SurfaceGroup,
     assemble_surface,
     build_regular_surface,
@@ -70,6 +72,41 @@ class TestIndexMaps:
             sigma(0, 2)
         with pytest.raises(IndexError):
             tau(13, 2)
+
+
+class TestIndexTables:
+    @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
+    def test_lookups_match_closed_forms(self, g):
+        maps = SideIndexMaps(g)
+        n = maps.n
+        for i in range(-2 * n, 3 * n):
+            k = (i - 1) % n + 1
+            assert maps.wrap(i) == k
+            assert maps.sigma(i) == sigma(k, g)
+            assert maps.tau(i) == tau(k, g)
+            assert maps.tau_sigma(i) == tau(sigma(k, g), g)
+            assert maps.rho(i) == rho(k, g)
+
+    def test_accessors_index_mod_n(self, genus3):
+        s = genus3
+        for i in range(-2 * s.n, 3 * s.n):
+            k = (i - 1) % s.n
+            assert s.p(i) is s.P[k]
+            assert s.q(i) is s.Q[k]
+            assert s.t(i) is s.generators[k]
+            assert s.v(i) is s.vertices[k]
+
+    def test_surface_binds_the_maps_lookups(self, genus2):
+        for name in ("wrap", "sigma", "tau", "tau_sigma"):
+            assert getattr(genus2, name).__self__ is genus2.maps
+            assert name not in vars(SurfaceGroup)
+        assert genus2.n == genus2.maps.n == 12
+
+    def test_json_index_maps_are_python_ints(self, genus2):
+        doc = json.loads(genus2.to_json())
+        assert doc["sigma"] == [sigma(i, 2) for i in range(1, 13)]
+        assert doc["tau"] == [tau(i, 2) for i in range(1, 13)]
+        assert all(type(genus2.sigma(i)) is type(genus2.tau(i)) is int for i in range(1, 13))
 
 
 class TestRegularSurface:
