@@ -22,10 +22,12 @@ upper/right) so that the rectangles genuinely partition the domain.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -327,6 +329,12 @@ def extension_step_many(params, u_thetas, w_thetas):
 # -- the rectangle domain -----------------------------------------------------
 
 
+def _degenerate(width, height):
+    """Extents within TOL of zero; an intended-zero extent can round
+    microscopically past 2*pi, so within TOL of 2*pi too."""
+    return (np.minimum(width, height) <= TOL) | (np.maximum(width, height) >= TWO_PI - TOL)
+
+
 @dataclass(frozen=True)
 class DomainRect:
     """One axis-aligned rectangle of a domain on the two-torus of angle pairs."""
@@ -346,13 +354,7 @@ class DomainRect:
 
     @property
     def degenerate(self) -> bool:
-        # An intended-zero extent can round microscopically past 2*pi.
-        return (
-            self.width <= TOL
-            or self.height <= TOL
-            or self.width >= TWO_PI - TOL
-            or self.height >= TWO_PI - TOL
-        )
+        return bool(_degenerate(self.width, self.height))
 
     def contains(self, u: CirclePoint, w: CirclePoint, tol: float = 0.0) -> bool:
         return self.x.contains(u, tol) and self.y.contains(w, tol)
@@ -375,8 +377,9 @@ class RectDomain:
         self._yw = np.array([r.y.length for r in rects])
         self._areas = self._xw * self._yw
         self._x_edges = CirclePartition(np.concatenate([self._x0, self._x0 + self._xw]))
-        # `locate` runs once per inverse-step candidate; lists keep numpy out of it.
+        # `locate` runs once per scalar orbit step; lists keep numpy out of it.
         self._x0_list, self._xw_list = self._x0.tolist(), self._xw.tolist()
+        self._preimages: PreimageTable | None = None
 
     @property
     def area(self) -> float:
@@ -387,6 +390,12 @@ class RectDomain:
         ridx = self._y.index(w.angle) - 1
         inside = (u.angle - self._x0_list[ridx]) % TWO_PI < self._xw_list[ridx]
         return ridx if inside else None
+
+    def preimages(self, params: ExtremalParams) -> PreimageTable:
+        """The PreimageTable of the extension map for params, built on first use."""
+        if self._preimages is None or self._preimages.params is not params:
+            self._preimages = PreimageTable(params, self)
+        return self._preimages
 
     def locate_many(self, u_thetas, w_thetas) -> np.ndarray:
         """Vectorized locate; -1 where outside."""
@@ -478,6 +487,83 @@ def invariant_measure(rect: DomainRect) -> float:
 # -- the inverse step ---------------------------------------------------------
 
 
+class PreimageTable:
+    """How many preimages each point has under the extension map on a domain.
+
+    The domain's y-breakpoints refine params.partition, so every rectangle
+    r lies in one branch arc i(r), and (u, w) has exactly as many
+    preimages in the domain as there are image rectangles T_{i(r)}(r)
+    holding it.  Rectangles flagged `degenerate` are left out: none of
+    their points lies farther than TOL from their edges.
+
+    The circle of w is cut at the images' y-endpoints.  In each w-cell the
+    coverage in u is a step function, stored as running counts and running
+    sums of rectangle numbers under the keys `cell + 1j*u` (numpy orders
+    complex numbers lexicographically); where the count is 1, the sum
+    names the covering rectangle.
+    """
+
+    def __init__(self, params: ExtremalParams, domain: RectDomain):
+        s = params.surface
+        part = params.partition
+        if not {p.angle for p in params.points} <= {r.y.start.angle for r in domain.rects}:
+            raise ValueError("the domain's y-breakpoints do not refine the branch partition")
+        rects = [domain.rects[j] for j in np.flatnonzero(~_degenerate(domain._xw, domain._yw))]
+        ends = np.array([(r.x.start.angle, r.x.end.angle, r.y.start.angle, r.y.end.angle) for r in rects])
+        self.params = params
+        self.branch = part.index_many(ends[:, 2])
+        a, c = s.gen_a[self.branch - 1, None], s.gen_c[self.branch - 1, None]
+        img = moebius_angles(a, c, np.exp(1j * ends))
+        img[img >= TWO_PI] = 0.0  # np.remainder can round up to 2*pi
+        self.x0, self.x1, self.y0, self.y1 = img.T
+        inv = np.array([s.sigma(i) for i in self.branch.tolist()]) - 1
+        self.inv_a, self.inv_c = s.gen_a[inv], s.gen_c[inv]
+
+        self.cuts = np.unique(np.concatenate([[0.0], self.y0, self.y1]))
+        height = np.remainder(self.y1 - self.y0, TWO_PI)
+        cover = np.remainder(self.cuts[:, None] - self.y0, TWO_PI) < height
+        cell, k = np.nonzero(cover)
+        # A u-arc through 0 also opens at u = 0 and closes at u = inf.  So
+        # each cell's events sum to zero, and a query that falls before its
+        # cell's first key reads a zero total (at index -1, the table's).
+        wrap = self.x1[k] < self.x0[k]
+        cw, kw = cell[wrap], k[wrap]
+        keys = np.concatenate(
+            [cell + 1j * self.x0[k], cell + 1j * self.x1[k], cw + 0j, cw + complex(0.0, math.inf)]
+        )
+        dn = np.repeat([1, -1, 1, -1], [len(k), len(k), len(kw), len(kw)])
+        dk = np.concatenate([k, -k, kw, -kw])
+        order = np.argsort(keys, kind="stable")
+        self.keys, self.counts, self.sums = keys[order], np.cumsum(dn[order]), np.cumsum(dk[order])
+
+    def lookup_many(self, u_thetas, w_thetas) -> tuple[np.ndarray, np.ndarray]:
+        """(preimage count, covering rectangle where the count is 1) per pair."""
+        cell = np.searchsorted(self.cuts, np.remainder(w_thetas, TWO_PI), side="right") - 1
+        pos = np.searchsorted(self.keys, cell + 1j * np.remainder(u_thetas, TWO_PI), side="right") - 1
+        return self.counts[pos], self.sums[pos]
+
+    @cached_property
+    def _lists(self):
+        keys = list(zip(self.keys.real.astype(int).tolist(), self.keys.imag.tolist()))
+        return self.cuts.tolist(), keys, self.counts.tolist(), self.sums.tolist()
+
+    def lookup(self, u: float, w: float) -> tuple[int, int]:
+        """lookup_many for one pair, with bisect on lists and Python's float %."""
+        cuts, keys, counts, sums = self._lists
+        cell = bisect.bisect_right(cuts, w % TWO_PI) - 1
+        pos = bisect.bisect_right(keys, (cell, u % TWO_PI)) - 1
+        return counts[pos], sums[pos]
+
+    def covering(self, u: float, w: float) -> list[int]:
+        """Every image rectangle holding (u, w); for rows whose count is not 1."""
+        return [
+            k
+            for k in range(len(self.branch))
+            if (w - self.y0[k]) % TWO_PI < (self.y1[k] - self.y0[k]) % TWO_PI
+            and (u - self.x0[k]) % TWO_PI < (self.x1[k] - self.x0[k]) % TWO_PI
+        ]
+
+
 def inverse_step(
     solved: SolvedParams,
     domain: RectDomain,
@@ -487,23 +573,22 @@ def inverse_step(
 ) -> tuple[CirclePoint, CirclePoint, int]:
     """The unique preimage in the domain of a domain point.
 
-    Searches the N candidates (T_sigma(i) u, T_sigma(i) w); the right one
-    lands in the domain with its w-coordinate in [A_i, A_{i+1}).  Returns
-    the preimage and the branch index i it will be mapped forward with.
+    The domain's PreimageTable, read with bisect as inverse_step_many reads
+    it with numpy, names the image rectangle holding (u, w); its branch i
+    gives the preimage (T_sigma(i) u, T_sigma(i) w), which T_i maps
+    forward.  Returns the preimage and i.  No preimage, or preimages of
+    several branches farther apart than tol, raise BijectivityError.
     """
     if not domain.contains(u, w):
         raise OutsideDomainError("inverse requested for a point outside the domain")
+    table = domain.preimages(solved.params)
+    count, k = table.lookup(u.angle, w.angle)
+    ks = table.covering(u.angle, w.angle) if count > 1 else [k] * count
     s = solved.surface
-    params = solved.params
     hits = []
-    for i in range(1, s.n + 1):
+    for i in sorted(int(table.branch[k]) for k in ks):
         t_inv = s.t(s.sigma(i))
-        u2 = t_inv.apply(u)
-        w2 = t_inv.apply(w)
-        if params.partition.index(w2.angle) != i:
-            continue
-        if domain.contains(u2, w2):
-            hits.append((u2, w2, i))
+        hits.append((t_inv.apply(u), t_inv.apply(w), i))
     if len(hits) == 1:
         return hits[0]
     if not hits:
@@ -521,27 +606,23 @@ def inverse_step(
 
 
 def inverse_step_many(solved: SolvedParams, domain: RectDomain, u_thetas, w_thetas):
-    """Vectorized inverse; returns (u', w', branch, hit_count)."""
-    s = solved.surface
-    params = solved.params
-    m = len(u_thetas)
-    zu = np.exp(1j * np.asarray(u_thetas, dtype=float))
-    zw = np.exp(1j * np.asarray(w_thetas, dtype=float))
-    best_u = np.zeros(m)
-    best_w = np.zeros(m)
-    best_i = np.zeros(m, dtype=np.int64)
-    count = np.zeros(m, dtype=np.int64)
-    for i in range(1, s.n + 1):
-        t_inv = s.t(s.sigma(i))
-        u2 = moebius_angles(t_inv.a, t_inv.c, zu)
-        w2 = moebius_angles(t_inv.a, t_inv.c, zw)
-        ok = (params.partition.index_many(w2) == i) & domain.contains_many(u2, w2)
-        newhit = ok & (count == 0)
-        best_u = np.where(newhit, u2, best_u)
-        best_w = np.where(newhit, w2, best_w)
-        best_i = np.where(newhit, i, best_i)
-        count += ok.astype(np.int64)
-    return best_u, best_w, best_i, count
+    """Vectorized inverse; returns (u', w', branch, hit_count).
+
+    hit_count is the exact number of preimages of each (u, w) in the
+    domain, read from the domain's PreimageTable.  Where it is 1, (u', w')
+    is the preimage (T_sigma(i) u, T_sigma(i) w) and branch is i; the
+    other rows hold zeros.
+    """
+    table = domain.preimages(solved.params)
+    u = np.asarray(u_thetas, dtype=float)
+    w = np.asarray(w_thetas, dtype=float)
+    count, k = table.lookup_many(u, w)
+    one = count == 1
+    k = np.where(one, k, 0)
+    a, c = table.inv_a[k], table.inv_c[k]
+    pu = np.where(one, moebius_angles(a, c, np.exp(1j * u)), 0.0)
+    pw = np.where(one, moebius_angles(a, c, np.exp(1j * w)), 0.0)
+    return pu, pw, np.where(one, table.branch[k], 0), count
 
 
 # -- bijectivity verification -------------------------------------------------

@@ -155,7 +155,7 @@ class CirclePartition:
         rel = np.remainder(angles - self.base, TWO_PI)
         order = np.argsort(rel, kind="stable")
         self.breaks, self.labels = rel[order], order + 1
-        # `index` runs once per orbit step; plain lists keep numpy out of it.
+        # `index` and `distance` run once per orbit step; lists keep numpy out of them.
         self._break_list, self._label_list = self.breaks.tolist(), self.labels.tolist()
 
     def _rel(self, thetas) -> np.ndarray:
@@ -172,11 +172,22 @@ class CirclePartition:
 
     def distance_many(self, thetas) -> np.ndarray:
         """Angular distance from each angle to the nearest breakpoint."""
-        # min_k min(d_k, 2*pi - d_k) is min(min d, 2*pi - max d), so one
-        # m x n matrix is live at a time.
-        d = self._rel(thetas)[:, None] - self.breaks[None, :]
-        np.abs(d, out=d)
-        return np.minimum(d.min(axis=1), TWO_PI - d.max(axis=1))
+        # With d_k = |rel - breaks[k]|, the distance is min(min d, 2*pi - max d).
+        # The sorted neighbours of rel attain min d and the first and last
+        # breakpoints attain max d, so four terms give it bit for bit.
+        rel = self._rel(thetas)
+        b = self.breaks
+        k = np.searchsorted(b, rel)
+        near = np.minimum(np.abs(rel - b[k - 1]), np.abs(rel - b[np.minimum(k, len(b) - 1)]))
+        return np.minimum(near, TWO_PI - np.maximum(np.abs(rel - b[0]), np.abs(rel - b[-1])))
+
+    def distance(self, theta: float) -> float:
+        """distance_many for one angle, with bisect and Python's float %."""
+        rel = (theta - self.base) % TWO_PI
+        b = self._break_list
+        k = bisect.bisect_left(b, rel)
+        near = min(abs(rel - b[k - 1]), abs(rel - b[min(k, len(b) - 1)]))
+        return min(near, TWO_PI - max(abs(rel - b[0]), abs(rel - b[-1])))
 
 
 @dataclass(frozen=True)

@@ -323,7 +323,7 @@ def code_geodesic(
 
     cu, cw = u, w
     for _ in range(n_future):
-        if params.partition.distance_many([cw.angle])[0] <= tol:
+        if params.partition.distance(cw.angle) <= tol:
             truncated = True
             break
         cu, cw, i = extension_step(params, cu, cw)
@@ -336,7 +336,7 @@ def code_geodesic(
         except (OutsideDomainError, BijectivityError):
             truncated = True
             break
-        if params.partition.distance_many([cw.angle])[0] <= tol:
+        if params.partition.distance(cw.angle) <= tol:
             truncated = True
             break
         past.append(s.sigma(i))

@@ -374,7 +374,7 @@ def verify_duality(
         branches = []
         bad = False
         for _ in range(code_depth):
-            if dual.partition.distance_many([x.angle])[0] <= 10 * tol:
+            if dual.partition.distance(x.angle) <= 10 * tol:
                 bad = True
                 break
             x, j = boundary_step(dual, x)

@@ -11,6 +11,7 @@ from fuchsian.boundary import (
     DomainRect,
     ExtremalParams,
     IndexType,
+    RectDomain,
     boundary_step,
     build_domain,
     classify_type,
@@ -23,9 +24,11 @@ from fuchsian.boundary import (
     solve_g,
     verify_bijectivity,
 )
-from fuchsian.circle import TOL, TWO_PI, Arc, CirclePoint
-from fuchsian.errors import OutsideDomainError
+from fuchsian.circle import TOL, TWO_PI, Arc, CirclePoint, angdiff_many
+from fuchsian.errors import FuchsianError, OutsideDomainError
+from fuchsian.surface import build_regular_surface
 from fuchsian.words import GroupWord
+from oracles import inverse_search, inverse_search_many
 
 EXAMPLE_WORD = "PPPPQPQQPPQQ"
 
@@ -422,3 +425,129 @@ class TestBijectivity:
             m1 = invariant_measure(upper)
             m2 = invariant_measure(image)
             assert abs(m1 - m2) <= 0.01 * abs(m1)
+
+
+def resized(domain, k, delta):
+    """The domain with rectangle k's x-extent moved at its end by delta."""
+    rects = list(domain.rects)
+    r = rects[k]
+    end = r.x.start if delta is None else CirclePoint(r.x.end.angle + delta)
+    rects[k] = dataclasses.replace(r, x=Arc(r.x.start, end))
+    return RectDomain(rects)
+
+
+def scalar_outcome(fn, *args):
+    """A scalar inverse's result as angles and branch, or its error."""
+    try:
+        u, w, i = fn(*args)
+    except FuchsianError as exc:
+        return type(exc).__name__, str(exc)
+    return u.angle, w.angle, i
+
+
+PREIMAGE_WORDS = {
+    2: [EXAMPLE_WORD, "Q" * 12],
+    3: ["PQQPPQPQPQQPQPPQQPPQ", "PPQQ" * 5],
+    4: ["PQ" * 14, "PPQQ" * 7],
+}
+
+
+@pytest.fixture(scope="module", params=sorted(PREIMAGE_WORDS), ids=lambda g: f"g{g}")
+def preimage_cases(request):
+    """Per word of one genus: (solved, domain, u, w), 5 * 10^4 pairs each.
+
+    The first 4 * 10^4 pairs are domain samples, the rest uniform on the
+    torus, so the words of a genus cover 10^5 pairs together.
+    """
+    surface = build_regular_surface(request.param)
+    rng = np.random.default_rng(request.param)
+    cases = []
+    for word in PREIMAGE_WORDS[request.param]:
+        solved = solve(surface, word)
+        domain = build_domain(solved)
+        u, w = domain.sample(rng, 40_000)
+        u = np.concatenate([u, rng.uniform(0.0, TWO_PI, 10_000)])
+        w = np.concatenate([w, rng.uniform(0.0, TWO_PI, 10_000)])
+        cases.append((solved, domain, u, w))
+    return cases
+
+
+class TestPreimageTable:
+    def test_matches_candidate_search(self, preimage_cases):
+        for solved, domain, u, w in preimage_cases:
+            got = inverse_step_many(solved, domain, u, w)
+            want = inverse_search_many(solved, domain, u, w)
+            off = domain.boundary_distance_many(u, w) > 10 * TOL
+            assert off.sum() > 0.99 * len(u)
+            assert (got[3][off] == want[3][off]).all()
+            one = off & (got[3] == 1)
+            assert one[:40_000].all() and not one[40_000:].all()
+            for a, b in zip(got[:3], want[:3]):
+                assert (a[one] == b[one]).all()
+
+    def test_scalar_lookup_matches_array(self, preimage_cases):
+        for solved, domain, u, w in preimage_cases:
+            table = domain.preimages(solved.params)
+            count, rect = table.lookup_many(u, w)
+            scalar = [table.lookup(a, b) for a, b in zip(u.tolist(), w.tolist())]
+            assert scalar == list(zip(count.tolist(), rect.tolist()))
+
+    def test_scalar_inverse_matches_array(self, preimage_cases):
+        for solved, domain, u, w in preimage_cases:
+            u, w = u[:3000], w[:3000]
+            pu, pw, branch, _ = inverse_step_many(solved, domain, u, w)
+            got = [
+                inverse_step(solved, domain, CirclePoint(a), CirclePoint(b))
+                for a, b in zip(u, w)
+            ]
+            assert [i for _, _, i in got] == branch.tolist()
+            # MoebiusMap.apply and moebius_angles round apart by a few ulps.
+            assert angdiff_many(np.array([x.angle for x, _, _ in got]), pu).max() <= 1e-12
+            assert angdiff_many(np.array([y.angle for _, y, _ in got]), pw).max() <= 1e-12
+
+    def test_table_is_built_once_per_domain(self, solved_example):
+        domain = build_domain(solved_example)
+        u, w = domain.sample(np.random.default_rng(3), 10)
+        inverse_step_many(solved_example, domain, u, w)
+        table = domain.preimages(solved_example.params)
+        inverse_step(solved_example, domain, CirclePoint(u[0]), CirclePoint(w[0]))
+        assert domain.preimages(solved_example.params) is table
+
+    def test_y_arcs_must_refine_branches(self, solved_example, domain_example):
+        shifted = RectDomain(
+            [
+                dataclasses.replace(r, y=Arc(CirclePoint(r.y.start.angle + 0.01), r.y.end))
+                for r in domain_example.rects
+            ]
+        )
+        with pytest.raises(ValueError, match="refine"):
+            shifted.preimages(solved_example.params)
+
+    @pytest.mark.parametrize("delta", [-0.05, 0.05, None], ids=["shrunk", "grown", "collapsed"])
+    def test_faulty_domains_match_candidate_search(self, solved_example, domain_example, delta):
+        # Every rectangle in turn: counts other than 1 occur, and a
+        # collapsed rectangle is left out of the table.
+        rng = np.random.default_rng(4)
+        for k in range(len(domain_example.rects)):
+            domain = resized(domain_example, k, delta)
+            u, w = domain.sample(rng, 2000)
+            got = inverse_step_many(solved_example, domain, u, w)[3]
+            want = inverse_search_many(solved_example, domain, u, w)[3]
+            off = domain.boundary_distance_many(u, w) > 10 * TOL
+            assert (got[off] == want[off]).all()
+            # The scalar path on every row without exactly one preimage, and 20 more.
+            rows = np.union1d(np.flatnonzero(off & (got != 1)), np.flatnonzero(off)[:20])
+            for a, b in zip(u[rows], w[rows]):
+                args = (solved_example, domain, CirclePoint(a), CirclePoint(b))
+                assert scalar_outcome(inverse_step, *args) == scalar_outcome(inverse_search, *args)
+
+    def test_faulty_domains_fail_monte_carlo(self, solved_example, domain_example):
+        # Rectangle 3 shrunk or grown by 0.05; the counts equal those of the
+        # N-candidate search this check used before.
+        shrunk, grown = (
+            verify_bijectivity(solved_example, resized(domain_example, 3, delta), mode="mc", samples=4000, seed=1)
+            for delta in (-0.05, 0.05)
+        )
+        assert (shrunk.mc_preimage_misses, shrunk.mc_preimage_ambiguous) == (3, 0)
+        assert (grown.mc_preimage_misses, grown.mc_preimage_ambiguous) == (4, 4)
+        assert not shrunk.mc_passed and not grown.mc_passed

@@ -30,6 +30,7 @@ from fuchsian.errors import (
     NoCircleFixedPointsError,
     NotDiskAutomorphismError,
 )
+from oracles import dense_distance_many
 
 
 def lifted_ccw(a, b, c):
@@ -128,6 +129,7 @@ PARTITION_WORDS = [
     (2, "PPPPQPQQPPQQ"),
     (3, "PQQPPQPQPQQPQPPQQPPQ"),
     (3, "PPQQ" * 5),
+    (4, "PQ" * 14),
 ]
 
 
@@ -183,6 +185,23 @@ class TestCirclePartition:
         thetas = np.concatenate([angles, np.random.default_rng(9).uniform(0.0, TWO_PI, 2_000)])
         dense = [min(angdiff(t, a) for a in angles) for t in thetas]
         assert np.allclose(part.distance_many(thetas), dense, rtol=0.0, atol=1e-14)
+
+    def test_distance_is_the_dense_formula_bit_for_bit(self, partition_case):
+        angles, part = partition_case
+        rng = np.random.default_rng(10)
+        thetas = np.concatenate(
+            [
+                np.nextafter(angles, -np.inf),
+                angles,
+                np.nextafter(angles, np.inf),
+                [0.0, 5e-324, math.pi, np.nextafter(TWO_PI, 0.0), TWO_PI, -1e-17],
+                rng.uniform(-TWO_PI, 2 * TWO_PI, 2_000),
+                rng.uniform(0.0, TWO_PI, 28_000),
+            ]
+        )
+        got = part.distance_many(thetas)
+        assert (got == dense_distance_many(part, thetas)).all()
+        assert [part.distance(t) for t in thetas.tolist()] == got.tolist()
 
 
 class TestMoebiusAngles:

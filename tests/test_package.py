@@ -8,6 +8,7 @@ import pathlib
 import re
 import sys
 
+import numpy as np
 import pytest
 
 import fuchsian
@@ -70,3 +71,23 @@ def test_benchmark_row_arguments_are_angle_arrays():
         if not name.endswith(("thetas", "angles")):
             wrong.append(f"{module}.{path} argument {row_arg} is {name!r}")
     assert wrong == []
+
+
+def test_inverse_step_many_keeps_the_traced_contract(solved_example, domain_example):
+    """The trace mode reads the hit count from the fourth item of
+    inverse_step_many's result for `boundary.inverse_hit_ratio`."""
+    from fuchsian.boundary import inverse_step_many
+    from fuchsian.circle import TWO_PI
+    from oracles import inverse_search_many
+
+    params = list(inspect.signature(inverse_step_many).parameters)
+    assert params == ["solved", "domain", "u_thetas", "w_thetas"]
+    rng = np.random.default_rng(6)
+    u, w = domain_example.sample(rng, 200)
+    u = np.concatenate([u, rng.uniform(0.0, TWO_PI, 50)])
+    w = np.concatenate([w, rng.uniform(0.0, TWO_PI, 50)])
+    result = inverse_step_many(solved_example, domain_example, u, w)
+    assert isinstance(result, tuple) and len(result) == 4
+    count = result[3]
+    assert count.shape == (250,) and np.issubdtype(count.dtype, np.integer)
+    assert (count == inverse_search_many(solved_example, domain_example, u, w)[3]).all()
