@@ -663,12 +663,12 @@ class BijectivityReport:
 
     @property
     def passed(self) -> bool:
-        ok = True
-        if self.analytic_checked:
-            ok = ok and self.analytic_passed
-        if self.mc_checked:
-            ok = ok and self.mc_passed
-        return ok
+        """At least one check ran, and every check that ran passed."""
+        if not (self.analytic_checked or self.mc_checked):
+            return False
+        analytic_ok = self.analytic_passed or not self.analytic_checked
+        mc_ok = self.mc_passed or not self.mc_checked
+        return analytic_ok and mc_ok
 
     def to_json(self) -> dict:
         return {
@@ -706,6 +706,8 @@ def verify_bijectivity(
     horizontal strip from the image pieces.  Monte Carlo mode checks
     forward membership, injectivity and preimage existence on samples.
     """
+    if mode not in ("analytic", "mc", "both"):
+        raise ValueError(f"mode must be 'analytic', 'mc' or 'both', not {mode!r}")
     report = BijectivityReport(seed=seed)
     if mode in ("analytic", "both"):
         _verify_analytic(solved, report, tol)

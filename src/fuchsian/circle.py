@@ -132,9 +132,6 @@ class Arc:
             return self.closed_right
         return s < length
 
-    def midpoint(self) -> CirclePoint:
-        return CirclePoint(self.start.angle + 0.5 * self.length)
-
     def __repr__(self):
         lb = "[" if self.closed_left else "("
         rb = "]" if self.closed_right else ")"
@@ -245,9 +242,6 @@ class MoebiusMap:
     @property
     def trace(self) -> float:
         return 2.0 * self.a.real
-
-    def is_identity(self, tol: float = TOL) -> bool:
-        return self.distance_to(MoebiusMap.identity()) <= tol
 
     def distance_to(self, other: "MoebiusMap") -> float:
         """Coefficient distance modulo the global sign ambiguity."""

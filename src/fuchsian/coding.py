@@ -143,10 +143,6 @@ class RegionTable:
         return u2, w2
 
 
-def build_regions(solved: SolvedParams, domain: RectDomain) -> RegionTable:
-    return RegionTable(solved, domain)
-
-
 def locate_region(
     regions: RegionTable, u: CirclePoint, w: CirclePoint, tol: float = TOL
 ) -> tuple[str, int | None]:
@@ -243,7 +239,7 @@ def verify_conjugacy(
     tol: float = TOL,
 ) -> ConjugacyReport:
     """Check conjugacy(geo step) == extension step(conjugacy) on samples."""
-    regions = build_regions(solved, domain)
+    regions = RegionTable(solved, domain)
     clipper = solved.surface.clipper
     rng = np.random.default_rng(seed)
     report = ConjugacyReport(samples=samples, seed=seed)
@@ -470,10 +466,6 @@ class SoficGraph:
             if len(seen) != self.n:
                 return False
         return True
-
-    def accepts(self, states: list[int], labels: list[int]) -> bool:
-        """True iff consecutive states are joined by edges with the labels."""
-        return all(edge in self.triples for edge in zip(states, states[1:], labels))
 
     def to_json(self) -> str:
         return json.dumps(

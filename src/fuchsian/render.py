@@ -54,42 +54,20 @@ class RenderSpec:
     surface: SurfaceGroup | None = None  # for the disk chart
 
 
-def domain_patches(domain: RectDomain, palette: tuple[str, str]) -> list[RectPatch]:
-    out = []
-    for r in domain.rects:
-        if r.degenerate:
-            continue
-        fill = palette[0] if r.kind in ("lower", "wide") else palette[1]
-        out.append(
-            RectPatch(
-                x0=r.x.start.angle,
-                x1=r.x.start.angle + r.x.length,
-                y0=r.y.start.angle,
-                y1=r.y.start.angle + r.y.length,
-                fill=fill,
-                label=f"{r.kind}_{r.strip}",
-            )
+def patches(rects, colors: dict[str, str]) -> list[RectPatch]:
+    """One patch per non-degenerate rectangle, filled by its kind."""
+    return [
+        RectPatch(
+            x0=r.x.start.angle,
+            x1=r.x.start.angle + r.x.length,
+            y0=r.y.start.angle,
+            y1=r.y.start.angle + r.y.length,
+            fill=colors[r.kind],
+            label=f"{r.kind}_{r.strip}",
         )
-    return out
-
-
-def dual_patches(dual_domain: DualDomain) -> list[RectPatch]:
-    palette = {"wide": "#88aaff", "head": "#ffaa66", "tail": "#66cc99"}
-    out = []
-    for r in dual_domain.rectangles():
-        if r.degenerate:
-            continue
-        out.append(
-            RectPatch(
-                x0=r.x.start.angle,
-                x1=r.x.start.angle + r.x.length,
-                y0=r.y.start.angle,
-                y1=r.y.start.angle + r.y.length,
-                fill=palette[r.kind],
-                label=f"{r.kind}_{r.strip}",
-            )
-        )
-    return out
+        for r in rects
+        if not r.degenerate
+    ]
 
 
 def curvilinear_boundary(surface: SurfaceGroup) -> list[CurveSegment]:
@@ -126,7 +104,7 @@ def omega_spec(solved: SolvedParams, domain: RectDomain, with_geo: bool = False)
     return RenderSpec(
         chart="torus",
         offset=s.offset,
-        rects=tuple(domain_patches(domain, ("#88aaff", "#ffdd88"))),
+        rects=tuple(patches(domain.rects, {"lower": "#88aaff", "upper": "#ffdd88"})),
         curves=curves,
         ticks=tuple(boundary_ticks(s)),
         surface=s,
@@ -138,7 +116,9 @@ def omega_dual_spec(solved: SolvedParams, dual_domain: DualDomain) -> RenderSpec
     return RenderSpec(
         chart="torus",
         offset=s.offset,
-        rects=tuple(dual_patches(dual_domain)),
+        rects=tuple(
+            patches(dual_domain.rectangles(), {"wide": "#88aaff", "head": "#ffaa66", "tail": "#66cc99"})
+        ),
         ticks=tuple(boundary_ticks(s)),
         surface=s,
     )

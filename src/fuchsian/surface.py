@@ -26,6 +26,7 @@ from .circle import (
     TWO_PI,
     CirclePoint,
     MoebiusMap,
+    angdiff,
     ccw_distance,
     from_three_points,
     geodesic_circle,
@@ -375,146 +376,9 @@ def verify_group_relations(surface: SurfaceGroup, tol: float = TOL) -> RelationR
 # inverses through the unit circle, leaving at most one interior crossing.
 # Clipping by all sides therefore yields a single feasible parameter
 # interval [lo, hi]; its length decides inside/boundary/outside and the
-# binding constraints name the entry and exit sides.
-
-
-@dataclass(frozen=True)
-class GeodesicTrace:
-    """Clipping of the geodesic u->w against the polygon.
-
-    status is 'inside', 'boundary' or 'outside'.  For 'inside', entry_side
-    and exit_side name the sides crossed first and last in the direction of
-    w, and lo/hi are the crossing parameters in [0, 1] along the in-disk
-    arc.  vertex_exit flags an exit parameter shared by two sides.
-    """
-
-    status: str
-    entry_side: int | None = None
-    exit_side: int | None = None
-    lo: float = 0.0
-    hi: float = 1.0
-    vertex_exit: bool = False
-
-
-class _GeodesicParam:
-    """The in-disk part of the geodesic u -> w, parametrized by s in [0, 1]."""
-
-    def __init__(self, u: CirclePoint, w: CirclePoint):
-        circ = geodesic_circle(u.value, w.value)
-        if circ is None:
-            self.center = None
-            self.direction = w.value
-        else:
-            self.center, self.radius = circ
-            self.phi_u = cmath.phase(u.value - self.center)
-            phi_w = cmath.phase(w.value - self.center)
-            self.delta = math.remainder(phi_w - self.phi_u, TWO_PI)
-
-    def point(self, s: float) -> complex:
-        if self.center is None:
-            return (2.0 * s - 1.0) * self.direction
-        return self.center + self.radius * cmath.exp(1j * (self.phi_u + s * self.delta))
-
-    def param_of(self, z: complex) -> float:
-        if self.center is None:
-            return 0.5 * ((z * self.direction.conjugate()).real + 1.0)
-        return math.remainder(cmath.phase(z - self.center) - self.phi_u, TWO_PI) / self.delta
-
-
-def _side_cut(par: _GeodesicParam, c: complex, r: float) -> tuple[str, float]:
-    """Constraint of one side circle on the geodesic parameter.
-
-    Returns ('none', 0) for no effect, ('dead', 0) when the whole geodesic
-    lies inside the side circle, ('lo', s) when the part s' < s is inside
-    it, or ('hi', s) when the part s' > s is inside it.
-    """
-    if par.center is None:
-        e = par.direction
-    else:
-        d = c - par.center
-        if abs(d) < 1e-14:
-            return ("none", 0.0)  # coincident circles; caller handles this
-        e = 1j * d / abs(d)
-    # The radical line {t*e} passes through the origin; intersections with
-    # the side circle solve t^2 - 2*b*t + 1 = 0, so they are inverses
-    # through the unit circle and at most one is interior.
-    b = (e.conjugate() * c).real
-    disc = b * b - 1.0
-    if disc <= 0.0 or abs(t := (b - math.copysign(math.sqrt(disc), b))) >= 1.0:
-        inside = abs(par.point(0.5) - c) < r
-        return ("dead", 0.0) if inside else ("none", 0.0)
-    s = par.param_of(t * e)
-    far = 0.0 if s > 0.5 else 1.0
-    inside_far = abs(par.point(far) - c) < r
-    if far == 0.0:
-        return ("lo", s) if inside_far else ("hi", s)
-    return ("hi", s) if inside_far else ("lo", s)
-
-
-def trace_geodesic(
-    surface: SurfaceGroup, u: CirclePoint, w: CirclePoint, tol: float = TOL
-) -> GeodesicTrace:
-    """Clip the geodesic from u to w against all polygon sides."""
-    if abs(math.remainder(u.angle - w.angle, TWO_PI)) <= tol:
-        raise DegeneratePointsError("geodesic endpoints coincide")
-    par = _GeodesicParam(u, w)
-    lo, hi = 0.0, 1.0
-    lo_side = hi_side = None
-    hi_cuts: list[float] = []
-    for i in range(1, surface.n + 1):
-        c, r = surface.side_circle(i)  # type: ignore[misc]
-        kind, s = _side_cut(par, c, r)
-        if kind == "dead":
-            return GeodesicTrace(status="outside")
-        if kind == "lo":
-            if s > lo:
-                lo, lo_side = s, i
-        elif kind == "hi":
-            hi_cuts.append(s)
-            if s < hi:
-                hi, hi_side = s, i
-    if lo_side is None and hi_side is None:
-        return GeodesicTrace(status="outside")
-    if hi - lo < -tol:
-        return GeodesicTrace(status="outside", lo=lo, hi=hi)
-    if hi - lo <= tol:
-        return GeodesicTrace(status="boundary", lo=lo, hi=hi)
-    return GeodesicTrace(
-        status="inside",
-        entry_side=lo_side,
-        exit_side=hi_side,
-        lo=lo,
-        hi=hi,
-        vertex_exit=sum(1 for s in hi_cuts if abs(s - hi) <= tol) > 1,
-    )
-
-
-def geodesic_intersects_polygon(
-    surface: SurfaceGroup, u: CirclePoint, w: CirclePoint, tol: float = TOL
-) -> str:
-    """'inside' | 'boundary' | 'outside' for the geodesic u -> w vs the polygon."""
-    circ = geodesic_circle(u.value, w.value)
-    for i in range(1, surface.n + 1):
-        side = surface.side_circle(i)
-        if circ is None or side is None:
-            continue
-        if abs(circ[0] - side[0]) <= 1e-7 and abs(circ[1] - side[1]) <= 1e-7:
-            return "boundary"  # the geodesic extends side i
-    return trace_geodesic(surface, u, w, tol=tol).status
-
-
-def point_in_polygon(surface: SurfaceGroup, z: complex, tol: float = TOL) -> bool:
-    """True iff z lies in the closed fundamental polygon."""
-    if abs(z) >= 1.0:
-        return False
-    for i in range(1, surface.n + 1):
-        center, rad = surface.side_circle(i)  # type: ignore[misc]
-        if abs(z - center) < rad - tol:
-            return False
-    return True
-
-
-# -- vectorized polygon clipping (hot path for samplers) ---------------------
+# binding constraints name the entry and exit sides.  A geodesic whose
+# circle is a side circle (P_i -> Q_{i+1} or back) runs along side i: that
+# side cuts nothing, and the geodesic only touches the polygon.
 
 
 class GeodesicClipper:
@@ -540,6 +404,9 @@ class GeodesicClipper:
 
         Returns (lo, hi, entry, exit, lo_ties, hi_ties); ties count how many
         sides achieve the binding parameter within 1e-9 (2+ means a vertex).
+        A geodesic that misses the polygon gets hi = lo and no sides; one
+        whose circle is a side circle (centre and radius within 1e-7) gets
+        hi = lo and keeps the sides that cut it at the side's vertices.
         """
         u_angles = np.asarray(u_angles, dtype=float)
         w_angles = np.asarray(w_angles, dtype=float)
@@ -564,6 +431,7 @@ class GeodesicClipper:
         entry = np.zeros(m, dtype=np.int64)
         exit_ = np.zeros(m, dtype=np.int64)
         dead = np.zeros(m, dtype=bool)
+        on_side = np.zeros(m, dtype=bool)
 
         cross_list = []
         s_list = []
@@ -573,19 +441,22 @@ class GeodesicClipper:
             r = self.radii[k]
             d = c - center
             abs_d = np.maximum(np.abs(d), 1e-300)
+            # Rows whose geodesic extends this side: it neither cuts them nor marks them dead.
+            same = (abs_d <= 1e-7) & (np.abs(rad - r) <= 1e-7)
+            on_side |= same
             e = 1j * d / abs_d
             b = (np.conj(e) * c).real
             disc = b * b - 1.0
             has_root = disc > 0.0
             root = np.sqrt(np.maximum(disc, 0.0))
             t = b - np.copysign(root, b)
-            cross = has_root & (np.abs(t) < 1.0)
+            cross = has_root & (np.abs(t) < 1.0) & ~same
             z = t * e
             s = (np.remainder(np.angle(z - center) - phi_u + math.pi, TWO_PI) - math.pi) / delta
             inside_u = (np.conj(u) * c).real > 1.0
             inside_w = (np.conj(w) * c).real > 1.0
             bad_left = np.where(s > 0.5, inside_u, ~inside_w)
-            dead |= ~cross & inside_u & inside_w
+            dead |= ~cross & inside_u & inside_w & ~same
 
             raise_lo = cross & bad_left & (s > lo)
             lo = np.where(raise_lo, s, lo)
@@ -606,7 +477,7 @@ class GeodesicClipper:
 
         entry = np.where(dead, 0, entry)
         exit_ = np.where(dead, 0, exit_)
-        hi = np.where(dead, lo, hi)
+        hi = np.where(dead | on_side, lo, hi)
         return lo, hi, entry, exit_, lo_ties, hi_ties
 
     def status_codes(self, u_angles, w_angles, tol: float = TOL) -> np.ndarray:
@@ -615,3 +486,13 @@ class GeodesicClipper:
         inside = (hi - lo > tol) & (entry > 0) & (exit_ > 0)
         touched = (entry > 0) | (exit_ > 0)
         return np.where(inside, 1, np.where(np.abs(hi - lo) <= tol, np.where(touched, 0, -1), -1))
+
+
+def geodesic_intersects_polygon(
+    surface: SurfaceGroup, u: CirclePoint, w: CirclePoint, tol: float = TOL
+) -> str:
+    """'inside' | 'boundary' | 'outside' for the geodesic u -> w vs the polygon."""
+    if angdiff(u.angle, w.angle) <= tol:
+        raise DegeneratePointsError("geodesic endpoints coincide")
+    code = surface.clipper.status_codes([u.angle], [w.angle], tol)[0]
+    return ("outside", "boundary", "inside")[code + 1]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circle import CirclePoint, MoebiusMap
+from .circle import CirclePoint
 from .surface import SideIndexMaps, SurfaceGroup
 
 
@@ -60,12 +60,6 @@ class GroupWord:
         for k in reversed(self.letters):
             x = surface.t(k).apply(x)
         return x
-
-    def as_map(self, surface: SurfaceGroup) -> MoebiusMap:
-        m = MoebiusMap.identity()
-        for k in reversed(self.letters):
-            m = surface.t(k) @ m
-        return m
 
     def to_json(self) -> dict:
         return {"word": list(self.letters), "base": str(self.base)}

@@ -1,9 +1,14 @@
 """Reference implementations that the fast paths are tested against."""
 
+import cmath
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
-from fuchsian.circle import TOL, TWO_PI, angdiff, moebius_angles
-from fuchsian.errors import BijectivityError, OutsideDomainError
+from fuchsian.circle import TOL, TWO_PI, CirclePoint, angdiff, geodesic_circle, moebius_angles
+from fuchsian.errors import BijectivityError, DegeneratePointsError, OutsideDomainError
+from fuchsian.surface import SurfaceGroup
 
 
 def inverse_search(solved, domain, u, w, tol=TOL):
@@ -67,3 +72,144 @@ def dense_distance_many(partition, thetas):
     rel = np.remainder(np.asarray(thetas, dtype=float) - partition.base, TWO_PI)
     d = np.abs(rel[:, None] - partition.breaks[None, :])
     return np.minimum(d.min(axis=1), TWO_PI - d.max(axis=1))
+
+# -- the scalar geodesic tracer ------------------------------------------------
+#
+# One geodesic at a time, the clip that `GeodesicClipper` does on arrays
+# (the comment above it in surface.py gives the geometry).
+
+
+@dataclass(frozen=True)
+class GeodesicTrace:
+    """Clipping of the geodesic u->w against the polygon.
+
+    status is 'inside', 'boundary' or 'outside'.  For 'inside', entry_side
+    and exit_side name the sides crossed first and last in the direction of
+    w, and lo/hi are the crossing parameters in [0, 1] along the in-disk
+    arc.  vertex_exit flags an exit parameter shared by two sides.
+    """
+
+    status: str
+    entry_side: int | None = None
+    exit_side: int | None = None
+    lo: float = 0.0
+    hi: float = 1.0
+    vertex_exit: bool = False
+
+
+class _GeodesicParam:
+    """The in-disk part of the geodesic u -> w, parametrized by s in [0, 1]."""
+
+    def __init__(self, u: CirclePoint, w: CirclePoint):
+        circ = geodesic_circle(u.value, w.value)
+        if circ is None:
+            self.center = None
+            self.direction = w.value
+        else:
+            self.center, self.radius = circ
+            self.phi_u = cmath.phase(u.value - self.center)
+            phi_w = cmath.phase(w.value - self.center)
+            self.delta = math.remainder(phi_w - self.phi_u, TWO_PI)
+
+    def point(self, s: float) -> complex:
+        if self.center is None:
+            return (2.0 * s - 1.0) * self.direction
+        return self.center + self.radius * cmath.exp(1j * (self.phi_u + s * self.delta))
+
+    def param_of(self, z: complex) -> float:
+        if self.center is None:
+            return 0.5 * ((z * self.direction.conjugate()).real + 1.0)
+        return math.remainder(cmath.phase(z - self.center) - self.phi_u, TWO_PI) / self.delta
+
+
+def _side_cut(par: _GeodesicParam, c: complex, r: float) -> tuple[str, float]:
+    """Constraint of one side circle on the geodesic parameter.
+
+    Returns ('none', 0) for no effect, ('dead', 0) when the whole geodesic
+    lies inside the side circle, ('lo', s) when the part s' < s is inside
+    it, or ('hi', s) when the part s' > s is inside it.
+    """
+    if par.center is None:
+        e = par.direction
+    else:
+        d = c - par.center
+        if abs(d) < 1e-14:
+            return ("none", 0.0)  # coincident circles; caller handles this
+        e = 1j * d / abs(d)
+    # The radical line {t*e} passes through the origin; intersections with
+    # the side circle solve t^2 - 2*b*t + 1 = 0, so they are inverses
+    # through the unit circle and at most one is interior.
+    b = (e.conjugate() * c).real
+    disc = b * b - 1.0
+    if disc <= 0.0 or abs(t := (b - math.copysign(math.sqrt(disc), b))) >= 1.0:
+        inside = abs(par.point(0.5) - c) < r
+        return ("dead", 0.0) if inside else ("none", 0.0)
+    s = par.param_of(t * e)
+    far = 0.0 if s > 0.5 else 1.0
+    inside_far = abs(par.point(far) - c) < r
+    if far == 0.0:
+        return ("lo", s) if inside_far else ("hi", s)
+    return ("hi", s) if inside_far else ("lo", s)
+
+
+def trace_geodesic(
+    surface: SurfaceGroup, u: CirclePoint, w: CirclePoint, tol: float = TOL
+) -> GeodesicTrace:
+    """Clip the geodesic from u to w against all polygon sides."""
+    if abs(math.remainder(u.angle - w.angle, TWO_PI)) <= tol:
+        raise DegeneratePointsError("geodesic endpoints coincide")
+    par = _GeodesicParam(u, w)
+    lo, hi = 0.0, 1.0
+    lo_side = hi_side = None
+    hi_cuts: list[float] = []
+    for i in range(1, surface.n + 1):
+        c, r = surface.side_circle(i)  # type: ignore[misc]
+        kind, s = _side_cut(par, c, r)
+        if kind == "dead":
+            return GeodesicTrace(status="outside")
+        if kind == "lo":
+            if s > lo:
+                lo, lo_side = s, i
+        elif kind == "hi":
+            hi_cuts.append(s)
+            if s < hi:
+                hi, hi_side = s, i
+    if lo_side is None and hi_side is None:
+        return GeodesicTrace(status="outside")
+    if hi - lo < -tol:
+        return GeodesicTrace(status="outside", lo=lo, hi=hi)
+    if hi - lo <= tol:
+        return GeodesicTrace(status="boundary", lo=lo, hi=hi)
+    return GeodesicTrace(
+        status="inside",
+        entry_side=lo_side,
+        exit_side=hi_side,
+        lo=lo,
+        hi=hi,
+        vertex_exit=sum(1 for s in hi_cuts if abs(s - hi) <= tol) > 1,
+    )
+
+
+def polygon_status(
+    surface: SurfaceGroup, u: CirclePoint, w: CirclePoint, tol: float = TOL
+) -> str:
+    """'inside' | 'boundary' | 'outside' for the geodesic u -> w vs the polygon."""
+    circ = geodesic_circle(u.value, w.value)
+    for i in range(1, surface.n + 1):
+        side = surface.side_circle(i)
+        if circ is None or side is None:
+            continue
+        if abs(circ[0] - side[0]) <= 1e-7 and abs(circ[1] - side[1]) <= 1e-7:
+            return "boundary"  # the geodesic extends side i
+    return trace_geodesic(surface, u, w, tol=tol).status
+
+
+def point_in_polygon(surface: SurfaceGroup, z: complex, tol: float = TOL) -> bool:
+    """True iff z lies in the closed fundamental polygon."""
+    if abs(z) >= 1.0:
+        return False
+    for i in range(1, surface.n + 1):
+        center, rad = surface.side_circle(i)  # type: ignore[misc]
+        if abs(z - center) < rad - tol:
+            return False
+    return True

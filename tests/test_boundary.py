@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fuchsian.boundary import (
+    BijectivityReport,
     DomainRect,
     ExtremalParams,
     IndexType,
@@ -29,6 +30,11 @@ from fuchsian.errors import FuchsianError, OutsideDomainError
 from fuchsian.surface import build_regular_surface
 from fuchsian.words import GroupWord
 from oracles import inverse_search, inverse_search_many
+
+
+def midpoint(arc):
+    return CirclePoint(arc.start.angle + 0.5 * arc.length)
+
 
 EXAMPLE_WORD = "PPPPQPQQPPQQ"
 
@@ -297,8 +303,8 @@ class TestDomain:
             edges = np.array([[a.start.angle, a.start.angle + a.length] for a in arcs]).ravel()
             return np.concatenate([edges, np.nextafter(edges, -7.0), np.nextafter(edges, 7.0)])
 
-        xs = np.concatenate([near(r.x for r in rects), [r.x.midpoint().angle for r in rects]])
-        ys = np.concatenate([near(r.y for r in rects), [r.y.midpoint().angle for r in rects]])
+        xs = np.concatenate([near(r.x for r in rects), [midpoint(r.x).angle for r in rects]])
+        ys = np.concatenate([near(r.y for r in rects), [midpoint(r.y).angle for r in rects]])
         ux, wy = np.meshgrid(xs, ys)
         u = np.concatenate([rng.uniform(0, TWO_PI, 100_000), ux.ravel()])
         w = np.concatenate([rng.uniform(0, TWO_PI, 100_000), wy.ravel()])
@@ -320,6 +326,18 @@ class TestBijectivity:
         assert report.analytic_passed
         assert report.mc_passed
         assert report.max_corner_deviation < TOL
+
+    @pytest.mark.parametrize("mode", ["bogus", "MC", "analytic_only", ""])
+    def test_unknown_mode_raises(self, solved_example, domain_example, mode):
+        with pytest.raises(ValueError, match="mode"):
+            verify_bijectivity(solved_example, domain_example, mode=mode)
+
+    def test_report_passes_only_after_a_check(self):
+        assert BijectivityReport().passed is False
+        assert BijectivityReport(analytic_checked=True).passed is True
+        assert BijectivityReport(mc_checked=True, mc_samples=10).passed is True
+        assert BijectivityReport(mc_checked=True, mc_samples=0).passed is False
+        assert BijectivityReport(analytic_checked=True, corner_failures=["x"]).passed is False
 
     def test_image_rectangle_of_upper_strip(self, genus2, solved_example):
         # T_i carries the upper strip onto [D_sigma(i), D_sigma(i)+1] x

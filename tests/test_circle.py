@@ -33,6 +33,18 @@ from fuchsian.errors import (
 from oracles import dense_distance_many
 
 
+def is_identity(m, tol=TOL):
+    return m.distance_to(MoebiusMap.identity()) <= tol
+
+
+def word_map(surface, word):
+    """The Moebius map of a GroupWord: its letters composed right to left."""
+    m = MoebiusMap.identity()
+    for k in reversed(word.letters):
+        m = surface.t(k) @ m
+    return m
+
+
 def lifted_ccw(a, b, c):
     """Oracle: lift angles by 2*pi until monotone, then compare."""
     aa, bb, cc = a, b, c
@@ -254,7 +266,7 @@ class TestMoebius:
             m = random_hyperbolic(rng)
             x = CirclePoint(rng.uniform(0, TWO_PI))
             assert m.inverse().apply(m.apply(x)).close_to(x)
-            assert (m.inverse() @ m).is_identity()
+            assert is_identity(m.inverse() @ m)
 
     def test_group_laws_bulk(self):
         # Associativity and inverse on 10^4 random triples, vectorized.
@@ -304,7 +316,7 @@ class TestMoebius:
 class TestFromThreePoints:
     def test_three_fixed_points_gives_identity(self):
         m = from_three_points([(1, 1), (1j, 1j), (-1, -1)])
-        assert m.is_identity()
+        assert is_identity(m)
 
     def test_generator_oracle(self, genus2):
         # Interpolating the defining data of T_1 must invert the
@@ -318,7 +330,7 @@ class TestFromThreePoints:
                 (s.v(1), s.v(si + 1)),
             ]
         )
-        assert (s.t(si) @ m).is_identity(1e-9)
+        assert is_identity(s.t(si) @ m, 1e-9)
 
     def test_disk_to_exterior_rejected(self):
         with pytest.raises(NotDiskAutomorphismError):
@@ -406,7 +418,7 @@ class TestWordStability:
         for i in range(1, 13):
             w = solved_example.d_word(i)
             via_points = w.evaluate(genus2)
-            via_map = w.as_map(genus2).apply(w.base_point(genus2))
+            via_map = word_map(genus2, w).apply(w.base_point(genus2))
             assert via_points.close_to(via_map, TOL)
 
 

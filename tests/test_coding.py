@@ -9,9 +9,9 @@ import pytest
 from fuchsian.boundary import build_domain, extension_step, solve
 from fuchsian.circle import TOL, TWO_PI, Arc, CirclePoint
 from fuchsian.coding import (
+    RegionTable,
     SoficGraph,
     apply_phi,
-    build_regions,
     code_geodesic,
     geo_step,
     locate_region,
@@ -22,19 +22,15 @@ from fuchsian.coding import (
     verify_conjugacy,
 )
 from fuchsian.errors import OutsideDomainError
-from fuchsian.surface import (
-    GeodesicClipper,
-    build_regular_surface,
-    geodesic_intersects_polygon,
-    trace_geodesic,
-)
+from fuchsian.surface import GeodesicClipper, build_regular_surface
+from oracles import polygon_status, trace_geodesic
 
 EXAMPLE_WORD = "PPPPQPQQPPQQ"
 
 
 @pytest.fixture(scope="module")
 def regions_example(solved_example, domain_example):
-    return build_regions(solved_example, domain_example)
+    return RegionTable(solved_example, domain_example)
 
 
 def bulge_box(s, kind, i):
@@ -44,13 +40,18 @@ def bulge_box(s, kind, i):
     return Arc(s.p(i - 1), s.p(i), True, True), Arc(s.q(i), s.q(i + 1), True, True)
 
 
+def accepts(graph, states, labels):
+    """True iff consecutive states are joined by edges of the graph with the labels."""
+    return all(edge in graph.triples for edge in zip(states, states[1:], labels))
+
+
 def random_interior_pair(surface, rng):
     while True:
         u = CirclePoint(rng.uniform(0, TWO_PI))
         w = CirclePoint(rng.uniform(0, TWO_PI))
         if abs(math.remainder(u.angle - w.angle, TWO_PI)) < 1e-3:
             continue
-        if geodesic_intersects_polygon(surface, u, w) == "inside":
+        if polygon_status(surface, u, w) == "inside":
             return u, w
 
 
@@ -102,7 +103,7 @@ class TestRegions:
         found_core = 0
         for k in range(200):
             pu, pw = CirclePoint(u[k]), CirclePoint(w[k])
-            if geodesic_intersects_polygon(genus2, pu, pw) == "inside":
+            if polygon_status(genus2, pu, pw) == "inside":
                 kind, _ = locate_region(regions_example, pu, pw)
                 assert kind == "core"
                 found_core += 1
@@ -130,7 +131,7 @@ class TestRegions:
                 continue
             seen[kind] += 1
             assert not domain_example.contains(pu, pw)
-            assert geodesic_intersects_polygon(genus2, pu, pw) == "inside"
+            assert polygon_status(genus2, pu, pw) == "inside"
             box_x, box_y = bulge_box(genus2, kind.removeprefix("bulge_"), i)
             assert box_x.contains(pu, TOL) and box_y.contains(pw, TOL)
         assert seen["bulge_lower"] > 10 and seen["bulge_upper"] > 10
@@ -142,7 +143,7 @@ class TestRegions:
             h = solved_example.h(i + 1)
             w_mid = CirclePoint(s.p(i).angle + 0.5 * ((s.p(i + 1).angle - s.p(i).angle) % TWO_PI))
             u_out = CirclePoint(h.angle - 1e-4)
-            if geodesic_intersects_polygon(s, u_out, w_mid) != "inside":
+            if polygon_status(s, u_out, w_mid) != "inside":
                 continue
             kind, idx = locate_region(regions_example, u_out, w_mid)
             assert kind == "bulge_lower"
@@ -177,7 +178,7 @@ class TestPhi:
         u, w = domain_example.sample(rng, 50)
         for k in range(50):
             pu, pw = CirclePoint(u[k]), CirclePoint(w[k])
-            if geodesic_intersects_polygon(genus2, pu, pw) != "inside":
+            if polygon_status(genus2, pu, pw) != "inside":
                 continue
             iu, iw = apply_phi(regions_example, pu, pw)
             assert iu.close_to(pu) and iw.close_to(pw)
@@ -200,7 +201,7 @@ class TestPhi:
                 continue
             iu, iw = apply_phi(regions_example, pu, pw)
             assert domain_example.contains(iu, iw)
-            assert geodesic_intersects_polygon(genus2, iu, iw) != "inside"
+            assert polygon_status(genus2, iu, iw) != "inside"
             assert box_x.contains(iu, 1e-7) and box_y.contains(iw, 1e-7)
             checked += 1
         assert checked > 50
@@ -262,7 +263,7 @@ class TestConjugacy:
         monkeypatch.setattr(
             GeodesicClipper, "clip", lambda self, u, w: calls.append(len(u)) or clip(self, u, w)
         )
-        regions = build_regions(solved_example, domain_example)
+        regions = RegionTable(solved_example, domain_example)
         sample_curvilinear(regions, np.random.default_rng(5), 300)
         sampler_calls = len(calls)
         calls.clear()
@@ -275,7 +276,7 @@ class TestConjugacy:
         assert np.array_equal(exit_, genus2.clipper.clip(u, w)[3])
 
     def test_zero_samples_checks_nothing_and_fails(self, solved_example, domain_example):
-        regions = build_regions(solved_example, domain_example)
+        regions = RegionTable(solved_example, domain_example)
         u, w, _ = sample_curvilinear(regions, np.random.default_rng(0), 0)
         assert u.shape == w.shape == (0,)
         report = verify_conjugacy(solved_example, domain_example, samples=0)
@@ -480,4 +481,4 @@ class TestSofic:
                 pu, pw, i = extension_step(solved_example.params, pu, pw)
                 labels.append(s.sigma(i))
                 states.append(letter_of(pw.angle))
-            assert graph.accepts(states, labels)
+            assert accepts(graph, states, labels)

@@ -1,5 +1,6 @@
 """Index maps, regular polygon construction, and polygon intersection."""
 
+import cmath
 import json
 import math
 
@@ -16,14 +17,15 @@ from fuchsian.surface import (
     build_regular_surface,
     geodesic_intersects_polygon,
     interior_angle,
-    point_in_polygon,
     regular_vertex_radius,
     rho,
     sigma,
     tau,
-    trace_geodesic,
     verify_group_relations,
 )
+from oracles import point_in_polygon, polygon_status, trace_geodesic
+
+STATUS_CODE = {"inside": 1, "boundary": 0, "outside": -1}
 
 
 class TestIndexMaps:
@@ -263,8 +265,8 @@ class TestPolygonIntersection:
         w = rng.uniform(0, TWO_PI, 500)
         codes = clipper.status_codes(u, w)
         for k in range(500):
-            status = geodesic_intersects_polygon(genus2, CirclePoint(u[k]), CirclePoint(w[k]))
-            expected = {"inside": 1, "boundary": 0, "outside": -1}[status]
+            status = polygon_status(genus2, CirclePoint(u[k]), CirclePoint(w[k]))
+            expected = STATUS_CODE[status]
             assert codes[k] == expected, (u[k], w[k], status, codes[k])
 
     def test_clipper_exit_sides_match_scalar(self, genus2):
@@ -278,3 +280,36 @@ class TestPolygonIntersection:
             if trace.status == "inside" and hi[k] - lo[k] > 1e-9:
                 assert entry[k] == trace.entry_side
                 assert exit_[k] == trace.exit_side
+
+    def test_coincident_endpoints_raise_in_wrapper(self, genus2):
+        with pytest.raises(DegeneratePointsError):
+            geodesic_intersects_polygon(genus2, CirclePoint(1.0), CirclePoint(1.0))
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_status_codes_match_oracle(self, g):
+        s = build_regular_surface(g)
+        rng = np.random.default_rng(10 + g)
+        u = rng.uniform(0, TWO_PI, 20000)
+        w = rng.uniform(0, TWO_PI, 20000)
+        codes = s.clipper.status_codes(u, w)
+        expected = np.array(
+            [STATUS_CODE[polygon_status(s, CirclePoint(a), CirclePoint(b))] for a, b in zip(u, w)]
+        )
+        # The oracle's one known fault: row 8969 at g=4 is a chord of 2.3e-6
+        # that geodesic_circle takes for a diameter, so the tracer reads it
+        # as inside.  Dense sampling of the true geodesic pins the clipper's
+        # "outside", as in test_short_chord_is_outside.
+        known = [8969] if g == 4 else []
+        assert list(np.flatnonzero(codes != expected)) == known
+        for k in known:
+            assert (codes[k], expected[k]) == (-1, 1)
+            half = math.remainder(w[k] - u[k], TWO_PI) / 2
+            center = cmath.exp(1j * (u[k] + half)) / math.cos(half)
+            pts = center + abs(math.tan(half)) * np.exp(1j * np.linspace(0, TWO_PI, 4000))
+            inside_disk = np.abs(pts) < 1.0
+            assert inside_disk.sum() > 1000
+            assert not any(point_in_polygon(s, complex(z)) for z in pts[inside_disk])
+        # Every side extension, in both directions, only touches the polygon.
+        ends = [(s.p(i).angle, s.q(i + 1).angle) for i in range(1, s.n + 1)]
+        eu, ew = np.array(ends + [(b, a) for a, b in ends]).T
+        assert list(s.clipper.status_codes(eu, ew)) == [0] * (2 * s.n)

@@ -2,6 +2,8 @@
 
 import importlib
 
+import pytest
+
 from fuchsian.boundary import build_domain, solve, verify_bijectivity
 from fuchsian.errors import MarkovError
 from fuchsian.sweep import sweep
@@ -28,6 +30,11 @@ def test_unchecked_monte_carlo_fails(genus2):
     assert result.verdict == "FAIL"
     assert not result.passed
     assert result.report.mc_samples == 0
+
+
+def test_unknown_mode_raises(genus2):
+    with pytest.raises(ValueError, match="analytic_only"):
+        list(sweep(genus2, WORDS[:1], mode="analytic_only"))
 
 
 def test_markov_error_becomes_error_verdict(genus2, monkeypatch):
