@@ -381,10 +381,6 @@ class RectDomain:
         self._x0_list, self._xw_list = self._x0.tolist(), self._xw.tolist()
         self._preimages: PreimageTable | None = None
 
-    @property
-    def area(self) -> float:
-        return float(self._areas.sum())
-
     def locate(self, u: CirclePoint, w: CirclePoint) -> int | None:
         """Index of the rectangle containing (u, w), or None; locate_many for one pair."""
         ridx = self._y.index(w.angle) - 1
@@ -411,10 +407,29 @@ class RectDomain:
         return self.locate_many(u_thetas, w_thetas) >= 0
 
     def distance_many(self, u_thetas, w_thetas) -> np.ndarray:
-        """Chebyshev angular distance to the closed union, 0 for members."""
-        u = np.asarray(u_thetas, dtype=float)[:, None]
-        w = np.asarray(w_thetas, dtype=float)[:, None]
+        """Chebyshev angular distance to the closed union, 0 for members.
 
+        Only rectangle k = (the y-arc holding w) can hold (u, w), so each
+        pair is tested against that one rectangle, closed, with the same
+        arithmetic as column k of the m x 2N form in _miss_distance.  A
+        pair that passes has a 0 in that column and every entry is >= 0,
+        so the full row minimum is 0.0 as well: the result is bit-identical
+        to running every row through _miss_distance, which sees only the
+        pairs that miss.
+        """
+        u = np.asarray(u_thetas, dtype=float)
+        w = np.asarray(w_thetas, dtype=float)
+        k = self._y.index_many(w) - 1
+        hit = np.remainder(u - self._x0[k], TWO_PI) <= self._xw[k]
+        hit &= np.remainder(w - self._y0[k], TWO_PI) <= self._yw[k]
+        dist = np.zeros(len(u))
+        miss = ~hit
+        dist[miss] = self._miss_distance(u[miss], w[miss])
+        return dist
+
+    def _miss_distance(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """distance_many through the m x 2N matrix of per-rectangle distances."""
+        u, w = u[:, None], w[:, None]
         su = np.remainder(u - self._x0[None, :], TWO_PI)
         du = np.where(su <= self._xw[None, :], 0.0, np.minimum(su - self._xw[None, :], TWO_PI - su))
         sw = np.remainder(w - self._y0[None, :], TWO_PI)

@@ -277,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run one verifier")
     p.add_argument("what", choices=["bijectivity", "conjugacy", "duality", "markov"])
     _add_common(p)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=10_000, help="random samples (default 10000)")
+    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p.add_argument("--matrix-out", default=None, help="markov only: write the 0/1 grid here")
     p.add_argument("--sofic-out", default=None, help="markov only: write the labeled edge list here")
     p.set_defaults(func=cmd_verify)
@@ -287,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--u", type=float, required=True, help="start angle (radians)")
     p.add_argument("--w", type=float, required=True, help="end angle (radians)")
-    p.add_argument("--future", type=int, default=10)
-    p.add_argument("--past", type=int, default=10)
+    p.add_argument("--future", type=int, default=10, help="forward symbols (default 10)")
+    p.add_argument("--past", type=int, default=10, help="backward symbols (default 10)")
     p.set_defaults(func=cmd_code)
 
     p = sub.add_parser("sweep", help="verify many parameter words")
@@ -304,9 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attractor", help="exploratory attractor experiment")
     _add_common(p)
-    p.add_argument("--iters", type=int, default=50)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--iters", type=int, default=50, help="extension-map steps (default 50)")
+    p.add_argument("--samples", type=int, default=10_000, help="random pairs (default 10000)")
+    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p.set_defaults(func=cmd_attractor)
 
     p = sub.add_parser("render", help="write an SVG")

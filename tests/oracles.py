@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fuchsian.circle import TOL, TWO_PI, CirclePoint, angdiff, geodesic_circle, moebius_angles
+from fuchsian.circle import TOL, TWO_PI, CirclePoint, angdiff, moebius_angles
 from fuchsian.errors import BijectivityError, DegeneratePointsError, OutsideDomainError
 from fuchsian.surface import SurfaceGroup
 
@@ -73,6 +73,23 @@ def dense_distance_many(partition, thetas):
     d = np.abs(rel[:, None] - partition.breaks[None, :])
     return np.minimum(d.min(axis=1), TWO_PI - d.max(axis=1))
 
+
+def dense_domain_distance(domain, u_thetas, w_thetas):
+    """Chebyshev angular distance from each pair to the closed union of the
+    domain's rectangles, through the full m x 2N matrix of per-rectangle
+    distances."""
+    x0 = np.array([r.x.start.angle for r in domain.rects])
+    xw = np.array([r.x.length for r in domain.rects])
+    y0 = np.array([r.y.start.angle for r in domain.rects])
+    yw = np.array([r.y.length for r in domain.rects])
+    u = np.asarray(u_thetas, dtype=float)[:, None]
+    w = np.asarray(w_thetas, dtype=float)[:, None]
+    su = np.remainder(u - x0[None, :], TWO_PI)
+    du = np.where(su <= xw[None, :], 0.0, np.minimum(su - xw[None, :], TWO_PI - su))
+    sw = np.remainder(w - y0[None, :], TWO_PI)
+    dw = np.where(sw <= yw[None, :], 0.0, np.minimum(sw - yw[None, :], TWO_PI - sw))
+    return np.maximum(du, dw).min(axis=1)
+
 # -- the scalar geodesic tracer ------------------------------------------------
 #
 # One geodesic at a time, the clip that `GeodesicClipper` does on arrays
@@ -97,11 +114,27 @@ class GeodesicTrace:
     vertex_exit: bool = False
 
 
+def ideal_geodesic_circle(u: CirclePoint, w: CirclePoint) -> tuple[complex, float] | None:
+    """Centre and radius of the geodesic between ideal points u and w, or
+    None for a diameter.
+
+    The closed form e^{i(u+w)/2} / cos((w-u)/2), |tan((w-u)/2)| has no
+    cancellation on short chords, where circle.geodesic_circle, which
+    solves for the centre and takes sqrt(|centre|^2 - 1), loses the radius
+    and can return None.
+    """
+    half = 0.5 * (w.angle - u.angle)
+    cos_half = math.cos(half)
+    if abs(cos_half) < 1e-12:
+        return None
+    return cmath.exp(1j * (u.angle + half)) / cos_half, abs(math.tan(half))
+
+
 class _GeodesicParam:
     """The in-disk part of the geodesic u -> w, parametrized by s in [0, 1]."""
 
     def __init__(self, u: CirclePoint, w: CirclePoint):
-        circ = geodesic_circle(u.value, w.value)
+        circ = ideal_geodesic_circle(u, w)
         if circ is None:
             self.center = None
             self.direction = w.value
@@ -194,7 +227,7 @@ def polygon_status(
     surface: SurfaceGroup, u: CirclePoint, w: CirclePoint, tol: float = TOL
 ) -> str:
     """'inside' | 'boundary' | 'outside' for the geodesic u -> w vs the polygon."""
-    circ = geodesic_circle(u.value, w.value)
+    circ = ideal_geodesic_circle(u, w)
     for i in range(1, surface.n + 1):
         side = surface.side_circle(i)
         if circ is None or side is None:

@@ -25,11 +25,11 @@ from fuchsian.boundary import (
     solve_g,
     verify_bijectivity,
 )
-from fuchsian.circle import TOL, TWO_PI, Arc, CirclePoint, angdiff_many
+from fuchsian.circle import TOL, TWO_PI, Arc, CirclePartition, CirclePoint, angdiff_many
 from fuchsian.errors import FuchsianError, OutsideDomainError
 from fuchsian.surface import build_regular_surface
 from fuchsian.words import GroupWord
-from oracles import inverse_search, inverse_search_many
+from oracles import dense_domain_distance, inverse_search, inverse_search_many
 
 
 def midpoint(arc):
@@ -318,6 +318,70 @@ class TestDomain:
         rng = np.random.default_rng(10)
         u, w = domain_example.sample(rng, 100)
         assert (domain_example.distance_many(u, w) == 0.0).all()
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_distance_is_the_dense_formula_bit_for_bit(self, g):
+        surface = build_regular_surface(g)
+        rng = np.random.default_rng(40 + g)
+        for word in ("".join(rng.choice(["P", "Q"], surface.n)) for _ in range(2)):
+            solved = solve(surface, word)
+            domain = build_domain(solved)
+            cases = [
+                (rng.uniform(0, TWO_PI, 20_000), rng.uniform(0, TWO_PI, 20_000)),
+                domain.sample(rng, 20_000),
+                (np.zeros(0), np.zeros(0)),
+            ]
+            iu, iw = rng.uniform(0, TWO_PI, 20_000), rng.uniform(0, TWO_PI, 20_000)
+            su, sw = domain.sample(rng, 20_000)
+            for _ in range(5):
+                iu, iw, _ = extension_step_many(solved.params, iu, iw)
+                su, sw, _ = extension_step_many(solved.params, su, sw)
+            cases += [(iu, iw), (su, sw)]
+            # Every rectangle corner and one ulp on either side of it, with
+            # the x-midpoint; w also walks 8 ulps each way, where the y-arc
+            # that holds w and the closed test on that arc can disagree.
+            for r in domain.rects:
+                xs = np.array([r.x.start.angle, r.x.start.angle + r.x.length])
+                ys = np.array([r.y.start.angle, r.y.start.angle + r.y.length])
+                xs = np.concatenate([xs, np.nextafter(xs, -7.0), np.nextafter(xs, 7.0)])
+                xs = np.append(xs, midpoint(r.x).angle)
+                ys = np.concatenate([ys + j * np.spacing(ys) for j in range(-8, 9)])
+                cu, cw = np.meshgrid(xs, ys)
+                cases.append((cu.ravel(), cw.ravel()))
+            for u, w in cases:
+                got = domain.distance_many(u, w)
+                want = dense_domain_distance(domain, u, w)
+                assert got.shape == want.shape
+                assert (got == want).all() and not np.signbit(got).any()
+
+    def test_distance_sends_only_misses_to_the_matrix(self, domain_example, monkeypatch):
+        # The m x 2N form sees exactly the rows that fail the closed test on
+        # the one rectangle whose y-arc holds w.
+        seen = []
+        full = domain_example._miss_distance
+
+        def spy(u, w):
+            seen.append(u.copy())
+            return full(u, w)
+
+        monkeypatch.setattr(domain_example, "_miss_distance", spy)
+        rng = np.random.default_rng(11)
+        su, sw = domain_example.sample(rng, 5000)
+        domain_example.distance_many(su, sw)
+        assert sum(len(u) for u in seen) == 0
+
+        u = np.concatenate([su, rng.uniform(0, TWO_PI, 5000)])
+        w = np.concatenate([sw, rng.uniform(0, TWO_PI, 5000)])
+        rects = domain_example.rects
+        k = CirclePartition([r.y.start.angle for r in rects]).index_many(w) - 1
+        x0, xw = np.array([r.x.start.angle for r in rects]), np.array([r.x.length for r in rects])
+        y0, yw = np.array([r.y.start.angle for r in rects]), np.array([r.y.length for r in rects])
+        closed = (np.remainder(u - x0[k], TWO_PI) <= xw[k]) & (np.remainder(w - y0[k], TWO_PI) <= yw[k])
+        seen.clear()
+        domain_example.distance_many(u, w)
+        assert len(seen) == 1
+        assert 0 < len(seen[0]) < 5000
+        assert np.array_equal(seen[0], u[~closed])
 
 
 class TestBijectivity:

@@ -295,14 +295,13 @@ class TestPolygonIntersection:
         expected = np.array(
             [STATUS_CODE[polygon_status(s, CirclePoint(a), CirclePoint(b))] for a, b in zip(u, w)]
         )
-        # The oracle's one known fault: row 8969 at g=4 is a chord of 2.3e-6
-        # that geodesic_circle takes for a diameter, so the tracer reads it
-        # as inside.  Dense sampling of the true geodesic pins the clipper's
-        # "outside", as in test_short_chord_is_outside.
-        known = [8969] if g == 4 else []
-        assert list(np.flatnonzero(codes != expected)) == known
-        for k in known:
-            assert (codes[k], expected[k]) == (-1, 1)
+        assert list(np.flatnonzero(codes != expected)) == []
+        # Row 8969 at g=4 is a chord of 2.3e-6, which circle.geodesic_circle
+        # takes for a diameter.  Dense sampling of the closed-form geodesic
+        # confirms that it misses the polygon, as in test_short_chord_is_outside.
+        if g == 4:
+            k = 8969
+            assert codes[k] == -1
             half = math.remainder(w[k] - u[k], TWO_PI) / 2
             center = cmath.exp(1j * (u[k] + half)) / math.cos(half)
             pts = center + abs(math.tan(half)) * np.exp(1j * np.linspace(0, TWO_PI, 4000))
