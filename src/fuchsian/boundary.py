@@ -22,12 +22,10 @@ upper/right) so that the rectangles genuinely partition the domain.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import cached_property
 
 import numpy as np
 
@@ -377,15 +375,12 @@ class RectDomain:
         self._yw = np.array([r.y.length for r in rects])
         self._areas = self._xw * self._yw
         self._x_edges = CirclePartition(np.concatenate([self._x0, self._x0 + self._xw]))
-        # `locate` runs once per scalar orbit step; lists keep numpy out of it.
-        self._x0_list, self._xw_list = self._x0.tolist(), self._xw.tolist()
         self._preimages: PreimageTable | None = None
 
     def locate(self, u: CirclePoint, w: CirclePoint) -> int | None:
         """Index of the rectangle containing (u, w), or None; locate_many for one pair."""
-        ridx = self._y.index(w.angle) - 1
-        inside = (u.angle - self._x0_list[ridx]) % TWO_PI < self._xw_list[ridx]
-        return ridx if inside else None
+        ridx = int(self.locate_many([u.angle], [w.angle])[0])
+        return None if ridx < 0 else ridx
 
     def preimages(self, params: ExtremalParams) -> PreimageTable:
         """The PreimageTable of the extension map for params, built on first use."""
@@ -557,18 +552,6 @@ class PreimageTable:
         pos = np.searchsorted(self.keys, cell + 1j * np.remainder(u_thetas, TWO_PI), side="right") - 1
         return self.counts[pos], self.sums[pos]
 
-    @cached_property
-    def _lists(self):
-        keys = list(zip(self.keys.real.astype(int).tolist(), self.keys.imag.tolist()))
-        return self.cuts.tolist(), keys, self.counts.tolist(), self.sums.tolist()
-
-    def lookup(self, u: float, w: float) -> tuple[int, int]:
-        """lookup_many for one pair, with bisect on lists and Python's float %."""
-        cuts, keys, counts, sums = self._lists
-        cell = bisect.bisect_right(cuts, w % TWO_PI) - 1
-        pos = bisect.bisect_right(keys, (cell, u % TWO_PI)) - 1
-        return counts[pos], sums[pos]
-
     def covering(self, u: float, w: float) -> list[int]:
         """Every image rectangle holding (u, w); for rows whose count is not 1."""
         return [
@@ -588,8 +571,8 @@ def inverse_step(
 ) -> tuple[CirclePoint, CirclePoint, int]:
     """The unique preimage in the domain of a domain point.
 
-    The domain's PreimageTable, read with bisect as inverse_step_many reads
-    it with numpy, names the image rectangle holding (u, w); its branch i
+    The domain's PreimageTable, read on one row as inverse_step_many reads
+    it, names the image rectangle holding (u, w); its branch i
     gives the preimage (T_sigma(i) u, T_sigma(i) w), which T_i maps
     forward.  Returns the preimage and i.  No preimage, or preimages of
     several branches farther apart than tol, raise BijectivityError.
@@ -597,7 +580,8 @@ def inverse_step(
     if not domain.contains(u, w):
         raise OutsideDomainError("inverse requested for a point outside the domain")
     table = domain.preimages(solved.params)
-    count, k = table.lookup(u.angle, w.angle)
+    counts, rects = table.lookup_many([u.angle], [w.angle])
+    count, k = int(counts[0]), int(rects[0])
     ks = table.covering(u.angle, w.angle) if count > 1 else [k] * count
     s = solved.surface
     hits = []
@@ -738,6 +722,30 @@ def _corner_check(report, name, actual: CirclePoint, expected: CirclePoint, tol)
         report.corner_failures.append(f"{name} off by {dev:.3g}")
 
 
+def degeneracy_failures(solved: SolvedParams, tol: float = TOL) -> list[str]:
+    """One message per piece [H_i, D_{i+1}] or [D_i, G_i] whose emptiness the word contradicts.
+
+    [H_i, D_{i+1}] is empty iff the choice at tau_sigma(i-1) is P, and
+    [D_i, G_i] iff the choice at sigma(i) is Q.  These are the pieces the
+    image decomposition drops, and also the dual head and tail rectangles
+    (tau_sigma(i-1) = sigma(i)+1).
+    """
+    s = solved.surface
+    choice = solved.params.choice
+    fails = []
+    for i in range(1, s.n + 1):
+        head = angdiff(solved.h(i).angle, solved.d(i + 1).angle) <= tol
+        if head != (choice(s.tau_sigma(i - 1)) == "P"):
+            fails.append(
+                f"[H_{i}, D_{s.wrap(i + 1)}] degenerate={head} "
+                f"but choice at tau_sigma({s.wrap(i - 1)}) is {choice(s.tau_sigma(i - 1))}"
+            )
+        tail = angdiff(solved.g(i).angle, solved.d(i).angle) <= tol
+        if tail != (choice(s.sigma(i)) == "Q"):
+            fails.append(f"[D_{i}, G_{i}] degenerate={tail} but choice at sigma({i}) is {choice(s.sigma(i))}")
+    return fails
+
+
 def _verify_analytic(solved: SolvedParams, report: BijectivityReport, tol: float):
     s = solved.surface
     n = s.n
@@ -765,22 +773,7 @@ def _verify_analytic(solved: SolvedParams, report: BijectivityReport, tol: float
             _corner_check(report, f"T_{s.wrap(i - 1)} Q_{i} = P_{s.wrap(k + 1)}", t1.apply(s.q(i)), s.p(k + 1), tol)
 
     # Degeneracy happens exactly where the image decomposition drops a piece.
-    for m in range(1, n + 1):
-        head_deg = angdiff(solved.h(m + 1).angle, solved.d(m + 2).angle) <= tol
-        head_expected = params.choice(s.tau_sigma(m)) == "P"
-        if head_deg != head_expected:
-            report.degeneracy_failures.append(
-                f"[H_{s.wrap(m + 1)}, D_{s.wrap(m + 2)}] degenerate={head_deg} "
-                f"but choice at tau_sigma({m}) is {params.choice(s.tau_sigma(m))}"
-            )
-        for j in (m - 2, m - 1):
-            tail_deg = angdiff(solved.g(j).angle, solved.d(j).angle) <= tol
-            tail_expected = params.choice(s.sigma(j)) == "Q"
-            if tail_deg != tail_expected:
-                report.degeneracy_failures.append(
-                    f"[D_{s.wrap(j)}, G_{s.wrap(j)}] degenerate={tail_deg} "
-                    f"but choice at sigma({j}) is {params.choice(s.sigma(j))}"
-                )
+    report.degeneracy_failures = degeneracy_failures(solved, tol)
 
     # Re-tile each strip from the image pieces and compare widths.  The
     # pieces run from each point of the chain H_{m+1}, D_{m+2}, ..., D_end,

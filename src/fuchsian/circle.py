@@ -11,7 +11,6 @@ and moebius_angles applies such maps to arrays of points.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -152,8 +151,6 @@ class CirclePartition:
         rel = np.remainder(angles - self.base, TWO_PI)
         order = np.argsort(rel, kind="stable")
         self.breaks, self.labels = rel[order], order + 1
-        # `index` and `distance` run once per orbit step; lists keep numpy out of them.
-        self._break_list, self._label_list = self.breaks.tolist(), self.labels.tolist()
 
     def _rel(self, thetas) -> np.ndarray:
         return np.remainder(np.asarray(thetas, dtype=float) - self.base, TWO_PI)
@@ -163,9 +160,8 @@ class CirclePartition:
         return self.labels[np.searchsorted(self.breaks, self._rel(thetas), side="right") - 1]
 
     def index(self, theta: float) -> int:
-        """index_many for one angle; Python's float % rounds as np.remainder does."""
-        rel = (theta - self.base) % TWO_PI
-        return self._label_list[bisect.bisect_right(self._break_list, rel) - 1]
+        """index_many for one angle."""
+        return int(self.index_many([theta])[0])
 
     def distance_many(self, thetas) -> np.ndarray:
         """Angular distance from each angle to the nearest breakpoint."""
@@ -177,14 +173,6 @@ class CirclePartition:
         k = np.searchsorted(b, rel)
         near = np.minimum(np.abs(rel - b[k - 1]), np.abs(rel - b[np.minimum(k, len(b) - 1)]))
         return np.minimum(near, TWO_PI - np.maximum(np.abs(rel - b[0]), np.abs(rel - b[-1])))
-
-    def distance(self, theta: float) -> float:
-        """distance_many for one angle, with bisect and Python's float %."""
-        rel = (theta - self.base) % TWO_PI
-        b = self._break_list
-        k = bisect.bisect_left(b, rel)
-        near = min(abs(rel - b[k - 1]), abs(rel - b[min(k, len(b) - 1)]))
-        return min(near, TWO_PI - max(abs(rel - b[0]), abs(rel - b[-1])))
 
 
 @dataclass(frozen=True)

@@ -38,9 +38,9 @@ from .boundary import (
     ExtremalParams,
     RectDomain,
     SolvedParams,
-    extension_step,
     extension_step_many,
     inverse_step,
+    inverse_step_many,
 )
 from .surface import SurfaceGroup
 
@@ -295,6 +295,62 @@ class CodingSeq:
         }
 
 
+def code_geodesic_many(
+    solved: SolvedParams,
+    domain: RectDomain,
+    u_thetas,
+    w_thetas,
+    n_future: int,
+    n_past: int,
+    tol: float = TOL,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Symbols sigma(branch) along the forward and backward orbits of each pair.
+
+    Returns (future, past, truncated): symbol arrays of shape (m, n_future)
+    and (m, n_past), padded with 0 after the step where a row stopped, and
+    the mask of rows that stopped.  A forward orbit stops when its w comes
+    within tol of a partition point; a backward orbit stops when it leaves
+    the domain, has no unique preimage, or its new w comes within tol of a
+    partition point.  Rows with several preimages go through inverse_step,
+    which merges those within tol of each other (rounding on a shared edge).
+    """
+    u = np.asarray(u_thetas, dtype=float)
+    w = np.asarray(w_thetas, dtype=float)
+    if not domain.contains_many(u, w).all():
+        raise OutsideDomainError("coding requires a point of the rectangle domain")
+    s = solved.surface
+    partition = solved.params.partition
+    sigma = np.array([0, *(s.sigma(i) for i in range(1, s.n + 1))])
+    future = np.zeros((len(u), n_future), dtype=np.int64)
+    past = np.zeros((len(u), n_past), dtype=np.int64)
+    truncated = np.zeros(len(u), dtype=bool)
+
+    rows, cu, cw = np.arange(len(u)), u, w
+    for step in range(n_future):
+        ok = partition.distance_many(cw) > tol
+        truncated[rows[~ok]] = True
+        rows = rows[ok]
+        cu, cw, i = extension_step_many(solved.params, cu[ok], cw[ok])
+        future[rows, step] = sigma[i]
+
+    rows, cu, cw = np.arange(len(u)), u, w
+    for step in range(n_past):
+        inside = domain.contains_many(cu, cw)
+        pu, pw, i, count = inverse_step_many(solved, domain, cu, cw)
+        for k in np.flatnonzero(inside & (count > 1)):
+            try:
+                a, b, i[k] = inverse_step(solved, domain, CirclePoint(cu[k]), CirclePoint(cw[k]), tol)
+            except BijectivityError:
+                continue
+            pu[k], pw[k], count[k] = a.angle, b.angle, 1
+        ok = inside & (count == 1) & (partition.distance_many(pw) > tol)
+        truncated[rows[~ok]] = True
+        rows, cu, cw = rows[ok], pu[ok], pw[ok]
+        past[rows, step] = sigma[i[ok]]
+
+    return future, past, truncated
+
+
 def code_geodesic(
     solved: SolvedParams,
     domain: RectDomain,
@@ -304,44 +360,15 @@ def code_geodesic(
     n_past: int,
     tol: float = TOL,
 ) -> CodingSeq:
-    """Symbols sigma(branch) along the forward and backward orbits.
-
-    The orbit must stay clear of the partition points; when it comes
-    within tol of one, the affected side is truncated and flagged.
-    """
-    if not domain.contains(u, w):
-        raise OutsideDomainError("coding requires a point of the rectangle domain")
-    s = solved.surface
-    params = solved.params
-    future: list[int] = []
-    past: list[int] = []
-    truncated = False
-
-    cu, cw = u, w
-    for _ in range(n_future):
-        if params.partition.distance(cw.angle) <= tol:
-            truncated = True
-            break
-        cu, cw, i = extension_step(params, cu, cw)
-        future.append(s.sigma(i))
-
-    cu, cw = u, w
-    for _ in range(n_past):
-        try:
-            cu, cw, i = inverse_step(solved, domain, cu, cw, tol)
-        except (OutsideDomainError, BijectivityError):
-            truncated = True
-            break
-        if params.partition.distance(cw.angle) <= tol:
-            truncated = True
-            break
-        past.append(s.sigma(i))
-
+    """code_geodesic_many for one pair."""
+    future, past, truncated = code_geodesic_many(
+        solved, domain, [u.angle], [w.angle], n_future, n_past, tol
+    )
     return CodingSeq(
         center=(u.angle, w.angle),
-        future=tuple(future),
-        past=tuple(past),
-        truncated=truncated,
+        future=tuple(k for k in future[0].tolist() if k),
+        past=tuple(k for k in past[0].tolist() if k),
+        truncated=bool(truncated[0]),
     )
 
 

@@ -13,7 +13,7 @@ flipped rectangle domain.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -22,13 +22,13 @@ from .boundary import (
     DomainRect,
     RectDomain,
     SolvedParams,
-    boundary_step,
     build_domain,
+    degeneracy_failures,
     extension_step_many,
     inverse_step_many,
     solve,
 )
-from .circle import TOL, TWO_PI, Arc, CirclePartition, CirclePoint, angdiff, angdiff_many
+from .circle import TOL, TWO_PI, Arc, CirclePartition, CirclePoint, angdiff, angdiff_many, moebius_angles
 from .errors import ConstructionError
 from .surface import SurfaceGroup
 from .words import GroupWord
@@ -122,39 +122,31 @@ class DualDomain:
     def contains_vertical_many(self, u_thetas, w_thetas) -> np.ndarray:
         return self.vertical.contains_many(w_thetas, u_thetas)
 
+    @cached_property
+    def _ends(self) -> dict[str, np.ndarray]:
+        """Per family, the (4, N) start/end angles of the x- and y-arcs of rectangles 1..N."""
+        return {
+            name: np.array([[r.x.start.angle, r.x.end.angle, r.y.start.angle, r.y.end.angle] for r in rects]).T
+            for name, rects in (("wide", self.wide), ("head", self.head), ("tail", self.tail))
+        }
+
     def contains_horizontal_many(self, u_thetas, w_thetas) -> np.ndarray:
-        dual = self.dual
-        s = self.surface
-        n = s.n
         u = np.asarray(u_thetas, dtype=float)
         w = np.asarray(w_thetas, dtype=float)
-        i = dual.partition.index_many(w)
+        k = self.dual.partition.index_many(w) - 1  # w in [D_i, D_{i+1}), strip i = k + 1
 
         def in_arc(theta, a0, a1):
             width = np.remainder(a1 - a0, TWO_PI)
             # An intended-empty arc can round microscopically past 2*pi.
-            width = np.where(width > TWO_PI - 1e-9, 0.0, width)
-            rel = np.remainder(theta - a0, TWO_PI)
-            return rel < width
+            width = np.where(width > TWO_PI - TOL, 0.0, width)
+            return np.remainder(theta - a0, TWO_PI) < width
 
-        q_ang, p_ang = s.q_angles, s.p_angles
-        d_ang = np.array([dual.d(k).angle for k in range(1, n + 1)])
-        h_ang = np.array([dual.solved.h(k).angle for k in range(1, n + 1)])
-        g_ang = np.array([dual.solved.g(k).angle for k in range(1, n + 1)])
-
-        qi1 = q_ang[i % n]  # Q_{i+1}
-        qi2 = q_ang[(i + 1) % n]  # Q_{i+2}
-        pm1 = p_ang[(i - 2) % n]  # P_{i-1}
-        pi = p_ang[(i - 1) % n]  # P_i
-        di = d_ang[(i - 1) % n]
-        di1 = d_ang[i % n]
-        hi = h_ang[(i - 1) % n]
-        gi = g_ang[(i - 1) % n]
-
-        in_wide = in_arc(u, qi2, pm1)
-        in_head = in_arc(u, pm1, pi) & in_arc(w, hi, di1)
-        in_tail = in_arc(u, qi1, qi2) & in_arc(w, di, gi)
-        return in_wide | in_head | in_tail
+        wx0, wx1, _, _ = self._ends["wide"][:, k]
+        hx0, hx1, hy0, hy1 = self._ends["head"][:, k]
+        tx0, tx1, ty0, ty1 = self._ends["tail"][:, k]
+        in_head = in_arc(u, hx0, hx1) & in_arc(w, hy0, hy1)
+        in_tail = in_arc(u, tx0, tx1) & in_arc(w, ty0, ty1)
+        return in_arc(u, wx0, wx1) | in_head | in_tail
 
     def sample(self, rng: np.random.Generator, k: int):
         w, u = self.vertical.sample(rng, k)
@@ -164,19 +156,19 @@ class DualDomain:
 def build_omega_dual(solved: SolvedParams, tol: float = TOL) -> DualDomain:
     """Assemble the dual domain and check its structure.
 
-    Verifies that the vertical strips are the flip of the primal strips
-    and that head/tail rectangles degenerate exactly under the conditions
-    read off the parameter word; a mismatch raises ConstructionError.
+    Verifies that the head/tail rectangles degenerate exactly under the
+    conditions read off the parameter word (degeneracy_failures); a
+    mismatch raises ConstructionError.
     """
+    fails = degeneracy_failures(solved, tol)
+    if fails:
+        raise ConstructionError(f"dual head/tail rectangles contradict the word: {'; '.join(fails)}")
     s = solved.surface
     dual = dual_params(solved)
-    n = s.n
-    params = solved.params
-
     vertical = build_domain(solved)  # the flip: V_i = phi(lower strip i), etc.
 
     wide, head, tail = [], [], []
-    for i in range(1, n + 1):
+    for i in range(1, s.n + 1):
         wide.append(
             DomainRect(
                 x=Arc(s.q(i + 2), s.p(i - 1)),
@@ -201,29 +193,6 @@ def build_omega_dual(solved: SolvedParams, tol: float = TOL) -> DualDomain:
                 kind="tail",
             )
         )
-
-    for i in range(1, n + 1):
-        head_empty = angdiff(solved.h(i).angle, dual.d(i + 1).angle) <= tol
-        if head_empty != (params.choice(s.sigma(i) + 1) == "P"):
-            raise ConstructionError(
-                f"dual head rectangle {i}: empty={head_empty} contradicts the "
-                f"choice at sigma({i})+1"
-            )
-        tail_empty = angdiff(dual.d(i).angle, solved.g(i).angle) <= tol
-        if tail_empty != (params.choice(s.sigma(i)) == "Q"):
-            raise ConstructionError(
-                f"dual tail rectangle {i}: empty={tail_empty} contradicts the "
-                f"choice at sigma({i})"
-            )
-
-    # The vertical strips must be exactly the flipped primal strips.
-    for i in range(1, n + 1):
-        lower = vertical.rects[2 * (i - 1)]
-        if (
-            angdiff(lower.y.start.angle, s.p(i).angle) > tol
-            or angdiff(lower.x.start.angle, solved.h(i + 1).angle) > tol
-        ):
-            raise ConstructionError(f"vertical strip {i} does not flip onto the primal strip")
 
     return DualDomain(dual=dual, vertical=vertical, wide=tuple(wide), head=tuple(head), tail=tuple(tail))
 
@@ -255,19 +224,7 @@ class DualityReport:
         )
 
     def to_json(self) -> dict:
-        return {
-            "samples": self.samples,
-            "flip_failures": self.flip_failures,
-            "image_corner_failures": self.image_corner_failures,
-            "identity_checked": self.identity_checked,
-            "identity_failures": self.identity_failures,
-            "identity_max_deviation": self.identity_max_deviation,
-            "skipped": self.skipped,
-            "code_checked": self.code_checked,
-            "code_failures": self.code_failures,
-            "seed": self.seed,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def verify_dual_images(
@@ -361,30 +318,23 @@ def verify_duality(
         report.identity_failures = int((dev > tol).sum())
 
     # (c) backward digits of the primal code match the dual orbit branches.
-    from .coding import code_geodesic  # local import; coding stays dual-free
+    # A sample is skipped when its past truncates or its dual orbit comes
+    # within 10 tol of a dual partition point.
+    from .coding import code_geodesic_many  # local import; coding stays dual-free
 
     cu, cw = domain.sample(rng, max(code_samples, 1))
-    for k in range(len(cu)):
-        p_u, p_w = CirclePoint(cu[k]), CirclePoint(cw[k])
-        seq = code_geodesic(solved, domain, p_u, p_w, 0, code_depth)
-        if seq.truncated or len(seq.past) < code_depth:
-            report.skipped += 1
-            continue
-        x = p_u
-        branches = []
-        bad = False
-        for _ in range(code_depth):
-            if dual.partition.distance(x.angle) <= 10 * tol:
-                bad = True
-                break
-            x, j = boundary_step(dual, x)
-            branches.append(j)
-        if bad:
-            report.skipped += 1
-            continue
-        report.code_checked += 1
-        if list(seq.past) != branches:
-            report.code_failures += 1
+    _, past, truncated = code_geodesic_many(solved, domain, cu, cw, 0, code_depth)
+    s = solved.surface
+    branches = np.zeros_like(past)
+    x, bad = cu, truncated
+    for step in range(code_depth):
+        bad = bad | (dual.partition.distance_many(x) <= 10 * tol)
+        j = dual.partition.index_many(x)
+        branches[:, step] = j
+        x = moebius_angles(s.gen_a[j - 1], s.gen_c[j - 1], np.exp(1j * x))
+    report.skipped += int(bad.sum())
+    report.code_checked = int((~bad).sum())
+    report.code_failures = int((~bad & (past != branches).any(axis=1)).sum())
     return report
 
 

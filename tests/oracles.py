@@ -6,7 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fuchsian.boundary import boundary_step, extension_step, inverse_step
 from fuchsian.circle import TOL, TWO_PI, CirclePoint, angdiff, moebius_angles
+from fuchsian.coding import CodingSeq
+from fuchsian.duality import dual_params
 from fuchsian.errors import BijectivityError, DegeneratePointsError, OutsideDomainError
 from fuchsian.surface import SurfaceGroup
 
@@ -246,3 +249,75 @@ def point_in_polygon(surface: SurfaceGroup, z: complex, tol: float = TOL) -> boo
         if abs(z - center) < rad - tol:
             return False
     return True
+
+
+# -- the scalar coding loop ----------------------------------------------------
+
+
+def code_geodesic_loop(solved, domain, u, w, n_future, n_past, tol=TOL):
+    """code_geodesic one point at a time, with the scalar extension_step and
+    inverse_step; the reference for code_geodesic_many."""
+    if not domain.contains(u, w):
+        raise OutsideDomainError("coding requires a point of the rectangle domain")
+    s = solved.surface
+    params = solved.params
+    future: list[int] = []
+    past: list[int] = []
+    truncated = False
+
+    cu, cw = u, w
+    for _ in range(n_future):
+        if dense_distance_many(params.partition, [cw.angle])[0] <= tol:
+            truncated = True
+            break
+        cu, cw, i = extension_step(params, cu, cw)
+        future.append(s.sigma(i))
+
+    cu, cw = u, w
+    for _ in range(n_past):
+        try:
+            cu, cw, i = inverse_step(solved, domain, cu, cw, tol)
+        except (OutsideDomainError, BijectivityError):
+            truncated = True
+            break
+        if dense_distance_many(params.partition, [cw.angle])[0] <= tol:
+            truncated = True
+            break
+        past.append(s.sigma(i))
+
+    return CodingSeq(
+        center=(u.angle, w.angle),
+        future=tuple(future),
+        past=tuple(past),
+        truncated=truncated,
+    )
+
+
+def duality_code_counts(solved, domain, cu, cw, depth, tol=TOL):
+    """verify_duality step (c) one sample at a time: the primal past of each
+    sample against the dual orbit of its first coordinate, by the scalar
+    loop and boundary_step.  Returns (skipped, checked, failures)."""
+    dual = dual_params(solved)
+    skipped = checked = failures = 0
+    for k in range(len(cu)):
+        p_u, p_w = CirclePoint(cu[k]), CirclePoint(cw[k])
+        seq = code_geodesic_loop(solved, domain, p_u, p_w, 0, depth)
+        if seq.truncated or len(seq.past) < depth:
+            skipped += 1
+            continue
+        x = p_u
+        branches = []
+        bad = False
+        for _ in range(depth):
+            if dense_distance_many(dual.partition, [x.angle])[0] <= 10 * tol:
+                bad = True
+                break
+            x, j = boundary_step(dual, x)
+            branches.append(j)
+        if bad:
+            skipped += 1
+            continue
+        checked += 1
+        if list(seq.past) != branches:
+            failures += 1
+    return skipped, checked, failures

@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from fuchsian.boundary import build_domain, extension_step, solve
+from fuchsian.boundary import build_domain, extension_step, inverse_step_many, solve
 from fuchsian.circle import TOL, TWO_PI, Arc, CirclePoint
 from fuchsian.coding import (
     RegionTable,
     SoficGraph,
     apply_phi,
     code_geodesic,
+    code_geodesic_many,
     geo_step,
     locate_region,
     markov_transition_matrix,
@@ -23,7 +24,7 @@ from fuchsian.coding import (
 )
 from fuchsian.errors import OutsideDomainError
 from fuchsian.surface import GeodesicClipper, build_regular_surface
-from oracles import polygon_status, trace_geodesic
+from oracles import code_geodesic_loop, polygon_status, trace_geodesic
 
 EXAMPLE_WORD = "PPPPQPQQPPQQ"
 
@@ -360,6 +361,125 @@ class TestCoding:
             seq = code_geodesic(solved_example, domain_example, u, w, 5, 0)
             assert seq.truncated
             assert seq.future == ()
+
+
+def _row(future, past, truncated, k):
+    """Row k of code_geodesic_many as CodingSeq's (future, past, truncated)."""
+    return (
+        tuple(x for x in future[k].tolist() if x),
+        tuple(x for x in past[k].tolist() if x),
+        bool(truncated[k]),
+    )
+
+
+def _x_edges(domain):
+    """Both ends of every rectangle's x-arc."""
+    return np.array([[r.x.start.angle, r.x.end.angle] for r in domain.rects]).ravel()
+
+
+class TestCodingMany:
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_matches_the_scalar_loop(self, g):
+        # 3 words x 10^4 domain samples per genus, at depth 6 both ways.
+        surface = build_regular_surface(g)
+        rng = np.random.default_rng(40 + g)
+        words = [EXAMPLE_WORD if g == 2 else "PQ" * (surface.n // 2)]
+        words += ["".join(rng.choice(["P", "Q"], size=surface.n)) for _ in range(2)]
+        mismatches = []
+        for word in words:
+            solved = solve(surface, word)
+            domain = build_domain(solved)
+            u, w = domain.sample(rng, 10_000)
+            future, past, truncated = code_geodesic_many(solved, domain, u, w, 6, 6)
+            for k in range(len(u)):
+                want = code_geodesic_loop(solved, domain, CirclePoint(u[k]), CirclePoint(w[k]), 6, 6)
+                if _row(future, past, truncated, k) != (want.future, want.past, want.truncated):
+                    mismatches.append((word, k))
+        assert mismatches == []
+
+    def test_edge_rows_match_the_scalar_loop_for_one_step(self):
+        # Rows on rectangle edges and corners reach every stopping rule: w
+        # on a partition point, no preimage, and several preimages, which
+        # inverse_step merges or rejects.  One step each way, before the
+        # two loops' Moebius arithmetic can round apart on such rows.
+        mismatches, rules = [], set()
+        for g in (2, 3, 4):
+            surface = build_regular_surface(g)
+            rng = np.random.default_rng(7)
+            for _ in range(3):
+                solved = solve(surface, "".join(rng.choice(["P", "Q"], size=surface.n)))
+                domain = build_domain(solved)
+                x_edges = _x_edges(domain)
+                y_edges = np.array([r.y.start.angle for r in domain.rects])
+                corner_u, corner_w = (a.ravel() for a in np.meshgrid(x_edges, y_edges))
+                u, w = domain.sample(rng, 2000)
+                u = np.concatenate([corner_u, rng.choice(x_edges, 1000), u[1000:]])
+                w = np.concatenate([corner_w, w[:1000], rng.choice(y_edges, 1000)])
+                inside = domain.contains_many(u, w)
+                u, w = u[inside], w[inside]
+                future, past, truncated = code_geodesic_many(solved, domain, u, w, 1, 1)
+                count = inverse_step_many(solved, domain, u, w)[3]
+                for k in range(len(u)):
+                    want = code_geodesic_loop(solved, domain, CirclePoint(u[k]), CirclePoint(w[k]), 1, 1)
+                    if _row(future, past, truncated, k) != (want.future, want.past, want.truncated):
+                        mismatches.append((g, k))
+                rules.update(
+                    name
+                    for name, rows in (
+                        ("forward stop", future[:, 0] == 0),
+                        ("no preimage", count == 0),
+                        ("merged", (count > 1) & (past[:, 0] > 0)),
+                        ("rejected", (count > 1) & (past[:, 0] == 0)),
+                        ("backward stop", (count == 1) & (past[:, 0] == 0)),
+                    )
+                    if rows.any()
+                )
+        assert mismatches == []
+        assert len(rules) == 5, rules
+
+    def test_past_orbit_stops_where_it_leaves_the_domain(self, genus4):
+        # On edge rows a preimage can round out of the domain while the
+        # preimage table still counts one preimage for the row.
+        rng = np.random.default_rng(8)
+        left = kept = 0
+        for _ in range(3):
+            solved = solve(genus4, "".join(rng.choice(["P", "Q"], size=genus4.n)))
+            domain = build_domain(solved)
+            x_edges = _x_edges(domain)
+            u, w = domain.sample(rng, 20_000)
+            u = rng.choice(x_edges, len(u))
+            inside = domain.contains_many(u, w)
+            u, w = u[inside], w[inside]
+            _, past, _ = code_geodesic_many(solved, domain, u, w, 0, 2)
+            pu, pw, _, count = inverse_step_many(solved, domain, u, w)
+            first = (count == 1) & (past[:, 0] > 0)
+            stays = domain.contains_many(pu, pw)
+            assert (past[first & ~stays, 1] == 0).all()
+            left += int((first & ~stays).sum())
+            kept += int((first & stays & (past[:, 1] > 0)).sum())
+        assert left > 0 and kept > 0
+
+    def test_padding_follows_truncation(self, solved_example, domain_example):
+        # A row that truncates keeps a prefix of symbols and zeros after it.
+        params = solved_example.params
+        u = np.array([params.a(5).angle + math.pi * 0.9, 0.3])
+        w = np.array([params.a(5).angle, 2.9])
+        assert domain_example.contains_many(u, w).all()
+        future, past, truncated = code_geodesic_many(solved_example, domain_example, u, w, 4, 3)
+        assert future.shape == (2, 4) and past.shape == (2, 3)
+        assert truncated.tolist() == [True, False]
+        assert future[0].tolist() == [0, 0, 0, 0]
+        assert (future[1] > 0).all() and (past[1] > 0).all()
+
+    def test_one_row_outside_raises(self, solved_example, domain_example):
+        u, w = domain_example.sample(np.random.default_rng(3), 5)
+        u[2] = w[2] + 1e-3  # next to the diagonal, which no rectangle meets
+        with pytest.raises(OutsideDomainError):
+            code_geodesic_many(solved_example, domain_example, u, w, 2, 2)
+
+    def test_no_rows(self, solved_example, domain_example):
+        future, past, truncated = code_geodesic_many(solved_example, domain_example, [], [], 3, 2)
+        assert future.shape == (0, 3) and past.shape == (0, 2) and truncated.shape == (0,)
 
 
 class TestMarkov:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fuchsian.boundary import build_domain, extension_step, solve
-from fuchsian.circle import TOL, TWO_PI, CirclePoint
+from fuchsian.circle import TOL, TWO_PI, Arc, CirclePoint
 from fuchsian.duality import (
     build_omega_dual,
     dual_family_check,
@@ -16,6 +16,8 @@ from fuchsian.duality import (
     verify_duality,
 )
 from fuchsian.errors import ConstructionError
+from fuchsian.surface import build_regular_surface
+from oracles import duality_code_counts
 
 EXAMPLE_WORD = "PPPPQPQQPPQQ"
 EXPECTED_D = [
@@ -134,6 +136,29 @@ class TestVerifyDuality:
         assert report.identity_checked >= 9_000
         assert report.identity_max_deviation <= TOL
 
+    @pytest.mark.parametrize("tol, code_samples", [(TOL, 50), (1e-4, 500)], ids=["tol", "wide"])
+    @pytest.mark.parametrize("g, word", [(2, EXAMPLE_WORD), (3, "PQQPPQPQPQQPQPPQQPPQ")], ids=["g2", "g3"])
+    def test_code_counts_match_the_scalar_loop(self, g, word, tol, code_samples):
+        # The wide tolerance makes orbits truncate and skip, so both sides
+        # of step (c)'s skip rules are exercised.
+        solved = solve(build_regular_surface(g), word)
+        domain = build_domain(solved)
+        dual_domain = build_omega_dual(solved)
+        got, want = [], []
+        for seed in range(10):
+            args = (solved, domain, dual_domain, 2000, seed, tol)
+            report = verify_duality(*args, code_samples=code_samples)
+            without_c = verify_duality(*args, code_samples=code_samples, code_depth=0)
+            got.append((report.skipped - without_c.skipped, report.code_checked, report.code_failures))
+            # Replay the draws of steps (a) and (b), then step (c)'s samples.
+            rng = np.random.default_rng(seed)
+            domain.sample(rng, 2000), dual_domain.sample(rng, 2000), domain.sample(rng, 2000)
+            cu, cw = domain.sample(rng, code_samples)
+            want.append(duality_code_counts(solved, domain, cu, cw, 6, tol))
+        assert got == want
+        if tol > TOL:
+            assert sum(skipped for skipped, _, _ in want) > 0
+
     def test_fault_injection_fails(self, genus2, solved_example, domain_example):
         # Shift every dual point one index forward: the flip identity breaks.
         rolled = solved_example.D[1:] + solved_example.D[:1]
@@ -149,9 +174,8 @@ class TestVerifyDuality:
     def test_decompositions_disagreeing_fails(self, solved_example, domain_example, dual_example):
         # With H_i moved onto D_{i+1}, every head rectangle [H_i, D_{i+1}) of
         # the horizontal view is empty; the vertical view still holds them.
-        moved = solved_example.D[1:] + solved_example.D[:1]
-        headless = dual_params(dataclasses.replace(solved_example, H=tuple(moved)))
-        broken = dataclasses.replace(dual_example, dual=headless)
+        headless = tuple(dataclasses.replace(r, y=Arc(r.y.end, r.y.end)) for r in dual_example.head)
+        broken = dataclasses.replace(dual_example, head=headless)
         report = verify_duality(solved_example, domain_example, broken, samples=2000, seed=33)
         assert report.flip_failures > 0
         assert not report.passed

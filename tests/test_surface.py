@@ -60,6 +60,15 @@ class TestIndexMaps:
         for i in range(1, n + 1):
             assert tau(sigma(i, g), g) == sigma(tau(i, g), g)
 
+    def test_dual_head_rule_is_the_head_piece_rule(self):
+        # wrap(sigma(i) + 1) = tau_sigma(i - 1), so the dual head rectangle
+        # [H_i, D_{i+1}], empty iff the choice at sigma(i)+1 is P, obeys the
+        # head-piece rule that degeneracy_failures checks for both.
+        for g in range(2, 20):
+            maps = SideIndexMaps(g)
+            for i in range(1, maps.n + 1):
+                assert maps.wrap(maps.sigma(i) + 1) == maps.tau_sigma(i - 1), (g, i)
+
     @pytest.mark.parametrize("g", [2, 3])
     def test_rho_has_order_four(self, g):
         n = 8 * g - 4
