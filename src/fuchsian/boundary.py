@@ -37,8 +37,8 @@ from .circle import (
     CirclePoint,
     MoebiusMap,
     angdiff,
+    angdiff_many,
     ccw_distance,
-    moebius_angles,
 )
 from .errors import (
     BijectivityError,
@@ -293,35 +293,38 @@ def solve(surface: SurfaceGroup, word: str, tol: float = TOL) -> SolvedParams:
 # -- the boundary map and its two-coordinate extension ------------------------
 
 
-def boundary_step(params, x: CirclePoint) -> tuple[CirclePoint, int]:
-    """One application of the circle map: T_i(x) for x in arc i of params.partition.
+def boundary_step_many(params, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """The circle map on angles: T_i(x) for x in arc i of params.partition; returns (images, i).
 
     Like the extension steps, it runs the dual map when given a DualParams.
     """
-    i = params.partition.index(x.angle)
-    return params.surface.t(i).apply(x), i
+    i = params.partition.index_many(thetas)
+    return params.surface.t_angles(i, thetas), i
 
 
-def extension_step(params, u: CirclePoint, w: CirclePoint) -> tuple[CirclePoint, CirclePoint, int]:
-    """One application of the two-coordinate extension; the index is chosen by w.
-
-    `params` is anything with a `surface` and a `partition`: an
-    ExtremalParams, or a DualParams for the dual extension.
-    """
-    if angdiff(u.angle, w.angle) <= TOL:
-        raise OutsideDomainError("extension map requires u != w")
-    i = params.partition.index(w.angle)
-    t = params.surface.t(i)
-    return t.apply(u), t.apply(w), i
+def boundary_step(params, x: CirclePoint) -> tuple[CirclePoint, int]:
+    """boundary_step_many for one point."""
+    images, i = boundary_step_many(params, [x.angle])
+    return CirclePoint(images[0]), int(i[0])
 
 
 def extension_step_many(params, u_thetas, w_thetas):
-    """Vectorized extension_step on angle arrays; returns (u', w', index)."""
-    idx = params.partition.index_many(w_thetas)
-    a, c = params.surface.gen_a[idx - 1], params.surface.gen_c[idx - 1]
-    zu = np.exp(1j * np.asarray(u_thetas, dtype=float))
-    zw = np.exp(1j * np.asarray(w_thetas, dtype=float))
-    return moebius_angles(a, c, zu), moebius_angles(a, c, zw), idx
+    """The two-coordinate extension on angle arrays; the index is chosen by w.
+
+    `params` is anything with a `surface` and a `partition`: an
+    ExtremalParams, or a DualParams for the dual extension.  Returns
+    (u', w', index).
+    """
+    w2, i = boundary_step_many(params, w_thetas)
+    return params.surface.t_angles(i, u_thetas), w2, i
+
+
+def extension_step(params, u: CirclePoint, w: CirclePoint) -> tuple[CirclePoint, CirclePoint, int]:
+    """extension_step_many for one pair, which must have u != w."""
+    if angdiff(u.angle, w.angle) <= TOL:
+        raise OutsideDomainError("extension map requires u != w")
+    u2, w2, i = extension_step_many(params, [u.angle], [w.angle])
+    return CirclePoint(u2[0]), CirclePoint(w2[0]), int(i[0])
 
 
 # -- the rectangle domain -----------------------------------------------------
@@ -353,9 +356,6 @@ class DomainRect:
     @property
     def degenerate(self) -> bool:
         return bool(_degenerate(self.width, self.height))
-
-    def contains(self, u: CirclePoint, w: CirclePoint, tol: float = 0.0) -> bool:
-        return self.x.contains(u, tol) and self.y.contains(w, tol)
 
 
 class RectDomain:
@@ -522,12 +522,10 @@ class PreimageTable:
         ends = np.array([(r.x.start.angle, r.x.end.angle, r.y.start.angle, r.y.end.angle) for r in rects])
         self.params = params
         self.branch = part.index_many(ends[:, 2])
-        a, c = s.gen_a[self.branch - 1, None], s.gen_c[self.branch - 1, None]
-        img = moebius_angles(a, c, np.exp(1j * ends))
+        img = s.t_angles(self.branch[:, None], ends)
         img[img >= TWO_PI] = 0.0  # np.remainder can round up to 2*pi
         self.x0, self.x1, self.y0, self.y1 = img.T
-        inv = np.array([s.sigma(i) for i in self.branch.tolist()]) - 1
-        self.inv_a, self.inv_c = s.gen_a[inv], s.gen_c[inv]
+        self.inverse = np.array([s.sigma(i) for i in self.branch.tolist()])  # T_sigma(i) = T_i^-1
 
         self.cuts = np.unique(np.concatenate([[0.0], self.y0, self.y1]))
         height = np.remainder(self.y1 - self.y0, TWO_PI)
@@ -552,15 +550,6 @@ class PreimageTable:
         pos = np.searchsorted(self.keys, cell + 1j * np.remainder(u_thetas, TWO_PI), side="right") - 1
         return self.counts[pos], self.sums[pos]
 
-    def covering(self, u: float, w: float) -> list[int]:
-        """Every image rectangle holding (u, w); for rows whose count is not 1."""
-        return [
-            k
-            for k in range(len(self.branch))
-            if (w - self.y0[k]) % TWO_PI < (self.y1[k] - self.y0[k]) % TWO_PI
-            and (u - self.x0[k]) % TWO_PI < (self.x1[k] - self.x0[k]) % TWO_PI
-        ]
-
 
 def inverse_step(
     solved: SolvedParams,
@@ -569,39 +558,32 @@ def inverse_step(
     w: CirclePoint,
     tol: float = TOL,
 ) -> tuple[CirclePoint, CirclePoint, int]:
-    """The unique preimage in the domain of a domain point.
+    """The unique preimage in the domain of a domain point: inverse_step_many for one pair.
 
-    The domain's PreimageTable, read on one row as inverse_step_many reads
-    it, names the image rectangle holding (u, w); its branch i
-    gives the preimage (T_sigma(i) u, T_sigma(i) w), which T_i maps
-    forward.  Returns the preimage and i.  No preimage, or preimages of
-    several branches farther apart than tol, raise BijectivityError.
+    Where the domain's PreimageTable counts several preimages, the image
+    rectangles holding (u, w) give them, in branch order; preimages within
+    tol of the first are a rounding artifact on a shared rectangle edge.
+    Returns the preimage and its branch i.  No preimage, or preimages
+    farther apart than tol, raise BijectivityError.
     """
     if not domain.contains(u, w):
         raise OutsideDomainError("inverse requested for a point outside the domain")
-    table = domain.preimages(solved.params)
-    counts, rects = table.lookup_many([u.angle], [w.angle])
-    count, k = int(counts[0]), int(rects[0])
-    ks = table.covering(u.angle, w.angle) if count > 1 else [k] * count
-    s = solved.surface
-    hits = []
-    for i in sorted(int(table.branch[k]) for k in ks):
-        t_inv = s.t(s.sigma(i))
-        hits.append((t_inv.apply(u), t_inv.apply(w), i))
-    if len(hits) == 1:
-        return hits[0]
-    if not hits:
+    pu, pw, branch, count = inverse_step_many(solved, domain, [u.angle], [w.angle])
+    if count[0] == 1:
+        return CirclePoint(pu[0]), CirclePoint(pw[0]), int(branch[0])
+    # The image rectangles holding (u, w) in branch order; none where the count is 0.
+    t = domain.preimages(solved.params)
+    covers = (count[0] > 1) & (np.remainder(w.angle - t.y0, TWO_PI) < np.remainder(t.y1 - t.y0, TWO_PI))
+    covers &= np.remainder(u.angle - t.x0, TWO_PI) < np.remainder(t.x1 - t.x0, TWO_PI)
+    ks = np.flatnonzero(covers)
+    ks = ks[np.argsort(t.branch[ks], kind="stable")]
+    if len(ks) == 0:
         raise BijectivityError("no preimage found inside the domain")
-    # Distinct candidates within tolerance of each other are a rounding
-    # artifact on a shared rectangle edge, not a bijectivity failure.
-    base = hits[0]
-    for other in hits[1:]:
-        if (
-            angdiff(base[0].angle, other[0].angle) > tol
-            or angdiff(base[1].angle, other[1].angle) > tol
-        ):
-            raise BijectivityError(f"multiple preimages found: branches {[h[2] for h in hits]}")
-    return base
+    hu = solved.surface.t_angles(t.inverse[ks], u.angle)
+    hw = solved.surface.t_angles(t.inverse[ks], w.angle)
+    if (angdiff_many(hu, hu[0]) > tol).any() or (angdiff_many(hw, hw[0]) > tol).any():
+        raise BijectivityError(f"multiple preimages found: branches {t.branch[ks].tolist()}")
+    return CirclePoint(hu[0]), CirclePoint(hw[0]), int(t.branch[ks[0]])
 
 
 def inverse_step_many(solved: SolvedParams, domain: RectDomain, u_thetas, w_thetas):
@@ -613,14 +595,11 @@ def inverse_step_many(solved: SolvedParams, domain: RectDomain, u_thetas, w_thet
     other rows hold zeros.
     """
     table = domain.preimages(solved.params)
-    u = np.asarray(u_thetas, dtype=float)
-    w = np.asarray(w_thetas, dtype=float)
-    count, k = table.lookup_many(u, w)
+    count, k = table.lookup_many(u_thetas, w_thetas)
     one = count == 1
     k = np.where(one, k, 0)
-    a, c = table.inv_a[k], table.inv_c[k]
-    pu = np.where(one, moebius_angles(a, c, np.exp(1j * u)), 0.0)
-    pw = np.where(one, moebius_angles(a, c, np.exp(1j * w)), 0.0)
+    pu = np.where(one, solved.surface.t_angles(table.inverse[k], u_thetas), 0.0)
+    pw = np.where(one, solved.surface.t_angles(table.inverse[k], w_thetas), 0.0)
     return pu, pw, np.where(one, table.branch[k], 0), count
 
 
@@ -775,29 +754,32 @@ def _verify_analytic(solved: SolvedParams, report: BijectivityReport, tol: float
     # Degeneracy happens exactly where the image decomposition drops a piece.
     report.degeneracy_failures = degeneracy_failures(solved, tol)
 
-    # Re-tile each strip from the image pieces and compare widths.  The
-    # pieces run from each point of the chain H_{m+1}, D_{m+2}, ..., D_end,
-    # G_end to the next, so they are contiguous by construction.
+    # Re-tile each strip from the image pieces and compare widths.  Strip
+    # (m, end) is the chain H_{m+1}, D_{m+2}, ..., D_end, G_end, so its
+    # pieces are contiguous by construction.  The strips share 3N distinct
+    # pieces, [H_{m+1}, D_{m+2}], [D_j, D_{j+1}] and [D_j, G_j]; each is
+    # measured, and named if reversed, under the first strip that uses it.
     corner = {"H": solved.h, "D": solved.d, "G": solved.g}
+    widths: dict[tuple, float] = {}
     for m in range(1, n + 1):
         for kind, end in (("lower", m + n - 2), ("upper", m + n - 1)):
-            chain = [("H", m + 1), *(("D", j) for j in range(m + 2, end + 1)), ("G", end)]
-            angles = [corner[name](j).angle for name, j in chain]
+            chain = [("H", s.wrap(m + 1)), *(("D", s.wrap(j)) for j in range(m + 2, end + 1)), ("G", s.wrap(end))]
             total = 0.0
-            for k in range(len(chain) - 1):
-                width = ccw_distance(angles[k], angles[k + 1])
-                if width > TWO_PI - n * tol:
-                    width = 0.0  # degenerate piece rounded microscopically past zero
-                elif width > math.pi:
-                    # a genuinely reversed piece would wrap most of the circle
-                    (a, ia), (b, ib) = chain[k], chain[k + 1]
-                    report.tiling_failures.append(
-                        f"strip {m} {kind}: piece [{a}_{s.wrap(ia)},{b}_{s.wrap(ib)}] "
-                        f"reversed (width {width:.3g})"
-                    )
-                    width = 0.0
-                total += width
-            strip_width = ccw_distance(angles[0], angles[-1])
+            for piece in zip(chain, chain[1:]):
+                if piece not in widths:
+                    (a, ia), (b, ib) = piece
+                    width = ccw_distance(corner[a](ia).angle, corner[b](ib).angle)
+                    if width > TWO_PI - n * tol:
+                        width = 0.0  # degenerate piece rounded microscopically past zero
+                    elif width > math.pi:
+                        # a genuinely reversed piece would wrap most of the circle
+                        report.tiling_failures.append(
+                            f"strip {m} {kind}: piece [{a}_{ia},{b}_{ib}] reversed (width {width:.3g})"
+                        )
+                        width = 0.0
+                    widths[piece] = width
+                total += widths[piece]
+            strip_width = ccw_distance(solved.h(m + 1).angle, solved.g(end).angle)
             if strip_width > TWO_PI - n * tol:
                 strip_width = 0.0
             if abs(total - strip_width) > n * tol:

@@ -6,7 +6,7 @@ points, and a disk-preserving Moebius transformation stored in the
 normalized form  z -> (a*z + conj(c)) / (c*z + conj(a))  with
 |a|^2 - |c|^2 = 1.  All operations are pure; all objects are immutable.
 A CirclePartition cuts the circle into half-open arcs at given points,
-and moebius_angles applies such maps to arrays of points.
+and moebius_angles applies such maps to arrays of angles.
 """
 
 from __future__ import annotations
@@ -27,9 +27,21 @@ from .errors import (
 
 TWO_PI = 2.0 * math.pi
 
-#: Global tolerance for point equality and matrix identity checks.  The
-#: deepest generator words in use lose at most ~3 digits, so 1e-9 leaves
-#: a comfortable margin over double precision.
+#: Global tolerance for point equality and matrix identity checks.  Worst
+#: deviations measured on the regular surfaces, for the group relations
+#: and for the corner checks of the analytic bijectivity check on three
+#: random words per genus:
+#:
+#:     g    relations   corners
+#:     2    5.8e-14     1.9e-14
+#:     4    8.3e-13     5.2e-14
+#:     8    2.3e-11     2.5e-13
+#:     16   3.7e-10     8.5e-13
+#:     19   8.9e-10     1.3e-12    relations only 1.1x below TOL
+#:     20   1.17e-9     -          the four-term relation fails
+#:
+#: The relations set the genus ceiling; tests/test_surface.py pins the
+#: margins at g <= 4 and g = 19.
 TOL = 1e-9
 
 
@@ -256,12 +268,13 @@ class MoebiusMap:
         return f"MoebiusMap(a={self.a:.12g}, c={self.c:.12g})"
 
 
-def moebius_angles(a, c, z: np.ndarray) -> np.ndarray:
-    """Angles of the images of unit points z under z -> (a z + conj c) / (c z + conj a).
+def moebius_angles(a, c, thetas) -> np.ndarray:
+    """Images of the angles thetas under z -> (a z + conj c) / (c z + conj a), as angles.
 
-    a and c are one map's coefficients or arrays of them matching z; the
-    angles are reduced mod 2*pi by np.remainder.
+    a and c are one map's coefficients or arrays of them matching thetas;
+    the angles are reduced mod 2*pi by np.remainder.
     """
+    z = np.exp(1j * np.asarray(thetas, dtype=float))
     return np.remainder(np.angle((a * z + np.conj(c)) / (c * z + np.conj(a))), TWO_PI)
 
 

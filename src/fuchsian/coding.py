@@ -60,8 +60,8 @@ def geo_step(
         raise OutsideDomainError("geodesic does not cross the polygon")
     if hi_ties[0] > 1:
         raise DegeneratePointsError("geodesic exits through a vertex")
-    t = surface.t(int(exit_[0]))
-    return t.apply(u), t.apply(w), int(exit_[0])
+    gu, gw = surface.t_angles(exit_, [u.angle]), surface.t_angles(exit_, [w.angle])
+    return CirclePoint(gu[0]), CirclePoint(gw[0]), int(exit_[0])
 
 
 # -- bulges and corners -------------------------------------------------------
@@ -138,8 +138,8 @@ class RegionTable:
             for i in np.unique(index[mask]):
                 m = self.solved.u(s.tau(int(i)) + tau_shift)
                 sel = mask & (index == i)
-                u2[sel] = moebius_angles(m.a, m.c, np.exp(1j * u2[sel]))
-                w2[sel] = moebius_angles(m.a, m.c, np.exp(1j * w2[sel]))
+                u2[sel] = moebius_angles(m.a, m.c, u2[sel])
+                w2[sel] = moebius_angles(m.a, m.c, w2[sel])
         return u2, w2
 
 
@@ -247,9 +247,7 @@ def verify_conjugacy(
     u, w, exit_ = sample_curvilinear(regions, rng, samples)
 
     # geometric step
-    ae, ce = solved.surface.gen_a[exit_ - 1], solved.surface.gen_c[exit_ - 1]
-    gu = moebius_angles(ae, ce, np.exp(1j * u))
-    gw = moebius_angles(ae, ce, np.exp(1j * w))
+    gu, gw = solved.surface.t_angles(exit_, u), solved.surface.t_angles(exit_, w)
 
     # classify both p and geo(p); skip any sample whose classification is
     # ambiguous or whose image sits within the margin of a boundary

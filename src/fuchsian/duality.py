@@ -22,13 +22,14 @@ from .boundary import (
     DomainRect,
     RectDomain,
     SolvedParams,
+    boundary_step_many,
     build_domain,
     degeneracy_failures,
     extension_step_many,
     inverse_step_many,
     solve,
 )
-from .circle import TOL, TWO_PI, Arc, CirclePartition, CirclePoint, angdiff, angdiff_many, moebius_angles
+from .circle import TOL, TWO_PI, Arc, CirclePartition, CirclePoint, angdiff, angdiff_many
 from .errors import ConstructionError
 from .surface import SurfaceGroup
 from .words import GroupWord
@@ -324,14 +325,11 @@ def verify_duality(
 
     cu, cw = domain.sample(rng, max(code_samples, 1))
     _, past, truncated = code_geodesic_many(solved, domain, cu, cw, 0, code_depth)
-    s = solved.surface
     branches = np.zeros_like(past)
     x, bad = cu, truncated
     for step in range(code_depth):
         bad = bad | (dual.partition.distance_many(x) <= 10 * tol)
-        j = dual.partition.index_many(x)
-        branches[:, step] = j
-        x = moebius_angles(s.gen_a[j - 1], s.gen_c[j - 1], np.exp(1j * x))
+        x, branches[:, step] = boundary_step_many(dual, x)
     report.skipped += int(bad.sum())
     report.code_checked = int((~bad).sum())
     report.code_failures = int((~bad & (past != branches).any(axis=1)).sum())

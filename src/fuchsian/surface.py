@@ -31,6 +31,7 @@ from .circle import (
     from_three_points,
     geodesic_circle,
     geodesic_endpoints,
+    moebius_angles,
 )
 from .errors import ConstructionError, DegeneratePointsError
 
@@ -136,14 +137,16 @@ class SurfaceGroup:
         return self.generators[i % self.n - 1]
 
     @cached_property
-    def gen_a(self) -> np.ndarray:
-        """The coefficients a of T_1..T_N, for array Moebius maps."""
-        return np.array([m.a for m in self.generators])
+    def _coefficients(self) -> tuple[np.ndarray, np.ndarray]:
+        """The coefficients a and c of T_1..T_N, as arrays."""
+        return np.array([m.a for m in self.generators]), np.array([m.c for m in self.generators])
 
-    @cached_property
-    def gen_c(self) -> np.ndarray:
-        """The coefficients c of T_1..T_N, for array Moebius maps."""
-        return np.array([m.c for m in self.generators])
+    def t_angles(self, index, thetas) -> np.ndarray:
+        """T_i(theta) as angles, where index holds each row's 1-based i;
+        index and thetas broadcast against each other."""
+        a, c = self._coefficients
+        k = np.asarray(index) - 1
+        return moebius_angles(a[k], c[k], thetas)
 
     @cached_property
     def p_angles(self) -> np.ndarray:

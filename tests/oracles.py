@@ -27,8 +27,7 @@ def inverse_search(solved, domain, u, w, tol=TOL):
     hits = []
     for i in range(1, s.n + 1):
         t_inv = s.t(s.sigma(i))
-        u2 = t_inv.apply(u)
-        w2 = t_inv.apply(w)
+        u2, w2 = (CirclePoint(x) for x in moebius_angles(t_inv.a, t_inv.c, [u.angle, w.angle]))
         if solved.params.partition.index(w2.angle) == i and domain.contains(u2, w2):
             hits.append((u2, w2, i))
     if not hits:
@@ -50,16 +49,14 @@ def inverse_search_many(solved, domain, u_thetas, w_thetas):
     s = solved.surface
     params = solved.params
     m = len(u_thetas)
-    zu = np.exp(1j * np.asarray(u_thetas, dtype=float))
-    zw = np.exp(1j * np.asarray(w_thetas, dtype=float))
     best_u = np.zeros(m)
     best_w = np.zeros(m)
     best_i = np.zeros(m, dtype=np.int64)
     count = np.zeros(m, dtype=np.int64)
     for i in range(1, s.n + 1):
         t_inv = s.t(s.sigma(i))
-        u2 = moebius_angles(t_inv.a, t_inv.c, zu)
-        w2 = moebius_angles(t_inv.a, t_inv.c, zw)
+        u2 = moebius_angles(t_inv.a, t_inv.c, u_thetas)
+        w2 = moebius_angles(t_inv.a, t_inv.c, w_thetas)
         ok = (params.partition.index_many(w2) == i) & domain.contains_many(u2, w2)
         newhit = ok & (count == 0)
         best_u = np.where(newhit, u2, best_u)

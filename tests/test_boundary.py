@@ -25,7 +25,7 @@ from fuchsian.boundary import (
     solve_g,
     verify_bijectivity,
 )
-from fuchsian.circle import TOL, TWO_PI, Arc, CirclePartition, CirclePoint, angdiff_many
+from fuchsian.circle import TOL, TWO_PI, Arc, CirclePartition, CirclePoint
 from fuchsian.errors import FuchsianError, OutsideDomainError
 from fuchsian.surface import build_regular_surface
 from fuchsian.words import GroupWord
@@ -435,6 +435,18 @@ class TestBijectivity:
         assert any(f.startswith("strip 1 lower: pieces cover") for f in report.tiling_failures)
         assert not report.degeneracy_failures
 
+    @pytest.mark.parametrize("g, word", [(2, EXAMPLE_WORD), (4, "PQ" * 14)], ids=["g2", "g4"])
+    def test_each_reversed_piece_is_named_once(self, g, word):
+        # Strips share pieces; [D_5, D_6] alone sits in most of them.
+        solved = solve(build_regular_surface(g), word)
+        bad_d = list(solved.D)
+        bad_d[4] = dataclasses.replace(bad_d[4], point=CirclePoint(bad_d[4].point.angle + 1.0))
+        broken = dataclasses.replace(solved, D=tuple(bad_d))
+        fails = verify_bijectivity(broken, build_domain(broken), mode="analytic").tiling_failures
+        pieces = [f.split(": piece ")[1].split(" reversed")[0] for f in fails if " reversed " in f]
+        assert "[D_5,D_6]" in pieces
+        assert len(pieces) == len(set(pieces))
+
     def test_lost_degeneracy_is_named(self, solved_example, domain_example):
         # Moving every H_i off its D partner undoes the degenerate head pieces.
         bad_h = tuple(
@@ -586,9 +598,8 @@ class TestPreimageTable:
                 for a, b in zip(u, w)
             ]
             assert [i for _, _, i in got] == branch.tolist()
-            # MoebiusMap.apply and moebius_angles round apart by a few ulps.
-            assert angdiff_many(np.array([x.angle for x, _, _ in got]), pu).max() <= 1e-12
-            assert angdiff_many(np.array([y.angle for _, y, _ in got]), pw).max() <= 1e-12
+            assert ([x.angle for x, _, _ in got] == np.remainder(pu, TWO_PI)).all()
+            assert ([y.angle for _, y, _ in got] == np.remainder(pw, TWO_PI)).all()
 
     def test_table_is_built_once_per_domain(self, solved_example):
         domain = build_domain(solved_example)

@@ -6,7 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from fuchsian.boundary import build_domain, extension_step, inverse_step_many, solve
+from fuchsian.boundary import (
+    boundary_step,
+    boundary_step_many,
+    build_domain,
+    extension_step,
+    extension_step_many,
+    inverse_step,
+    inverse_step_many,
+    solve,
+)
 from fuchsian.circle import TOL, TWO_PI, Arc, CirclePoint
 from fuchsian.coding import (
     RegionTable,
@@ -95,6 +104,78 @@ class TestGeoStep:
         u, w = geodesic_endpoints(genus2.v(1), genus2.v(5))
         with pytest.raises(DegeneratePointsError):
             geo_step(genus2, u, w)
+
+
+STEP_WORDS = {2: EXAMPLE_WORD, 3: "PQQPPQPQPQQPQPPQQPPQ", 4: "PQ" * 14}
+
+
+class TestOneRowSteps:
+    """Each scalar step is its array form run on one row, bit for bit."""
+
+    @pytest.fixture(scope="class", params=sorted(STEP_WORDS), ids=lambda g: f"g{g}")
+    def case(self, request):
+        """(solved, domain, u, w): 1000 domain samples and 1000 torus pairs,
+        as the angles of CirclePoints."""
+        solved = solve(build_regular_surface(request.param), STEP_WORDS[request.param])
+        domain = build_domain(solved)
+        rng = np.random.default_rng(request.param)
+        u, w = domain.sample(rng, 1000)
+        u = np.concatenate([u, rng.uniform(0.0, TWO_PI, 1000)])
+        w = np.concatenate([w, rng.uniform(0.0, TWO_PI, 1000)])
+        keep = np.abs(np.remainder(u - w + math.pi, TWO_PI) - math.pi) > TOL
+        wrap = np.vectorize(lambda x: CirclePoint(x).angle)
+        return solved, domain, wrap(u[keep]), wrap(w[keep])
+
+    @staticmethod
+    def same(points, *row):
+        """The scalar result equals the array row: angles as CirclePoints, indices as ints."""
+        want = tuple(CirclePoint(x) if isinstance(p, CirclePoint) else int(x) for p, x in zip(points, row))
+        return tuple(points) == want
+
+    def test_boundary_step(self, case):
+        solved, _, u, _ = case
+        images, idx = boundary_step_many(solved.params, u)
+        bad = [
+            k
+            for k in range(len(u))
+            if not self.same(boundary_step(solved.params, CirclePoint(u[k])), images[k], idx[k])
+        ]
+        assert bad == []
+
+    def test_extension_step(self, case):
+        solved, _, u, w = case
+        u2, w2, idx = extension_step_many(solved.params, u, w)
+        bad = [
+            k
+            for k in range(len(u))
+            if not self.same(extension_step(solved.params, CirclePoint(u[k]), CirclePoint(w[k])), u2[k], w2[k], idx[k])
+        ]
+        assert bad == []
+
+    def test_inverse_step(self, case):
+        solved, domain, u, w = case
+        pu, pw, branch, count = inverse_step_many(solved, domain, u, w)
+        rows = np.flatnonzero(count == 1)
+        assert len(rows) > 1000
+        bad = [
+            k
+            for k in rows
+            if not self.same(inverse_step(solved, domain, CirclePoint(u[k]), CirclePoint(w[k])), pu[k], pw[k], branch[k])
+        ]
+        assert bad == []
+
+    def test_geo_step(self, case):
+        # The array form is verify_conjugacy's: the exit side's generator on both angles.
+        solved, domain, _, _ = case
+        surface = solved.surface
+        u, w, exit_ = sample_curvilinear(RegionTable(solved, domain), np.random.default_rng(5), 1000)
+        gu, gw = surface.t_angles(exit_, u), surface.t_angles(exit_, w)
+        bad = [
+            k
+            for k in range(len(u))
+            if not self.same(geo_step(surface, CirclePoint(u[k]), CirclePoint(w[k])), gu[k], gw[k], exit_[k])
+        ]
+        assert bad == []
 
 
 class TestRegions:
@@ -393,6 +474,24 @@ class TestCodingMany:
             future, past, truncated = code_geodesic_many(solved, domain, u, w, 6, 6)
             for k in range(len(u)):
                 want = code_geodesic_loop(solved, domain, CirclePoint(u[k]), CirclePoint(w[k]), 6, 6)
+                if _row(future, past, truncated, k) != (want.future, want.past, want.truncated):
+                    mismatches.append((word, k))
+        assert mismatches == []
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_matches_the_scalar_loop_at_depth_30(self, g):
+        # Both loops run the same Moebius arithmetic, so they agree on
+        # every symbol even where double precision no longer fixes it.
+        surface = build_regular_surface(g)
+        rng = np.random.default_rng(70 + g)
+        mismatches = []
+        for word in (STEP_WORDS[g], "".join(rng.choice(["P", "Q"], size=surface.n))):
+            solved = solve(surface, word)
+            domain = build_domain(solved)
+            u, w = domain.sample(rng, 600)
+            future, past, truncated = code_geodesic_many(solved, domain, u, w, 30, 30)
+            for k in range(len(u)):
+                want = code_geodesic_loop(solved, domain, CirclePoint(u[k]), CirclePoint(w[k]), 30, 30)
                 if _row(future, past, truncated, k) != (want.future, want.past, want.truncated):
                     mismatches.append((word, k))
         assert mismatches == []

@@ -38,11 +38,15 @@ def test_third_party_imports_match_declared_dependencies():
     assert third_party == declared
 
 
-def _trace_wraps():
+def _tracing():
     spec = importlib.util.spec_from_file_location("_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return tracing.WRAPS
+    return tracing
+
+
+def _trace_wraps():
+    return _tracing().WRAPS
 
 
 def test_benchmark_trace_bindings_exist():
@@ -56,6 +60,31 @@ def test_benchmark_trace_bindings_exist():
         if owner is None or attr not in vars(owner):
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+def test_benchmark_trace_hooks_install_and_uninstall(solved_example, domain_example):
+    """Tracer.install wraps every binding it reads from owner.__dict__, the
+    scalar steps reach the wrapped kernels, and uninstall restores them."""
+    tracer = _tracing().Tracer()
+    owners = []
+    for module, path, _, _ in _trace_wraps():
+        owner = getattr(fuchsian, module)
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        owners.append((owner, attr, owner.__dict__[attr]))
+    tracer.install(fuchsian)
+    try:
+        assert all(owner.__dict__[attr].__wrapped__ is fn for owner, attr, fn in owners)
+        tracer.active = True
+        u, w = domain_example.sample(np.random.default_rng(2), 1)
+        pair = fuchsian.CirclePoint(u[0]), fuchsian.CirclePoint(w[0])
+        fuchsian.boundary.inverse_step(solved_example, domain_example, *pair)
+        fuchsian.boundary.extension_step(solved_example.params, *pair)
+    finally:
+        tracer.uninstall()
+    assert all(owner.__dict__[attr] is fn for owner, attr, fn in owners)
+    assert tracer.calls() == {"boundary.inverse_many": 1, "boundary.extension_many": 1}
 
 
 def test_benchmark_row_arguments_are_angle_arrays():

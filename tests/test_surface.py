@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from fuchsian.boundary import build_domain, solve, verify_bijectivity
 from fuchsian.circle import TOL, TWO_PI, CirclePoint, MoebiusMap
 from fuchsian.errors import ConstructionError, DegeneratePointsError
 from fuchsian.surface import (
@@ -187,6 +188,35 @@ class TestRegularSurface:
         s = build_regular_surface(2, offset=0.3)
         assert abs(math.atan2(s.v(1).imag, s.v(1).real) - 0.3) < 1e-12
         assert verify_group_relations(s).passed
+
+
+def worst_deviations(g, words=3):
+    """Worst relation deviation of the genus-g surface, and worst corner
+    deviation of the analytic check on `words` random parameter words."""
+    surface = build_regular_surface(g)
+    rng = np.random.default_rng(g)
+    corners = 0.0
+    for _ in range(words):
+        solved = solve(surface, "".join(rng.choice(["P", "Q"], size=surface.n)))
+        report = verify_bijectivity(solved, build_domain(solved), mode="analytic")
+        assert report.analytic_passed
+        corners = max(corners, report.max_corner_deviation)
+    return verify_group_relations(surface).max_deviation, corners
+
+
+class TestToleranceMargins:
+    """The measured margins behind the TOL comment in circle.py."""
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_small_genus_is_far_below_tol(self, g):
+        relations, corners = worst_deviations(g)
+        assert relations <= 1e-11
+        assert corners <= 1e-12
+
+    def test_genus_19_is_still_below_tol(self):
+        relations, corners = worst_deviations(19)
+        assert relations < TOL
+        assert corners < TOL
 
 
 class TestSerialization:
