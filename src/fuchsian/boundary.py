@@ -299,7 +299,7 @@ def boundary_step_many(params, thetas) -> tuple[np.ndarray, np.ndarray]:
     Like the extension steps, it runs the dual map when given a DualParams.
     """
     i = params.partition.index_many(thetas)
-    return params.surface.t_angles(i, thetas), i
+    return params.surface.t_angles(i, thetas)[0], i
 
 
 def boundary_step(params, x: CirclePoint) -> tuple[CirclePoint, int]:
@@ -315,8 +315,8 @@ def extension_step_many(params, u_thetas, w_thetas):
     ExtremalParams, or a DualParams for the dual extension.  Returns
     (u', w', index).
     """
-    w2, i = boundary_step_many(params, w_thetas)
-    return params.surface.t_angles(i, u_thetas), w2, i
+    i = params.partition.index_many(w_thetas)
+    return *params.surface.t_angles(i, u_thetas, w_thetas), i
 
 
 def extension_step(params, u: CirclePoint, w: CirclePoint) -> tuple[CirclePoint, CirclePoint, int]:
@@ -522,7 +522,7 @@ class PreimageTable:
         ends = np.array([(r.x.start.angle, r.x.end.angle, r.y.start.angle, r.y.end.angle) for r in rects])
         self.params = params
         self.branch = part.index_many(ends[:, 2])
-        img = s.t_angles(self.branch[:, None], ends)
+        (img,) = s.t_angles(self.branch[:, None], ends)
         img[img >= TWO_PI] = 0.0  # np.remainder can round up to 2*pi
         self.x0, self.x1, self.y0, self.y1 = img.T
         self.inverse = np.array([s.sigma(i) for i in self.branch.tolist()])  # T_sigma(i) = T_i^-1
@@ -579,8 +579,7 @@ def inverse_step(
     ks = ks[np.argsort(t.branch[ks], kind="stable")]
     if len(ks) == 0:
         raise BijectivityError("no preimage found inside the domain")
-    hu = solved.surface.t_angles(t.inverse[ks], u.angle)
-    hw = solved.surface.t_angles(t.inverse[ks], w.angle)
+    hu, hw = solved.surface.t_angles(t.inverse[ks], u.angle, w.angle)
     if (angdiff_many(hu, hu[0]) > tol).any() or (angdiff_many(hw, hw[0]) > tol).any():
         raise BijectivityError(f"multiple preimages found: branches {t.branch[ks].tolist()}")
     return CirclePoint(hu[0]), CirclePoint(hw[0]), int(t.branch[ks[0]])
@@ -598,8 +597,8 @@ def inverse_step_many(solved: SolvedParams, domain: RectDomain, u_thetas, w_thet
     count, k = table.lookup_many(u_thetas, w_thetas)
     one = count == 1
     k = np.where(one, k, 0)
-    pu = np.where(one, solved.surface.t_angles(table.inverse[k], u_thetas), 0.0)
-    pw = np.where(one, solved.surface.t_angles(table.inverse[k], w_thetas), 0.0)
+    images = solved.surface.t_angles(table.inverse[k], u_thetas, w_thetas)
+    pu, pw = (np.where(one, x, 0.0) for x in images)
     return pu, pw, np.where(one, table.branch[k], 0), count
 
 

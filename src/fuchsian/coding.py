@@ -60,7 +60,7 @@ def geo_step(
         raise OutsideDomainError("geodesic does not cross the polygon")
     if hi_ties[0] > 1:
         raise DegeneratePointsError("geodesic exits through a vertex")
-    gu, gw = surface.t_angles(exit_, [u.angle]), surface.t_angles(exit_, [w.angle])
+    gu, gw = surface.t_angles(exit_, [u.angle], [w.angle])
     return CirclePoint(gu[0]), CirclePoint(gw[0]), int(exit_[0])
 
 
@@ -247,7 +247,7 @@ def verify_conjugacy(
     u, w, exit_ = sample_curvilinear(regions, rng, samples)
 
     # geometric step
-    gu, gw = solved.surface.t_angles(exit_, u), solved.surface.t_angles(exit_, w)
+    gu, gw = solved.surface.t_angles(exit_, u, w)
 
     # classify both p and geo(p); skip any sample whose classification is
     # ambiguous or whose image sits within the margin of a boundary

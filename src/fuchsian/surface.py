@@ -141,12 +141,12 @@ class SurfaceGroup:
         """The coefficients a and c of T_1..T_N, as arrays."""
         return np.array([m.a for m in self.generators]), np.array([m.c for m in self.generators])
 
-    def t_angles(self, index, thetas) -> np.ndarray:
-        """T_i(theta) as angles, where index holds each row's 1-based i;
-        index and thetas broadcast against each other."""
-        a, c = self._coefficients
+    def t_angles(self, index, *thetas) -> tuple[np.ndarray, ...]:
+        """T_i(theta) as angles for each array in thetas, where index holds
+        each row's 1-based i and broadcasts against every array."""
         k = np.asarray(index) - 1
-        return moebius_angles(a[k], c[k], thetas)
+        a, c = self._coefficients[0][k], self._coefficients[1][k]
+        return tuple(moebius_angles(a, c, x) for x in thetas)
 
     @cached_property
     def p_angles(self) -> np.ndarray:

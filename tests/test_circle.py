@@ -229,7 +229,7 @@ class TestMoebiusAngles:
             images.append(got)
         # Per-row generator indices select each row's generator.
         pick = rng.integers(0, surface.n, size=thetas.size)
-        got = surface.t_angles(pick + 1, thetas)
+        (got,) = surface.t_angles(pick + 1, thetas)
         assert (got == np.array(images)[pick, np.arange(thetas.size)]).all()
 
 

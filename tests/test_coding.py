@@ -169,7 +169,7 @@ class TestOneRowSteps:
         solved, domain, _, _ = case
         surface = solved.surface
         u, w, exit_ = sample_curvilinear(RegionTable(solved, domain), np.random.default_rng(5), 1000)
-        gu, gw = surface.t_angles(exit_, u), surface.t_angles(exit_, w)
+        gu, gw = surface.t_angles(exit_, u, w)
         bad = [
             k
             for k in range(len(u))
