@@ -3,7 +3,7 @@ hyperbolic surfaces presented by (8g-4)-sided fundamental polygons."""
 
 __version__ = "0.1.0"
 
-from .circle import TOL, Arc, CirclePoint, MoebiusMap, ccw, from_three_points, geodesic_endpoints
+from .circle import TOL, Arc, CirclePoint, MoebiusMap, geodesic_endpoints
 from .surface import (
     SideIndexMaps,
     SurfaceGroup,
@@ -72,14 +72,12 @@ __all__ = [
     "build_domain",
     "build_omega_dual",
     "build_regular_surface",
-    "ccw",
     "classify_type",
     "code_geodesic",
     "compute_h_d",
     "dual_family_check",
     "dual_params",
     "extension_step",
-    "from_three_points",
     "geo_step",
     "geodesic_endpoints",
     "geodesic_intersects_polygon",

@@ -524,6 +524,14 @@ class PreimageTable:
         self.branch = part.index_many(ends[:, 2])
         (img,) = s.t_angles(self.branch[:, None], ends)
         img[img >= TWO_PI] = 0.0  # np.remainder can round up to 2*pi
+        # Each y-end is a P_j or Q_j, and the generator of its branch maps
+        # it onto another one, which t_angles misses by a few ulps: snap it
+        # onto the endpoint within TOL, the only one there.  The x-ends stay
+        # as computed, so a wrong domain still fails the Monte Carlo check.
+        pq = np.sort(np.concatenate([s.p_angles, s.q_angles]))
+        k = np.searchsorted(pq, img[:, 2:])
+        for near in (pq[k - 1], pq[k % len(pq)]):
+            img[:, 2:] = np.where(angdiff_many(img[:, 2:], near) <= TOL, near, img[:, 2:])
         self.x0, self.x1, self.y0, self.y1 = img.T
         self.inverse = np.array([s.sigma(i) for i in self.branch.tolist()])  # T_sigma(i) = T_i^-1
 

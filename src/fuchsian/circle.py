@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import (
     DegeneratePointsError,
-    NoCircleFixedPointsError,
     NotDiskAutomorphismError,
     SingularMapError,
 )
@@ -28,20 +27,23 @@ from .errors import (
 TWO_PI = 2.0 * math.pi
 
 #: Global tolerance for point equality and matrix identity checks.  Worst
-#: deviations measured on the regular surfaces, for the group relations
-#: and for the corner checks of the analytic bijectivity check on three
-#: random words per genus:
+#: deviations measured on the regular surfaces: the group relations, the
+#: two products for U_i that solve compares, and the corner checks of the
+#: analytic bijectivity check on three random words per genus:
 #:
-#:     g    relations   corners
-#:     2    5.8e-14     1.9e-14
-#:     4    8.3e-13     5.2e-14
-#:     8    2.3e-11     2.5e-13
-#:     16   3.7e-10     8.5e-13
-#:     19   8.9e-10     1.3e-12    relations only 1.1x below TOL
-#:     20   1.17e-9     -          the four-term relation fails
+#:     g    relations   U_i        corners
+#:     2    1.8e-14     2.0e-14    7.1e-15
+#:     4    1.3e-13     5.4e-13    2.0e-14
+#:     8    3.7e-12     1.1e-11    8.3e-14
+#:     16   2.3e-11     2.7e-10    4.1e-13
+#:     19   4.4e-11     4.2e-10    5.5e-13
+#:     22   7.0e-11     7.7e-10    6.9e-13
+#:     23   9.8e-11     2.0e-9     -          solve raises ContradictionError
+#:     50   1.02e-9     -          -          the four-term relation fails
 #:
-#: The relations set the genus ceiling; tests/test_surface.py pins the
-#: margins at g <= 4 and g = 19.
+#: U_i sets the genus ceiling: its coefficients grow like |a|^2 (1.6e3 at
+#: g = 23) against an absolute TOL.  tests/test_surface.py pins the
+#: margins at g <= 4, 19 and 22, and the wall at g = 23.
 TOL = 1e-9
 
 
@@ -99,21 +101,6 @@ class CirclePoint:
 
     def __repr__(self):
         return f"CirclePoint({self.angle:.12g})"
-
-
-def ccw(a: CirclePoint, b: CirclePoint, c: CirclePoint, tol: float = TOL) -> bool:
-    """True iff b lies strictly on the counterclockwise arc from a to c.
-
-    Total cyclic-order predicate; raises on coincident inputs because the
-    answer would be meaningless there.
-    """
-    if (
-        angular_separation(a.angle, b.angle) <= tol
-        or angular_separation(b.angle, c.angle) <= tol
-        or angular_separation(a.angle, c.angle) <= tol
-    ):
-        raise DegeneratePointsError("ccw of (nearly) coincident points")
-    return ccw_distance(a.angle, b.angle) < ccw_distance(a.angle, c.angle)
 
 
 @dataclass(frozen=True)
@@ -218,9 +205,6 @@ class MoebiusMap:
     def __matmul__(self, other: "MoebiusMap") -> "MoebiusMap":
         return self.compose(other)
 
-    def inverse(self) -> "MoebiusMap":
-        return MoebiusMap(self.a.conjugate(), -self.c)
-
     def apply_complex(self, z: complex) -> complex:
         den = self.c * z + self.a.conjugate()
         if abs(den) < TOL:
@@ -235,34 +219,11 @@ class MoebiusMap:
         w = self.apply_complex(cmath.exp(1j * theta))
         return wrap_angle(cmath.phase(w))
 
-    def derivative_abs(self, z: complex) -> float:
-        """|f'(z)|; equals 1/|c*z + conj(a)|^2."""
-        return 1.0 / abs(self.c * z + self.a.conjugate()) ** 2
-
-    @property
-    def trace(self) -> float:
-        return 2.0 * self.a.real
-
     def distance_to(self, other: "MoebiusMap") -> float:
         """Coefficient distance modulo the global sign ambiguity."""
         d_plus = max(abs(self.a - other.a), abs(self.c - other.c))
         d_minus = max(abs(self.a + other.a), abs(self.c + other.c))
         return min(d_plus, d_minus)
-
-    def fixed_points_on_circle(self, tol: float = TOL) -> tuple[CirclePoint, CirclePoint]:
-        """The two circle fixed points of a hyperbolic map, attracting first."""
-        if abs(self.trace) <= 2.0 + tol:
-            raise NoCircleFixedPointsError(
-                f"|trace| = {abs(self.trace):.12g} is not > 2; no two circle fixed points"
-            )
-        # c*z^2 + (conj(a)-a)*z - conj(c) = 0; |c| > 0 because |Re a| > 1.
-        s = math.sqrt(self.a.real**2 - 1.0)
-        z1 = (1j * self.a.imag + s) / self.c
-        z2 = (1j * self.a.imag - s) / self.c
-        p1, p2 = CirclePoint.from_complex(z1), CirclePoint.from_complex(z2)
-        if self.derivative_abs(p1.value) < 1.0:
-            return p1, p2
-        return p2, p1
 
     def __repr__(self):
         return f"MoebiusMap(a={self.a:.12g}, c={self.c:.12g})"
@@ -276,60 +237,6 @@ def moebius_angles(a, c, thetas) -> np.ndarray:
     """
     z = np.exp(1j * np.asarray(thetas, dtype=float))
     return np.remainder(np.angle((a * z + np.conj(c)) / (c * z + np.conj(a))), TWO_PI)
-
-
-def _det3(m) -> complex:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-
-
-def from_three_points(
-    pairs: list[tuple[complex, complex]], tol: float = 1e-7
-) -> MoebiusMap:
-    """The Moebius map sending z_k -> w_k for three point pairs.
-
-    The data must be realizable by an orientation-preserving disk
-    automorphism (up to `tol` in the normalized coefficients); otherwise
-    NotDiskAutomorphismError is raised.
-    """
-    if len(pairs) != 3:
-        raise ValueError("exactly three point pairs required")
-    (z1, w1), (z2, w2), (z3, w3) = pairs
-    if min(abs(z1 - z2), abs(z1 - z3), abs(z2 - z3)) < TOL:
-        raise DegeneratePointsError("source points are not pairwise distinct")
-    if min(abs(w1 - w2), abs(w1 - w3), abs(w2 - w3)) < TOL:
-        raise DegeneratePointsError("target points are not pairwise distinct")
-
-    a = _det3([[z1 * w1, w1, 1], [z2 * w2, w2, 1], [z3 * w3, w3, 1]])
-    b = _det3([[z1 * w1, z1, w1], [z2 * w2, z2, w2], [z3 * w3, z3, w3]])
-    c = _det3([[z1, w1, 1], [z2, w2, 1], [z3, w3, 1]])
-    d = _det3([[z1 * w1, z1, 1], [z2 * w2, z2, 1], [z3 * w3, z3, 1]])
-
-    det = a * d - b * c
-    if abs(det) < TOL:
-        raise DegeneratePointsError("interpolation data is degenerate")
-    s = cmath.sqrt(det)
-    a, b, c, d = a / s, b / s, c / s, d / s
-
-    if abs(d - a.conjugate()) > tol or abs(b - c.conjugate()) > tol:
-        if abs(d + a.conjugate()) <= tol and abs(b + c.conjugate()) <= tol:
-            # det-normalization with -1 inside the sqrt branch: same map.
-            a, b, c, d = 1j * a, 1j * b, 1j * c, 1j * d
-        else:
-            reason = "does not preserve the unit circle"
-            if abs(abs(a) ** 2 - abs(c) ** 2 + 1.0) < 1e-6:
-                reason = "maps the disk interior to the exterior (|a|^2-|c|^2 = -1)"
-            raise NotDiskAutomorphismError(f"interpolation data {reason}")
-    # Symmetrize away the last few ulps of noise, then renormalize.
-    aa = 0.5 * (a + d.conjugate())
-    cc = 0.5 * (c + b.conjugate())
-    m = MoebiusMap(aa, cc)
-    if abs(aa) <= abs(cc):
-        raise NotDiskAutomorphismError("maps the disk interior to the exterior (|a|^2-|c|^2 = -1)")
-    return m.normalized()
 
 
 def half_turn(p: complex) -> MoebiusMap:

@@ -10,11 +10,7 @@ class DegeneratePointsError(FuchsianError):
 
 
 class NotDiskAutomorphismError(FuchsianError):
-    """Interpolation data is not realized by an orientation-preserving disk map."""
-
-
-class NoCircleFixedPointsError(FuchsianError):
-    """The map is not hyperbolic, so it has no pair of fixed points on the circle."""
+    """The data is not realized by an orientation-preserving disk map."""
 
 
 class SingularMapError(FuchsianError):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -28,7 +28,6 @@ from .circle import (
     MoebiusMap,
     angdiff,
     ccw_distance,
-    from_three_points,
     geodesic_circle,
     geodesic_endpoints,
     moebius_angles,
@@ -243,30 +242,45 @@ def regular_vertex_radius(genus: int) -> float:
 
 
 def build_regular_surface(genus: int, offset: float = 0.0) -> SurfaceGroup:
-    """The regular Ford (8g-4)-gon with its side-pairing generators.
+    """The regular Ford (8g-4)-gon with its side-pairing generators, in closed form.
 
     Vertices sit at Euclidean radius regular_vertex_radius(genus) on rays at
-    angles 2*pi*(k-1)/N + offset.  Generators are interpolated through
-    P_i -> Q_{sigma(i)+1}, Q_{i+1} -> P_{sigma(i)}, V_i -> V_{sigma(i)+1}
-    and the result is validated against all group relations.
+    angles 2*pi*(k-1)/N + offset.  So side i has its midpoint in direction
+    alpha_i = 2*pi*(i-1)/N + pi/N + offset, at hyperbolic distance d from
+    the centre, where cos(pi/4) = cosh d * sin(pi/N) in the right triangle
+    (centre, midpoint, vertex) with angles pi/N and pi/4.
+
+    The half turn about the midpoint tanh(d/2) of the side in direction 0
+    swaps that side's ends; its coefficients are -i cosh d and -i sinh d
+    (circle.half_turn).  Rot(t): z -> e^{it} z has a = e^{it/2}, c = 0.  So
+
+        T_i = Rot(alpha_sigma(i)) o half_turn(tanh(d/2)) o Rot(-alpha_i)
+
+    maps side i onto side sigma(i), with V_i -> V_{sigma(i)+1}, and, up to
+    the global sign,
+
+        a_i = i cosh d e^{i(alpha_sigma(i) - alpha_i)/2},
+        c_i = i sinh d e^{-i(alpha_i + alpha_sigma(i))/2}.
+
+    The surface is validated against all group relations.
     """
-    n = SideIndexMaps(genus).n
+    maps = SideIndexMaps(genus)
+    n = maps.n
     r = regular_vertex_radius(genus)
     vertices = [r * cmath.exp(1j * (TWO_PI * k / n + offset)) for k in range(n)]
-    polygon = assemble_surface(genus, vertices, [MoebiusMap.identity()] * n, offset)
+    cosh_d = math.cos(0.25 * math.pi) / math.sin(math.pi / n)
+    sinh_d = math.sqrt(cosh_d * cosh_d - 1.0)
+    alpha = [TWO_PI * k / n + math.pi / n + offset for k in range(n)]
     gens = []
     for i in range(1, n + 1):
-        si = polygon.sigma(i)
+        a_i, a_si = alpha[i - 1], alpha[maps.sigma(i) - 1]
         gens.append(
-            from_three_points(
-                [
-                    (polygon.p(i).value, polygon.q(si + 1).value),
-                    (polygon.q(i + 1).value, polygon.p(si).value),
-                    (polygon.v(i), polygon.v(si + 1)),
-                ]
+            MoebiusMap(
+                1j * cosh_d * cmath.exp(0.5j * (a_si - a_i)),
+                1j * sinh_d * cmath.exp(-0.5j * (a_i + a_si)),
             )
         )
-    surface = replace(polygon, generators=tuple(gens))
+    surface = assemble_surface(genus, vertices, gens, offset)
     report = verify_group_relations(surface)
     if not report.passed:
         name, dev = report.failures[0]

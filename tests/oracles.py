@@ -7,11 +7,127 @@ from dataclasses import dataclass
 import numpy as np
 
 from fuchsian.boundary import boundary_step, extension_step, inverse_step
-from fuchsian.circle import TOL, TWO_PI, CirclePoint, angdiff, moebius_angles
+from fuchsian.circle import (
+    TOL,
+    TWO_PI,
+    CirclePoint,
+    MoebiusMap,
+    angdiff,
+    angular_separation,
+    ccw_distance,
+    moebius_angles,
+)
 from fuchsian.coding import CodingSeq
 from fuchsian.duality import dual_params
-from fuchsian.errors import BijectivityError, DegeneratePointsError, OutsideDomainError
+from fuchsian.errors import (
+    BijectivityError,
+    DegeneratePointsError,
+    NotDiskAutomorphismError,
+    OutsideDomainError,
+)
 from fuchsian.surface import SurfaceGroup
+
+
+# -- Moebius maps and cyclic order ---------------------------------------------
+
+
+def ccw(a: CirclePoint, b: CirclePoint, c: CirclePoint, tol: float = TOL) -> bool:
+    """True iff b lies strictly on the counterclockwise arc from a to c.
+
+    Total cyclic-order predicate; raises on coincident inputs because the
+    answer would be meaningless there.
+    """
+    if (
+        angular_separation(a.angle, b.angle) <= tol
+        or angular_separation(b.angle, c.angle) <= tol
+        or angular_separation(a.angle, c.angle) <= tol
+    ):
+        raise DegeneratePointsError("ccw of (nearly) coincident points")
+    return ccw_distance(a.angle, b.angle) < ccw_distance(a.angle, c.angle)
+
+
+def inverse(m: MoebiusMap) -> MoebiusMap:
+    return MoebiusMap(m.a.conjugate(), -m.c)
+
+
+def trace(m: MoebiusMap) -> float:
+    return 2.0 * m.a.real
+
+
+def derivative_abs(m: MoebiusMap, z: complex) -> float:
+    """|f'(z)|; equals 1/|c*z + conj(a)|^2."""
+    return 1.0 / abs(m.c * z + m.a.conjugate()) ** 2
+
+
+def fixed_points_on_circle(m: MoebiusMap, tol: float = TOL) -> tuple[CirclePoint, CirclePoint]:
+    """The two circle fixed points of a hyperbolic map, attracting first.
+
+    Raises ValueError for a map that is not hyperbolic.
+    """
+    if abs(trace(m)) <= 2.0 + tol:
+        raise ValueError(f"|trace| = {abs(trace(m)):.12g} is not > 2; no two circle fixed points")
+    # c*z^2 + (conj(a)-a)*z - conj(c) = 0; |c| > 0 because |Re a| > 1.
+    s = math.sqrt(m.a.real**2 - 1.0)
+    z1 = (1j * m.a.imag + s) / m.c
+    z2 = (1j * m.a.imag - s) / m.c
+    p1, p2 = CirclePoint.from_complex(z1), CirclePoint.from_complex(z2)
+    if derivative_abs(m, p1.value) < 1.0:
+        return p1, p2
+    return p2, p1
+
+
+def _det3(m) -> complex:
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def from_three_points(pairs: list[tuple[complex, complex]], tol: float = 1e-7) -> MoebiusMap:
+    """The Moebius map sending z_k -> w_k for three point pairs; the
+    reference that the closed-form generators of build_regular_surface are
+    tested against.
+
+    The data must be realizable by an orientation-preserving disk
+    automorphism (up to `tol` in the normalized coefficients); otherwise
+    NotDiskAutomorphismError is raised.
+    """
+    if len(pairs) != 3:
+        raise ValueError("exactly three point pairs required")
+    (z1, w1), (z2, w2), (z3, w3) = pairs
+    if min(abs(z1 - z2), abs(z1 - z3), abs(z2 - z3)) < TOL:
+        raise DegeneratePointsError("source points are not pairwise distinct")
+    if min(abs(w1 - w2), abs(w1 - w3), abs(w2 - w3)) < TOL:
+        raise DegeneratePointsError("target points are not pairwise distinct")
+
+    a = _det3([[z1 * w1, w1, 1], [z2 * w2, w2, 1], [z3 * w3, w3, 1]])
+    b = _det3([[z1 * w1, z1, w1], [z2 * w2, z2, w2], [z3 * w3, z3, w3]])
+    c = _det3([[z1, w1, 1], [z2, w2, 1], [z3, w3, 1]])
+    d = _det3([[z1 * w1, z1, 1], [z2 * w2, z2, 1], [z3 * w3, z3, 1]])
+
+    det = a * d - b * c
+    if abs(det) < TOL:
+        raise DegeneratePointsError("interpolation data is degenerate")
+    s = cmath.sqrt(det)
+    a, b, c, d = a / s, b / s, c / s, d / s
+
+    if abs(d - a.conjugate()) > tol or abs(b - c.conjugate()) > tol:
+        if abs(d + a.conjugate()) <= tol and abs(b + c.conjugate()) <= tol:
+            # det-normalization with -1 inside the sqrt branch: same map.
+            a, b, c, d = 1j * a, 1j * b, 1j * c, 1j * d
+        else:
+            reason = "does not preserve the unit circle"
+            if abs(abs(a) ** 2 - abs(c) ** 2 + 1.0) < 1e-6:
+                reason = "maps the disk interior to the exterior (|a|^2-|c|^2 = -1)"
+            raise NotDiskAutomorphismError(f"interpolation data {reason}")
+    # Symmetrize away the last few ulps of noise, then renormalize.
+    aa = 0.5 * (a + d.conjugate())
+    cc = 0.5 * (c + b.conjugate())
+    m = MoebiusMap(aa, cc)
+    if abs(aa) <= abs(cc):
+        raise NotDiskAutomorphismError("maps the disk interior to the exterior (|a|^2-|c|^2 = -1)")
+    return m.normalized()
 
 
 def inverse_search(solved, domain, u, w, tol=TOL):

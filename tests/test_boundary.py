@@ -601,6 +601,22 @@ class TestPreimageTable:
             assert ([x.angle for x, _, _ in got] == np.remainder(pu, TWO_PI)).all()
             assert ([y.angle for _, y, _ in got] == np.remainder(pw, TWO_PI)).all()
 
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_y_edge_rows_have_one_preimage(self, g):
+        # A rectangle's y-ends are P_j or Q_j, and their images under the
+        # branch generator are too; the table snaps those images onto the
+        # endpoints, so a point on a y-edge has exactly one preimage.
+        surface = build_regular_surface(g)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            solved = solve(surface, "".join(rng.choice(["P", "Q"], size=surface.n)))
+            domain = build_domain(solved)
+            u, _ = domain.sample(rng, 4000)
+            w = rng.choice([r.y.start.angle for r in domain.rects], len(u))
+            inside = domain.contains_many(u, w)
+            assert inside.sum() > 2000
+            assert (inverse_step_many(solved, domain, u[inside], w[inside])[3] == 1).all()
+
     def test_table_is_built_once_per_domain(self, solved_example):
         domain = build_domain(solved_example)
         u, w = domain.sample(np.random.default_rng(3), 10)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fuchsian.boundary import (
+    RectDomain,
     boundary_step,
     boundary_step_many,
     build_domain,
@@ -497,10 +498,11 @@ class TestCodingMany:
         assert mismatches == []
 
     def test_edge_rows_match_the_scalar_loop_for_one_step(self):
-        # Rows on rectangle edges and corners reach every stopping rule: w
-        # on a partition point, no preimage, and several preimages, which
-        # inverse_step merges or rejects.  One step each way, before the
-        # two loops' Moebius arithmetic can round apart on such rows.
+        # Rows on rectangle edges and corners reach every stopping rule but
+        # the merge (see the next test): w on a partition point, no
+        # preimage, and several preimages, which inverse_step rejects.  One
+        # step each way, before the two loops' Moebius arithmetic can round
+        # apart on such rows.
         mismatches, rules = [], set()
         for g in (2, 3, 4):
             surface = build_regular_surface(g)
@@ -527,14 +529,38 @@ class TestCodingMany:
                     for name, rows in (
                         ("forward stop", future[:, 0] == 0),
                         ("no preimage", count == 0),
-                        ("merged", (count > 1) & (past[:, 0] > 0)),
                         ("rejected", (count > 1) & (past[:, 0] == 0)),
                         ("backward stop", (count == 1) & (past[:, 0] == 0)),
                     )
                     if rows.any()
                 )
         assert mismatches == []
-        assert len(rules) == 5, rules
+        assert len(rules) == 4, rules
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_a_repeated_rectangle_merges_its_two_preimages(self, g):
+        # A domain that lists one rectangle twice gives every point of that
+        # rectangle's image two identical preimages; inverse_step merges
+        # them, and the array coder follows it.
+        surface = build_regular_surface(g)
+        solved = solve(surface, STEP_WORDS[g])
+        rects = build_domain(solved).rects
+        j = next(j for j, r in enumerate(rects) if not r.degenerate)
+        domain = RectDomain(rects[: j + 1] + rects[j:])
+        rng = np.random.default_rng(g)
+        r = rects[j]
+        u = r.x.start.angle + r.width * rng.uniform(0.01, 0.99, 200)
+        w = r.y.start.angle + r.height * rng.uniform(0.01, 0.99, 200)
+        u, w, i = extension_step_many(solved.params, u, w)
+        count = inverse_step_many(solved, domain, u, w)[3]
+        assert (count == 2).all()
+        for a, b in zip(u, w):
+            assert inverse_step(solved, domain, CirclePoint(a), CirclePoint(b))[2] == i[0]
+        future, past, truncated = code_geodesic_many(solved, domain, u, w, 1, 1)
+        assert (past[:, 0] > 0).all()
+        for k in range(len(u)):
+            want = code_geodesic_loop(solved, domain, CirclePoint(u[k]), CirclePoint(w[k]), 1, 1)
+            assert _row(future, past, truncated, k) == (want.future, want.past, want.truncated)
 
     def test_past_orbit_stops_where_it_leaves_the_domain(self, genus4):
         # On edge rows a preimage can round out of the domain while the

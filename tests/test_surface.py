@@ -9,7 +9,7 @@ import pytest
 
 from fuchsian.boundary import build_domain, solve, verify_bijectivity
 from fuchsian.circle import TOL, TWO_PI, CirclePoint, MoebiusMap
-from fuchsian.errors import ConstructionError, DegeneratePointsError
+from fuchsian.errors import ConstructionError, ContradictionError, DegeneratePointsError
 from fuchsian.surface import (
     GeodesicClipper,
     SideIndexMaps,
@@ -215,8 +215,21 @@ class TestToleranceMargins:
 
     def test_genus_19_is_still_below_tol(self):
         relations, corners = worst_deviations(19)
+        assert relations <= 1e-10
+        assert corners < TOL
+
+    def test_genus_22_builds_and_passes_the_analytic_check(self):
+        relations, corners = worst_deviations(22)
         assert relations < TOL
         assert corners < TOL
+
+    def test_genus_23_stops_in_solve(self):
+        # compute_h_d compares the two products for U_i, whose coefficients
+        # grow like |a|^2, against the absolute TOL: the next genus wall.
+        surface = build_regular_surface(23)
+        word = "".join(np.random.default_rng(23).choice(["P", "Q"], size=surface.n))
+        with pytest.raises(ContradictionError, match="two expressions for U_"):
+            solve(surface, word)
 
 
 class TestSerialization:
