@@ -26,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +49,9 @@ from .errors import (
 )
 from .surface import SurfaceGroup
 from .words import BasePoint, GroupWord, prepend
+
+NAMED = "PQGHD"  # the row letters of SolvedParams.angles
+_ROW_OF = bytes.maketrans(NAMED.encode(), bytes(range(len(NAMED))))  # letters to rows in one translate call
 
 
 class IndexType(IntEnum):
@@ -209,6 +213,12 @@ class SolvedParams:
     def u(self, i: int) -> MoebiusMap:
         return self.U[i % len(self.U) - 1]
 
+    @cached_property
+    def angles(self) -> np.ndarray:
+        """The named-point angle table: rows P, Q, G, H, D (NAMED), column i-1 for side i."""
+        named = [[pt.point.angle for pt in pts] for pts in (self.G, self.H, self.D)]
+        return np.array([self.surface.p_angles, self.surface.q_angles, *named])
+
     def to_json(self) -> str:
         doc = {
             "genus": self.surface.genus,
@@ -225,6 +235,39 @@ class SolvedParams:
             ],
         }
         return json.dumps(doc, indent=2)
+
+
+def identity_failures(surface: SurfaceGroup, angles: np.ndarray, rows, tol: float = TOL) -> tuple[list[str], float]:
+    """Check identities T_i X_j = Y_k among named points with one t_angles call.
+
+    Each row is (i, X, j, Y, k): 1-based indices read mod N, and letters of
+    NAMED picking rows of `angles`, laid out like SolvedParams.angles.  A row
+    passes only when its deviation is within tol, so a NaN fails.  Returns
+    the failing rows' messages, in row order, and the worst deviation.
+    """
+    gen, src, j, dst, k = zip(*rows)
+    gen, j, k = (np.array([gen, j, k]) - 1) % surface.n
+    src, dst = np.frombuffer("".join(src + dst).encode().translate(_ROW_OF), np.uint8).reshape(2, -1)
+    (img,) = surface.t_angles(gen + 1, angles[src, j])
+    dev = angdiff_many(img, angles[dst, k])
+    w = surface.wrap
+    fails = [f"T_{w(a)} {x}_{w(b)} = {y}_{w(c)} off by {d:.3g}"
+             for (a, x, b, y, c), d in zip(rows, dev.tolist()) if not d <= tol]
+    return fails, float(dev.max())
+
+
+def endpoint_identities(params: ExtremalParams, i: int) -> list[tuple]:
+    """The P/Q identities of side i, as identity_failures rows: T_i maps the
+    upper strip's y-arc [Q_i, P_{i+1}], and T_i or T_{i-1}, as the choice at i
+    is P or Q, the lower strip's [P_i, Q_i], onto arcs between endpoints.
+    """
+    s = params.surface
+    si = s.sigma(i)
+    rows = [(i, "Q", i, "Q", si + 2), (i, "P", i + 1, "P", si - 1)]
+    if params.choice(i) == "P":
+        return rows + [(i, "P", i, "Q", si + 1)]
+    k = s.tau_sigma(i)
+    return rows + [(i - 1, "P", i, "P", k), (i - 1, "Q", i, "P", k + 1)]
 
 
 def _in_closed_arc(x: CirclePoint, a: CirclePoint, b: CirclePoint, tol: float) -> bool:
@@ -276,11 +319,7 @@ def solve(surface: SurfaceGroup, word: str, tol: float = TOL) -> SolvedParams:
             raise RangeError(f"H_{i} lies outside [Q_{i}, Q_{surface.wrap(i + 1)}]")
         if not _in_closed_arc(d_pts[i - 1], surface.p(i), surface.q(i), tol):
             raise RangeError(f"D_{i} lies outside [P_{i}, Q_{i}]")
-        sp1 = surface.wrap(surface.sigma(i) + 1)
-        img = surface.t(surface.sigma(i)).apply(h_pts[sp1 - 1])
-        if angdiff(img.angle, d_pts[i - 1].angle) > tol:
-            raise RangeError(f"D_{i} != T_sigma({i}) H_{sp1}")
-    return SolvedParams(
+    solved = SolvedParams(
         params=params,
         types=types,
         G=tuple(SolvedPoint(w, p) for w, p in zip(g_words, g_pts)),
@@ -288,6 +327,11 @@ def solve(surface: SurfaceGroup, word: str, tol: float = TOL) -> SolvedParams:
         D=tuple(SolvedPoint(w, p) for w, p in zip(d_words, d_pts)),
         U=tuple(u_maps),
     )
+    rows = [(surface.sigma(i), "H", surface.sigma(i) + 1, "D", i) for i in range(1, surface.n + 1)]
+    fails, _ = identity_failures(surface, solved.angles, rows, tol)
+    if fails:
+        raise RangeError(f"corner identity {fails[0]}")
+    return solved
 
 
 # -- the boundary map and its two-coordinate extension ------------------------
@@ -701,13 +745,6 @@ def verify_bijectivity(
     return report
 
 
-def _corner_check(report, name, actual: CirclePoint, expected: CirclePoint, tol):
-    dev = angdiff(actual.angle, expected.angle)
-    report.max_corner_deviation = max(report.max_corner_deviation, dev)
-    if dev > tol:
-        report.corner_failures.append(f"{name} off by {dev:.3g}")
-
-
 def degeneracy_failures(solved: SolvedParams, tol: float = TOL) -> list[str]:
     """One message per piece [H_i, D_{i+1}] or [D_i, G_i] whose emptiness the word contradicts.
 
@@ -738,25 +775,20 @@ def _verify_analytic(solved: SolvedParams, report: BijectivityReport, tol: float
     params = solved.params
     report.analytic_checked = True
 
+    rows = []
     for i in range(1, n + 1):
         si = s.sigma(i)
-        t = s.t(i)
+        ends = endpoint_identities(params, i)
         # Image of the upper rectangle [H_{i+1}, G_{i-1}] x [Q_i, P_{i+1}].
-        _corner_check(report, f"T_{i} H_{s.wrap(i + 1)} = D_{si}", t.apply(solved.h(i + 1)), solved.d(si), tol)
-        _corner_check(report, f"T_{i} G_{s.wrap(i - 1)} = D_{s.wrap(si + 1)}", t.apply(solved.g(i - 1)), solved.d(si + 1), tol)
-        _corner_check(report, f"T_{i} Q_{i} = Q_{s.wrap(si + 2)}", t.apply(s.q(i)), s.q(si + 2), tol)
-        _corner_check(report, f"T_{i} P_{s.wrap(i + 1)} = P_{s.wrap(si - 1)}", t.apply(s.p(i + 1)), s.p(si - 1), tol)
+        rows += [(i, "H", i + 1, "D", si), (i, "G", i - 1, "D", si + 1), *ends[:2]]
         # Image of the lower rectangle [H_{i+1}, G_{i-2}] x [P_i, Q_i].
         if params.choice(i) == "P":
-            _corner_check(report, f"T_{i} G_{s.wrap(i - 2)} = G_{si}", t.apply(solved.g(i - 2)), solved.g(si), tol)
-            _corner_check(report, f"T_{i} P_{i} = Q_{s.wrap(si + 1)}", t.apply(s.p(i)), s.q(si + 1), tol)
+            rows.append((i, "G", i - 2, "G", si))
         else:
-            t1 = s.t(i - 1)
             k = s.tau_sigma(i)
-            _corner_check(report, f"T_{s.wrap(i - 1)} H_{s.wrap(i + 1)} = H_{s.wrap(k + 1)}", t1.apply(solved.h(i + 1)), solved.h(k + 1), tol)
-            _corner_check(report, f"T_{s.wrap(i - 1)} G_{s.wrap(i - 2)} = D_{s.wrap(k + 2)}", t1.apply(solved.g(i - 2)), solved.d(k + 2), tol)
-            _corner_check(report, f"T_{s.wrap(i - 1)} P_{i} = P_{k}", t1.apply(s.p(i)), s.p(k), tol)
-            _corner_check(report, f"T_{s.wrap(i - 1)} Q_{i} = P_{s.wrap(k + 1)}", t1.apply(s.q(i)), s.p(k + 1), tol)
+            rows += [(i - 1, "H", i + 1, "H", k + 1), (i - 1, "G", i - 2, "D", k + 2)]
+        rows += ends[2:]
+    report.corner_failures, report.max_corner_deviation = identity_failures(s, solved.angles, rows, tol)
 
     # Degeneracy happens exactly where the image decomposition drops a piece.
     report.degeneracy_failures = degeneracy_failures(solved, tol)
@@ -766,7 +798,6 @@ def _verify_analytic(solved: SolvedParams, report: BijectivityReport, tol: float
     # pieces are contiguous by construction.  The strips share 3N distinct
     # pieces, [H_{m+1}, D_{m+2}], [D_j, D_{j+1}] and [D_j, G_j]; each is
     # measured, and named if reversed, under the first strip that uses it.
-    corner = {"H": solved.h, "D": solved.d, "G": solved.g}
     widths: dict[tuple, float] = {}
     for m in range(1, n + 1):
         for kind, end in (("lower", m + n - 2), ("upper", m + n - 1)):
@@ -775,7 +806,7 @@ def _verify_analytic(solved: SolvedParams, report: BijectivityReport, tol: float
             for piece in zip(chain, chain[1:]):
                 if piece not in widths:
                     (a, ia), (b, ib) = piece
-                    width = ccw_distance(corner[a](ia).angle, corner[b](ib).angle)
+                    width = ccw_distance(*(solved.angles[NAMED.index(x), ix - 1] for x, ix in piece))
                     if width > TWO_PI - n * tol:
                         width = 0.0  # degenerate piece rounded microscopically past zero
                     elif width > math.pi:

@@ -38,7 +38,9 @@ from .boundary import (
     ExtremalParams,
     RectDomain,
     SolvedParams,
+    endpoint_identities,
     extension_step_many,
+    identity_failures,
     inverse_step,
     inverse_step_many,
 )
@@ -417,48 +419,31 @@ def markov_transition_matrix(
 ) -> TransitionMatrix:
     """Build and numerically validate the half-interval transition matrix.
 
-    Row contents follow the verified closed forms; every row's endpoint
-    images are re-checked numerically and a mismatch raises MarkovError.
+    Row contents follow the verified closed forms.  The generators' images
+    of the row endpoints, endpoint_identities of each side, are checked
+    numerically; the first mismatch raises MarkovError naming it.
     """
-    params = (
-        solved_or_params.params
-        if isinstance(solved_or_params, SolvedParams)
-        else solved_or_params
-    )
+    params = solved_or_params.params if isinstance(solved_or_params, SolvedParams) else solved_or_params
     s = params.surface
     n = s.n
     m = 2 * n
     matrix = np.zeros((m, m), dtype=bool)
     branch: list[int] = [0] * m
 
-    def interval_endpoints(k: int) -> tuple[CirclePoint, CirclePoint]:
-        i = (k + 1) // 2
-        if k % 2:
-            return s.p(i), s.q(i)
-        return s.q(i), s.p(i + 1)
-
-    def fill_block(row: int, start: int, count: int):
-        for j in range(count):
-            matrix[row - 1, (start + j - 1) % m] = True
-
+    claims = []
     for i in range(1, n + 1):
         si = s.sigma(i)
-        # Per row: generator applied, claimed endpoint images, first column
-        # and width of the row's block.  Odd row 2i-1 is (P_i, Q_i).
-        if params.choice(i) == "P":
-            odd = (i, (s.q(si + 1), s.q(si + 2)), 2 * si + 2, 2)
-        else:
-            k = s.tau_sigma(i)
-            odd = (s.wrap(i - 1), (s.p(k), s.p(k + 1)), 2 * k - 1, 2)
-        # even row 2i: interval (Q_i, P_{i+1})
-        even = (i, (s.q(si + 2), s.p(si - 1)), 2 * si + 4, 2 * n - 7)
-        for row, (gen, expected, start, count) in ((2 * i - 1, odd), (2 * i, even)):
+        # Per row: generator applied, first column and width of the row's
+        # block.  Odd row 2i-1 is (P_i, Q_i), even row 2i is (Q_i, P_{i+1}).
+        odd = (i, 2 * si + 2, 2) if params.choice(i) == "P" else (s.wrap(i - 1), 2 * s.tau_sigma(i) - 1, 2)
+        even = (i, 2 * si + 4, 2 * n - 7)
+        for row, (gen, start, count) in ((2 * i - 1, odd), (2 * i, even)):
             branch[row - 1] = gen
-            fill_block(row, start, count)
-            t = s.t(gen)
-            for end, claim, name in zip(interval_endpoints(row), expected, ("left", "right")):
-                if angdiff(t.apply(end).angle, claim.angle) > tol:
-                    raise MarkovError(f"row {row}: {name} endpoint image mismatch")
+            matrix[row - 1, (start - 1 + np.arange(count)) % m] = True
+        claims += endpoint_identities(params, i)
+    fails, _ = identity_failures(s, np.array([s.p_angles, s.q_angles]), claims, tol)
+    if fails:
+        raise MarkovError(f"endpoint image mismatch: {fails[0]}")
 
     return TransitionMatrix(genus=s.genus, matrix=matrix, branch=tuple(branch))
 

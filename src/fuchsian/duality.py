@@ -26,10 +26,11 @@ from .boundary import (
     build_domain,
     degeneracy_failures,
     extension_step_many,
+    identity_failures,
     inverse_step_many,
     solve,
 )
-from .circle import TOL, TWO_PI, Arc, CirclePartition, CirclePoint, angdiff, angdiff_many
+from .circle import TOL, TWO_PI, Arc, CirclePartition, CirclePoint, angdiff_many
 from .errors import ConstructionError
 from .surface import SurfaceGroup
 from .words import GroupWord
@@ -70,17 +71,10 @@ class DualParams:
 
     def extremal_word(self, tol: float = TOL) -> str | None:
         """The {P,Q} word matching the dual points, or None if non-extremal."""
-        s = self.surface
-        out = []
-        for i in range(1, self.n + 1):
-            di = self.d(i)
-            if angdiff(di.angle, s.p(i).angle) <= tol:
-                out.append("P")
-            elif angdiff(di.angle, s.q(i).angle) <= tol:
-                out.append("Q")
-            else:
-                return None
-        return "".join(out)
+        d = self.solved.angles[4]
+        is_p = angdiff_many(d, self.surface.p_angles) <= tol
+        is_q = angdiff_many(d, self.surface.q_angles) <= tol
+        return "".join(np.where(is_p, "P", "Q")) if (is_p | is_q).all() else None
 
     def to_json(self) -> str:
         doc = json.loads(self.solved.to_json())
@@ -238,29 +232,18 @@ def verify_dual_images(
     maps onto the next lower strip when the choice at sigma(i)+1 is Q.
     """
     s = solved.surface
-    dual = dual_domain.dual
     params = solved.params
-    fails: list[str] = []
-
-    def check(name: str, actual: CirclePoint, expected: CirclePoint):
-        dev = angdiff(actual.angle, expected.angle)
-        if dev > tol:
-            fails.append(f"{name} off by {dev:.3g}")
-
+    angles = np.vstack([solved.angles[:4], dual_domain.dual.solved.angles[4:]])  # D of the dual domain
+    rows = []
     for i in range(1, s.n + 1):
-        t = s.t(i)
         j = s.sigma(i)
-        check(f"T_{i} Q_{s.wrap(i + 2)} = Q_{j}", t.apply(s.q(i + 2)), s.q(j))
-        check(f"T_{i} P_{s.wrap(i - 1)} = P_{s.wrap(j + 1)}", t.apply(s.p(i - 1)), s.p(j + 1))
-        check(f"T_{i} D_{i} = H_{s.wrap(j + 1)}", t.apply(dual.d(i)), solved.h(j + 1))
-        check(f"T_{i} D_{s.wrap(i + 1)} = G_{s.wrap(j - 1)}", t.apply(dual.d(i + 1)), solved.g(j - 1))
+        rows += [(i, "Q", i + 2, "Q", j), (i, "P", i - 1, "P", j + 1)]
+        rows += [(i, "D", i, "H", j + 1), (i, "D", i + 1, "G", j - 1)]
         if params.choice(j) == "P":
-            check(f"T_{i} G_{i} = G_{s.wrap(j - 2)}", t.apply(solved.g(i)), solved.g(j - 2))
-            check(f"T_{i} Q_{s.wrap(i + 1)} = P_{j}", t.apply(s.q(i + 1)), s.p(j))
+            rows += [(i, "G", i, "G", j - 2), (i, "Q", i + 1, "P", j)]
         if params.choice(j + 1) == "Q":
-            check(f"T_{i} H_{i} = H_{s.wrap(j + 2)}", t.apply(solved.h(i)), solved.h(j + 2))
-            check(f"T_{i} P_{i} = Q_{s.wrap(j + 1)}", t.apply(s.p(i)), s.q(j + 1))
-    return fails
+            rows += [(i, "H", i, "H", j + 2), (i, "P", i, "Q", j + 1)]
+    return identity_failures(s, angles, rows, tol)[0]
 
 
 def verify_duality(

@@ -300,7 +300,7 @@ class RelationReport:
 
     @property
     def failures(self) -> list[tuple[str, float]]:
-        return [(n, d) for n, d in self.entries if d > self.tol]
+        return [(n, d) for n, d in self.entries if not d <= self.tol]  # so NaN fails
 
     @property
     def passed(self) -> bool:

@@ -16,8 +16,10 @@ from fuchsian.boundary import (
     boundary_step,
     build_domain,
     classify_type,
+    endpoint_identities,
     extension_step,
     extension_step_many,
+    identity_failures,
     invariant_measure,
     inverse_step,
     inverse_step_many,
@@ -423,6 +425,46 @@ class TestBijectivity:
         report = verify_bijectivity(broken, domain_example, mode="analytic")
         assert not report.analytic_passed
         assert any("H_5" in f for f in report.corner_failures)
+
+    @pytest.mark.parametrize(
+        "name, shift, expected",
+        [
+            ("D", 1.0, ["T_3 H_4 = D_5 off by 1", "T_10 G_9 = D_5 off by 1", "T_10 G_9 = D_5 off by 1"]),
+            ("H", 0.01, ["T_4 H_5 = D_10 off by 0.00322"]),
+        ],
+    )
+    def test_corner_failure_messages(self, solved_example, name, shift, expected):
+        # The complete list for one moved point; T_10 G_9 = D_5 is claimed
+        # by both rectangles of side 10 (its upper strip, and the lower one
+        # of side 11 through T_10).
+        pts = list(getattr(solved_example, name))
+        pts[4] = dataclasses.replace(pts[4], point=CirclePoint(pts[4].point.angle + shift))
+        broken = dataclasses.replace(solved_example, **{name: tuple(pts)})
+        report = verify_bijectivity(broken, build_domain(broken), mode="analytic")
+        assert report.corner_failures == expected
+
+    @pytest.mark.parametrize("side", range(1, 13))
+    @pytest.mark.parametrize("name", "GHD")
+    def test_nan_named_point_fails(self, solved_example, domain_example, name, side):
+        pts = list(getattr(solved_example, name))
+        pts[side - 1] = dataclasses.replace(pts[side - 1], point=CirclePoint(math.nan))
+        broken = dataclasses.replace(solved_example, **{name: tuple(pts)})
+        with np.errstate(invalid="ignore"):
+            report = verify_bijectivity(broken, domain_example, mode="analytic")
+        assert not report.analytic_passed
+        assert any(f"{name}_{side} " in f and f.endswith("off by nan") for f in report.corner_failures)
+
+    def test_identity_failures_reads_indices_mod_n(self, genus2, solved_example):
+        rows = [row for i in range(1, 13) for row in endpoint_identities(solved_example.params, i)]
+        assert identity_failures(genus2, solved_example.angles, rows)[0] == []
+        # T_12 Q_12 = Q_sigma(12)+2 holds whatever multiple of N is added to
+        # an index; P_sigma(12) is not the image of P_13, and the message
+        # names it with wrapped indices.
+        si = genus2.sigma(12)
+        rows = [(0, "Q", 24, "Q", si + 14), (12, "P", 13, "P", si)]
+        fails, worst = identity_failures(genus2, solved_example.angles, rows)
+        assert [f.split(" off by ")[0] for f in fails] == [f"T_12 P_1 = P_{si}"]
+        assert worst > 0.1
 
     def test_reversed_tiling_piece_is_named(self, solved_example, domain_example):
         # D_5 moved past D_6 reverses the piece [D_5, D_6] in every strip using it.

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fuchsian.boundary import (
+    ExtremalParams,
     RectDomain,
     boundary_step,
     boundary_step_many,
@@ -32,7 +33,7 @@ from fuchsian.coding import (
     sofic_amalgamate,
     verify_conjugacy,
 )
-from fuchsian.errors import OutsideDomainError
+from fuchsian.errors import MarkovError, OutsideDomainError
 from fuchsian.surface import GeodesicClipper, build_regular_surface
 from oracles import code_geodesic_loop, polygon_status, trace_geodesic
 
@@ -662,6 +663,14 @@ class TestMarkov:
             )
             got = set(interval_of(images).tolist())
             assert got == set(tm.row_entries(row))
+
+    def test_wrong_generators_raise(self, genus2):
+        # Generators rotated by one index no longer carry the interval ends
+        # onto endpoints; the error names the first identity that fails.
+        g = genus2.generators
+        rotated = dataclasses.replace(genus2, generators=g[1:] + g[:1])
+        with pytest.raises(MarkovError, match=r"^endpoint image mismatch: T_1 Q_1 = Q_9 off by 1\.92$"):
+            markov_transition_matrix(ExtremalParams(rotated, "PPPPQPQQPPQQ"))
 
     def test_markov_rows_for_every_word_are_blocks(self, genus2):
         import itertools

@@ -1,6 +1,7 @@
 """Dual parameters, dual domain, and the inverse-conjugation identity."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -117,6 +118,31 @@ class TestDualStep:
     def test_wide_rect_maps_to_upper_strip(self, genus2, solved_example, dual_example):
         # Corners of the wide rectangle go to the corners of V'_sigma(i).
         assert verify_dual_images(solved_example, dual_example) == []
+
+    @pytest.mark.parametrize(
+        "name, shift, expected",
+        [
+            ("D", 1.0, ["T_4 D_5 = G_9 off by 0.622", "T_5 D_5 = H_4 off by 0.626"]),
+            ("H", 0.01, ["T_10 D_10 = H_5 off by 0.01"]),
+        ],
+    )
+    def test_image_failure_messages(self, solved_example, dual_example, name, shift, expected):
+        # D is read from the dual domain's DualParams, so it carries the move.
+        pts = list(getattr(solved_example, name))
+        pts[4] = dataclasses.replace(pts[4], point=CirclePoint(pts[4].point.angle + shift))
+        broken = dataclasses.replace(solved_example, **{name: tuple(pts)})
+        moved = dataclasses.replace(dual_example, dual=dual_params(broken))
+        assert verify_dual_images(broken, moved) == expected
+
+    @pytest.mark.parametrize("side", range(1, 13))
+    @pytest.mark.parametrize("name", "GH")
+    def test_nan_named_point_is_reported(self, solved_example, dual_example, name, side):
+        pts = list(getattr(solved_example, name))
+        pts[side - 1] = dataclasses.replace(pts[side - 1], point=CirclePoint(math.nan))
+        broken = dataclasses.replace(solved_example, **{name: tuple(pts)})
+        with np.errstate(invalid="ignore"):
+            fails = verify_dual_images(broken, dual_example)
+        assert any(f"{name}_{side} " in f and f.endswith("off by nan") for f in fails)
 
     def test_step_branch_is_left_closed(self, solved_example, dual_example):
         dual = dual_example.dual

@@ -120,3 +120,23 @@ def test_inverse_step_many_keeps_the_traced_contract(solved_example, domain_exam
     count = result[3]
     assert count.shape == (250,) and np.issubdtype(count.dtype, np.integer)
     assert (count == inverse_search_many(solved_example, domain_example, u, w)[3]).all()
+
+
+def test_scalar_apply_is_left_to_word_evaluation_and_relation_checks():
+    """Named-point identities run through t_angles; MoebiusMap.apply keeps two callers."""
+    calls = []
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "apply":
+                calls.append((path.name, ".".join(scope), child.lineno))
+            visit(child, path, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, [])
+    allowed = {("words.py", "GroupWord.evaluate"), ("surface.py", "verify_group_relations")}
+    assert [call for call in calls if call[:2] not in allowed] == []
+    assert {call[:2] for call in calls} == allowed

@@ -255,6 +255,14 @@ class TestSerialization:
         with pytest.raises(ConstructionError):
             SurfaceGroup.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("key, value", [("a", [math.nan, 0.0]), ("a", [math.inf, 0.0]), ("c", [math.nan, 0.0])])
+    def test_non_finite_generator_rejected(self, genus2, key, value):
+        # Its relations deviate by NaN, which is not within tol.
+        doc = json.loads(genus2.to_json())
+        doc["generators"][0][key] = value
+        with pytest.raises(ConstructionError):
+            SurfaceGroup.from_json(json.dumps(doc))
+
 
 class TestPolygonIntersection:
     def test_side_extension_is_boundary(self, genus2):
