@@ -270,6 +270,28 @@ def endpoint_identities(params: ExtremalParams, i: int) -> list[tuple]:
     return rows + [(i - 1, "P", i, "P", k), (i - 1, "Q", i, "P", k + 1)]
 
 
+def _canonical_angles(angles: np.ndarray, tol: float = TOL) -> np.ndarray:
+    """The angle table with the named points that agree within tol made one float.
+
+    Sorted around the circle, the entries fall into runs whose consecutive
+    gaps are within tol (a run may wrap through 0).  Each entry takes the
+    value of its run's first member in table order: rows P, Q, G, H, D,
+    then side order, so a G, H or D equal to an endpoint takes its float.
+    """
+    flat = angles.ravel()
+    order = np.argsort(flat)
+    srt = flat[order]
+    start = np.empty(len(flat), dtype=bool)  # a run starts at this sorted position
+    start[0] = srt[0] - srt[-1] + TWO_PI > tol
+    np.greater(srt[1:] - srt[:-1], tol, out=start[1:])
+    run = np.cumsum(start) - 1  # -1, the last run, before the first start: it wraps through 0
+    first = np.full(max(run[-1] + 1, 1), len(flat))
+    np.minimum.at(first, run, order)
+    canon = np.empty_like(flat)
+    canon[order] = flat[first[run]]
+    return canon.reshape(angles.shape)
+
+
 def _in_closed_arc(x: CirclePoint, a: CirclePoint, b: CirclePoint, tol: float) -> bool:
     return Arc(a, b, True, True).contains(x, tol)
 
@@ -319,7 +341,16 @@ def solve(surface: SurfaceGroup, word: str, tol: float = TOL) -> SolvedParams:
             raise RangeError(f"H_{i} lies outside [Q_{i}, Q_{surface.wrap(i + 1)}]")
         if not _in_closed_arc(d_pts[i - 1], surface.p(i), surface.q(i), tol):
             raise RangeError(f"D_{i} lies outside [P_{i}, Q_{i}]")
-    solved = SolvedParams(
+    pts = (g_pts, h_pts, d_pts)
+    angles = np.array([surface.p_angles, surface.q_angles, *([p.angle for p in row] for row in pts)])
+    rows = [(surface.sigma(i), "H", surface.sigma(i) + 1, "D", i) for i in range(1, surface.n + 1)]
+    fails, _ = identity_failures(surface, angles, rows, tol)
+    if fails:
+        raise RangeError(f"corner identity {fails[0]}")
+    canon = _canonical_angles(angles, tol)
+    for r, j in zip(*np.nonzero(canon != angles)):  # rows 2-4: P and Q come first, so never move
+        pts[r - 2][j] = CirclePoint(float(canon[r, j]))
+    return SolvedParams(
         params=params,
         types=types,
         G=tuple(SolvedPoint(w, p) for w, p in zip(g_words, g_pts)),
@@ -327,11 +358,6 @@ def solve(surface: SurfaceGroup, word: str, tol: float = TOL) -> SolvedParams:
         D=tuple(SolvedPoint(w, p) for w, p in zip(d_words, d_pts)),
         U=tuple(u_maps),
     )
-    rows = [(surface.sigma(i), "H", surface.sigma(i) + 1, "D", i) for i in range(1, surface.n + 1)]
-    fails, _ = identity_failures(surface, solved.angles, rows, tol)
-    if fails:
-        raise RangeError(f"corner identity {fails[0]}")
-    return solved
 
 
 # -- the boundary map and its two-coordinate extension ------------------------
@@ -375,9 +401,8 @@ def extension_step(params, u: CirclePoint, w: CirclePoint) -> tuple[CirclePoint,
 
 
 def _degenerate(width, height):
-    """Extents within TOL of zero; an intended-zero extent can round
-    microscopically past 2*pi, so within TOL of 2*pi too."""
-    return (np.minimum(width, height) <= TOL) | (np.maximum(width, height) >= TWO_PI - TOL)
+    """Extents within TOL of zero."""
+    return np.minimum(width, height) <= TOL
 
 
 @dataclass(frozen=True)
@@ -426,10 +451,10 @@ class RectDomain:
         ridx = int(self.locate_many([u.angle], [w.angle])[0])
         return None if ridx < 0 else ridx
 
-    def preimages(self, params: ExtremalParams) -> PreimageTable:
-        """The PreimageTable of the extension map for params, built on first use."""
-        if self._preimages is None or self._preimages.params is not params:
-            self._preimages = PreimageTable(params, self)
+    def preimages(self, solved: SolvedParams) -> PreimageTable:
+        """The PreimageTable of the extension map for solved, built on first use."""
+        if self._preimages is None or self._preimages.solved is not solved:
+            self._preimages = PreimageTable(solved, self)
         return self._preimages
 
     def locate_many(self, u_thetas, w_thetas) -> np.ndarray:
@@ -544,7 +569,7 @@ def invariant_measure(rect: DomainRect) -> float:
 class PreimageTable:
     """How many preimages each point has under the extension map on a domain.
 
-    The domain's y-breakpoints refine params.partition, so every rectangle
+    The domain's y-breakpoints refine solved.params.partition, so every rectangle
     r lies in one branch arc i(r), and (u, w) has exactly as many
     preimages in the domain as there are image rectangles T_{i(r)}(r)
     holding it.  Rectangles flagged `degenerate` are left out: none of
@@ -557,25 +582,26 @@ class PreimageTable:
     names the covering rectangle.
     """
 
-    def __init__(self, params: ExtremalParams, domain: RectDomain):
-        s = params.surface
-        part = params.partition
+    def __init__(self, solved: SolvedParams, domain: RectDomain):
+        s = solved.surface
+        params = solved.params
         if not {p.angle for p in params.points} <= {r.y.start.angle for r in domain.rects}:
             raise ValueError("the domain's y-breakpoints do not refine the branch partition")
         rects = [domain.rects[j] for j in np.flatnonzero(~_degenerate(domain._xw, domain._yw))]
         ends = np.array([(r.x.start.angle, r.x.end.angle, r.y.start.angle, r.y.end.angle) for r in rects])
-        self.params = params
-        self.branch = part.index_many(ends[:, 2])
+        self.solved = solved
+        self.branch = params.partition.index_many(ends[:, 2])
         (img,) = s.t_angles(self.branch[:, None], ends)
         img[img >= TWO_PI] = 0.0  # np.remainder can round up to 2*pi
-        # Each y-end is a P_j or Q_j, and the generator of its branch maps
-        # it onto another one, which t_angles misses by a few ulps: snap it
-        # onto the endpoint within TOL, the only one there.  The x-ends stay
-        # as computed, so a wrong domain still fails the Monte Carlo check.
-        pq = np.sort(np.concatenate([s.p_angles, s.q_angles]))
-        k = np.searchsorted(pq, img[:, 2:])
-        for near in (pq[k - 1], pq[k % len(pq)]):
-            img[:, 2:] = np.where(angdiff_many(img[:, 2:], near) <= TOL, near, img[:, 2:])
+        # Each end is a named point, and the generator of its branch maps it
+        # onto another one, which t_angles misses by a few ulps: snap it onto
+        # the table entry within TOL, the only one there.  An end farther
+        # from every entry stays as computed, so a wrong domain still fails
+        # the Monte Carlo check.
+        named = np.unique(solved.angles)
+        k = np.searchsorted(named, img)
+        for near in (named[k - 1], named[k % len(named)]):
+            img = np.where(angdiff_many(img, near) <= TOL, near, img)
         self.x0, self.x1, self.y0, self.y1 = img.T
         self.inverse = np.array([s.sigma(i) for i in self.branch.tolist()])  # T_sigma(i) = T_i^-1
 
@@ -604,37 +630,21 @@ class PreimageTable:
 
 
 def inverse_step(
-    solved: SolvedParams,
-    domain: RectDomain,
-    u: CirclePoint,
-    w: CirclePoint,
-    tol: float = TOL,
+    solved: SolvedParams, domain: RectDomain, u: CirclePoint, w: CirclePoint
 ) -> tuple[CirclePoint, CirclePoint, int]:
     """The unique preimage in the domain of a domain point: inverse_step_many for one pair.
 
-    Where the domain's PreimageTable counts several preimages, the image
-    rectangles holding (u, w) give them, in branch order; preimages within
-    tol of the first are a rounding artifact on a shared rectangle edge.
-    Returns the preimage and its branch i.  No preimage, or preimages
-    farther apart than tol, raise BijectivityError.
+    Returns the preimage and its branch i.  No preimage, or several, raise
+    BijectivityError.
     """
     if not domain.contains(u, w):
         raise OutsideDomainError("inverse requested for a point outside the domain")
     pu, pw, branch, count = inverse_step_many(solved, domain, [u.angle], [w.angle])
-    if count[0] == 1:
-        return CirclePoint(pu[0]), CirclePoint(pw[0]), int(branch[0])
-    # The image rectangles holding (u, w) in branch order; none where the count is 0.
-    t = domain.preimages(solved.params)
-    covers = (count[0] > 1) & (np.remainder(w.angle - t.y0, TWO_PI) < np.remainder(t.y1 - t.y0, TWO_PI))
-    covers &= np.remainder(u.angle - t.x0, TWO_PI) < np.remainder(t.x1 - t.x0, TWO_PI)
-    ks = np.flatnonzero(covers)
-    ks = ks[np.argsort(t.branch[ks], kind="stable")]
-    if len(ks) == 0:
+    if count[0] == 0:
         raise BijectivityError("no preimage found inside the domain")
-    hu, hw = solved.surface.t_angles(t.inverse[ks], u.angle, w.angle)
-    if (angdiff_many(hu, hu[0]) > tol).any() or (angdiff_many(hw, hw[0]) > tol).any():
-        raise BijectivityError(f"multiple preimages found: branches {t.branch[ks].tolist()}")
-    return CirclePoint(hu[0]), CirclePoint(hw[0]), int(t.branch[ks[0]])
+    if count[0] > 1:
+        raise BijectivityError("multiple preimages found")
+    return CirclePoint(pu[0]), CirclePoint(pw[0]), int(branch[0])
 
 
 def inverse_step_many(solved: SolvedParams, domain: RectDomain, u_thetas, w_thetas):
@@ -645,7 +655,7 @@ def inverse_step_many(solved: SolvedParams, domain: RectDomain, u_thetas, w_thet
     is the preimage (T_sigma(i) u, T_sigma(i) w) and branch is i; the
     other rows hold zeros.
     """
-    table = domain.preimages(solved.params)
+    table = domain.preimages(solved)
     count, k = table.lookup_many(u_thetas, w_thetas)
     one = count == 1
     k = np.where(one, k, 0)
@@ -786,7 +796,8 @@ def _verify_analytic(solved: SolvedParams, report: BijectivityReport, tol: float
             rows.append((i, "G", i - 2, "G", si))
         else:
             k = s.tau_sigma(i)
-            rows += [(i - 1, "H", i + 1, "H", k + 1), (i - 1, "G", i - 2, "D", k + 2)]
+            # T_{i-1} G_{i-2} = D_{k+2} is side i-1's upper row (k+2 = sigma(i-1)+1).
+            rows.append((i - 1, "H", i + 1, "H", k + 1))
         rows += ends[2:]
     report.corner_failures, report.max_corner_deviation = identity_failures(s, solved.angles, rows, tol)
 
@@ -807,9 +818,7 @@ def _verify_analytic(solved: SolvedParams, report: BijectivityReport, tol: float
                 if piece not in widths:
                     (a, ia), (b, ib) = piece
                     width = ccw_distance(*(solved.angles[NAMED.index(x), ix - 1] for x, ix in piece))
-                    if width > TWO_PI - n * tol:
-                        width = 0.0  # degenerate piece rounded microscopically past zero
-                    elif width > math.pi:
+                    if width > math.pi:
                         # a genuinely reversed piece would wrap most of the circle
                         report.tiling_failures.append(
                             f"strip {m} {kind}: piece [{a}_{ia},{b}_{ib}] reversed (width {width:.3g})"
@@ -818,8 +827,6 @@ def _verify_analytic(solved: SolvedParams, report: BijectivityReport, tol: float
                     widths[piece] = width
                 total += widths[piece]
             strip_width = ccw_distance(solved.h(m + 1).angle, solved.g(end).angle)
-            if strip_width > TWO_PI - n * tol:
-                strip_width = 0.0
             if abs(total - strip_width) > n * tol:
                 report.tiling_failures.append(
                     f"strip {m} {kind}: pieces cover {total:.12f} of {strip_width:.12f}"

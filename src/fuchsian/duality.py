@@ -131,10 +131,7 @@ class DualDomain:
         k = self.dual.partition.index_many(w) - 1  # w in [D_i, D_{i+1}), strip i = k + 1
 
         def in_arc(theta, a0, a1):
-            width = np.remainder(a1 - a0, TWO_PI)
-            # An intended-empty arc can round microscopically past 2*pi.
-            width = np.where(width > TWO_PI - TOL, 0.0, width)
-            return np.remainder(theta - a0, TWO_PI) < width
+            return np.remainder(theta - a0, TWO_PI) < np.remainder(a1 - a0, TWO_PI)
 
         wx0, wx1, _, _ = self._ends["wide"][:, k]
         hx0, hx1, hy0, hy1 = self._ends["head"][:, k]

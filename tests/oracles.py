@@ -389,7 +389,7 @@ def code_geodesic_loop(solved, domain, u, w, n_future, n_past, tol=TOL):
     cu, cw = u, w
     for _ in range(n_past):
         try:
-            cu, cw, i = inverse_step(solved, domain, cu, cw, tol)
+            cu, cw, i = inverse_step(solved, domain, cu, cw)
         except (OutsideDomainError, BijectivityError):
             truncated = True
             break

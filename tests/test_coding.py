@@ -17,6 +17,7 @@ from fuchsian.boundary import (
     inverse_step,
     inverse_step_many,
     solve,
+    verify_bijectivity,
 )
 from fuchsian.circle import TOL, TWO_PI, Arc, CirclePoint
 from fuchsian.coding import (
@@ -33,7 +34,7 @@ from fuchsian.coding import (
     sofic_amalgamate,
     verify_conjugacy,
 )
-from fuchsian.errors import MarkovError, OutsideDomainError
+from fuchsian.errors import BijectivityError, MarkovError, OutsideDomainError
 from fuchsian.surface import GeodesicClipper, build_regular_surface
 from oracles import code_geodesic_loop, polygon_status, trace_geodesic
 
@@ -499,12 +500,11 @@ class TestCodingMany:
         assert mismatches == []
 
     def test_edge_rows_match_the_scalar_loop_for_one_step(self):
-        # Rows on rectangle edges and corners reach every stopping rule but
-        # the merge (see the next test): w on a partition point, no
-        # preimage, and several preimages, which inverse_step rejects.  One
-        # step each way, before the two loops' Moebius arithmetic can round
-        # apart on such rows.
-        mismatches, rules = [], set()
+        # Rows on rectangle edges and corners, where w can sit on a
+        # partition point, have exactly one preimage each.  One step each
+        # way, before the two loops' Moebius arithmetic can round apart on
+        # such rows.
+        mismatches = []
         for g in (2, 3, 4):
             surface = build_regular_surface(g)
             rng = np.random.default_rng(7)
@@ -520,29 +520,19 @@ class TestCodingMany:
                 inside = domain.contains_many(u, w)
                 u, w = u[inside], w[inside]
                 future, past, truncated = code_geodesic_many(solved, domain, u, w, 1, 1)
-                count = inverse_step_many(solved, domain, u, w)[3]
+                assert (inverse_step_many(solved, domain, u, w)[3] == 1).all()
                 for k in range(len(u)):
                     want = code_geodesic_loop(solved, domain, CirclePoint(u[k]), CirclePoint(w[k]), 1, 1)
                     if _row(future, past, truncated, k) != (want.future, want.past, want.truncated):
                         mismatches.append((g, k))
-                rules.update(
-                    name
-                    for name, rows in (
-                        ("forward stop", future[:, 0] == 0),
-                        ("no preimage", count == 0),
-                        ("rejected", (count > 1) & (past[:, 0] == 0)),
-                        ("backward stop", (count == 1) & (past[:, 0] == 0)),
-                    )
-                    if rows.any()
-                )
         assert mismatches == []
-        assert len(rules) == 4, rules
 
     @pytest.mark.parametrize("g", [2, 3, 4])
-    def test_a_repeated_rectangle_merges_its_two_preimages(self, g):
+    def test_a_repeated_rectangle_is_rejected(self, g):
         # A domain that lists one rectangle twice gives every point of that
-        # rectangle's image two identical preimages; inverse_step merges
-        # them, and the array coder follows it.
+        # rectangle's image two preimages: inverse_step rejects them, the
+        # coder stops there like the scalar loop, and the Monte Carlo check
+        # counts ambiguous preimages.
         surface = build_regular_surface(g)
         solved = solve(surface, STEP_WORDS[g])
         rects = build_domain(solved).rects
@@ -552,16 +542,19 @@ class TestCodingMany:
         r = rects[j]
         u = r.x.start.angle + r.width * rng.uniform(0.01, 0.99, 200)
         w = r.y.start.angle + r.height * rng.uniform(0.01, 0.99, 200)
-        u, w, i = extension_step_many(solved.params, u, w)
+        u, w, _ = extension_step_many(solved.params, u, w)
         count = inverse_step_many(solved, domain, u, w)[3]
         assert (count == 2).all()
         for a, b in zip(u, w):
-            assert inverse_step(solved, domain, CirclePoint(a), CirclePoint(b))[2] == i[0]
+            with pytest.raises(BijectivityError, match="multiple preimages found"):
+                inverse_step(solved, domain, CirclePoint(a), CirclePoint(b))
         future, past, truncated = code_geodesic_many(solved, domain, u, w, 1, 1)
-        assert (past[:, 0] > 0).all()
+        assert (past[:, 0] == 0).all() and truncated.all()
         for k in range(len(u)):
             want = code_geodesic_loop(solved, domain, CirclePoint(u[k]), CirclePoint(w[k]), 1, 1)
             assert _row(future, past, truncated, k) == (want.future, want.past, want.truncated)
+        report = verify_bijectivity(solved, domain, mode="mc", samples=4000, seed=1)
+        assert report.mc_preimage_ambiguous > 0 and not report.mc_passed
 
     def test_past_orbit_stops_where_it_leaves_the_domain(self, genus4):
         # On edge rows a preimage can round out of the domain while the

@@ -140,3 +140,43 @@ def test_scalar_apply_is_left_to_word_evaluation_and_relation_checks():
     allowed = {("words.py", "GroupWord.evaluate"), ("surface.py", "verify_group_relations")}
     assert [call for call in calls if call[:2] not in allowed] == []
     assert {call[:2] for call in calls} == allowed
+
+
+def test_scalar_steps_are_one_row_calls():
+    """Each scalar step calls its array form, and runs no loop and no kernel of its own."""
+    steps = {
+        ("boundary.py", "boundary_step"),
+        ("boundary.py", "extension_step"),
+        ("boundary.py", "inverse_step"),
+        ("boundary.py", "RectDomain.locate"),
+        ("coding.py", "code_geodesic"),
+    }
+    kernels = {"t_angles", "moebius_angles", "preimages"}
+    found, wrong = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defs += [
+            (f"{cls.name}.{node.name}", node)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+        ]
+        for name, fn in defs:
+            if (path.name, name) not in steps:
+                continue
+            found.add((path.name, name))
+            nodes = list(ast.walk(fn))
+            called = {
+                call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
+                for call in nodes
+                if isinstance(call, ast.Call)
+            }
+            if name.split(".")[-1] + "_many" not in called:
+                wrong.append(f"{name} does not call its _many form")
+            wrong += [f"{name} calls {k}" for k in sorted(called & kernels)]
+            if any(isinstance(node, (ast.For, ast.While)) for node in nodes):
+                wrong.append(f"{name} has a loop")
+    assert found == steps
+    assert wrong == []
