@@ -17,6 +17,7 @@ Exit codes: 0 on success/pass, 1 on verification failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -65,13 +66,14 @@ def _add_common(parser: argparse.ArgumentParser, with_params: bool = True):
     parser.add_argument("--out", default=None, help="output file (default stdout)")
 
 
+def _output(out: str | None):
+    """The file named by --out, opened for writing, or stdout (left open)."""
+    return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
+
+
 def _emit(text: str, out: str | None):
-    text = text if text.endswith("\n") else text + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out) as fh:
+        fh.write(text if text.endswith("\n") else text + "\n")
 
 
 def _check_word(word: str, genus: int) -> str | None:
@@ -224,11 +226,13 @@ def cmd_sweep(args) -> int:
         count = 100 if args.random is None else args.random
         words = ("".join(rng.choice(["P", "Q"], size=surface.n)) for _ in range(count))
     mode = "analytic" if args.analytic_only else "both"
-    results = list(sweep(surface, words, mode, args.samples, args.seed, args.tol))
-    failures = sum(not r.passed for r in results)
-    lines = [f"{r.word} {r.verdict}" for r in results]
-    lines.append(f"sweep genus={args.genus} words={len(results)} failures={failures} seed={args.seed}")
-    _emit("\n".join(lines), args.out)
+    count = failures = 0
+    with _output(args.out) as fh:
+        for r in sweep(surface, words, mode, args.samples, args.seed, args.tol):
+            fh.write(f"{r.word} {r.verdict}\n")
+            count += 1
+            failures += not r.passed
+        fh.write(f"sweep genus={args.genus} words={count} failures={failures} seed={args.seed}\n")
     return 0 if failures == 0 else VERIFY_FAILURE
 
 

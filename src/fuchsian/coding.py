@@ -137,7 +137,7 @@ class RegionTable:
             if not mask.any():
                 continue
             for i in np.unique(index[mask]):
-                m = self.solved.u(s.tau(int(i)) + tau_shift)
+                m = s.u(s.tau(int(i)) + tau_shift)
                 sel = mask & (index == i)
                 u2[sel] = moebius_angles(m.a, m.c, u2[sel])
                 w2[sel] = moebius_angles(m.a, m.c, w2[sel])

@@ -32,7 +32,7 @@ from .circle import (
     geodesic_endpoints,
     moebius_angles,
 )
-from .errors import ConstructionError, DegeneratePointsError
+from .errors import ConstructionError, ContradictionError, DegeneratePointsError
 
 
 def _wrap(i: int, n: int) -> int:
@@ -100,13 +100,19 @@ class SideIndexMaps:
     def rho(self, i: int) -> int:
         return self._rho[i % self.n]
 
+    @cached_property
+    def side_rows(self) -> np.ndarray:
+        """sigma(i), tau(i) and tau_sigma(i) for i = 1..N, as the rows of one array."""
+        sides = range(1, self.n + 1)
+        return np.array([[f(i) for i in sides] for f in (self.sigma, self.tau, self.tau_sigma)])
+
 
 @dataclass(frozen=True)
 class SurfaceGroup:
     """Polygon data plus the generators identifying its sides.
 
     vertices[k] is V_{k+1}; P[k], Q[k] are the ideal points P_{k+1}, Q_{k+1};
-    generators[k] is T_{k+1}.  Use the 1-based accessors v/p/q/t, which read
+    generators[k] is T_{k+1}.  Use the 1-based accessors v/p/q/t/u, which read
     entry i mod N (index -1 is entry N).  n, wrap, sigma, tau and tau_sigma
     are those of `maps`, bound on the instance.
     """
@@ -146,6 +152,26 @@ class SurfaceGroup:
         k = np.asarray(index) - 1
         a, c = self._coefficients[0][k], self._coefficients[1][k]
         return tuple(moebius_angles(a, c, x) for x in thetas)
+
+    @cached_property
+    def _vertex_products(self) -> tuple[tuple[MoebiusMap, ...], np.ndarray]:
+        """U_1..U_N with U_i = T_sigma(i-1) T_tau(i), and each one's distance
+        to T_sigma(i) T_{tau(i)-1}, the same map by the vertex relation."""
+        pairs = [
+            (self.t(self.sigma(i - 1)) @ self.t(self.tau(i)), self.t(self.sigma(i)) @ self.t(self.tau(i) - 1))
+            for i in range(1, self.n + 1)
+        ]
+        return tuple(u for u, _ in pairs), np.array([u.distance_to(alt) for u, alt in pairs])
+
+    def u(self, i: int) -> MoebiusMap:
+        """U_i = T_sigma(i-1) T_tau(i), read at i mod N like t."""
+        return self._vertex_products[0][i % self.n - 1]
+
+    def check_u(self, tol: float = TOL):
+        """Raise ContradictionError if the two products for some U_i differ by more than tol."""
+        bad = np.flatnonzero(self._vertex_products[1] > tol)
+        if len(bad):
+            raise ContradictionError(f"the two expressions for U_{bad[0] + 1} disagree")
 
     @cached_property
     def p_angles(self) -> np.ndarray:

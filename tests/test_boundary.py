@@ -17,6 +17,7 @@ from fuchsian.boundary import (
     boundary_step,
     build_domain,
     classify_type,
+    compute_h_d,
     degeneracy_failures,
     endpoint_identities,
     extension_step,
@@ -30,8 +31,9 @@ from fuchsian.boundary import (
     verify_bijectivity,
 )
 from fuchsian.circle import TOL, TWO_PI, Arc, CirclePartition, CirclePoint, angdiff, ccw_distance
-from fuchsian.errors import FuchsianError, OutsideDomainError
+from fuchsian.errors import FuchsianError, OutsideDomainError, RangeError
 from fuchsian.surface import build_regular_surface
+from fuchsian import boundary
 from fuchsian.words import GroupWord
 from oracles import dense_domain_distance, inverse_search, inverse_search_many
 
@@ -142,6 +144,25 @@ class TestSolver:
                     solved.d(i), TOL
                 )
 
+    def test_range_check_is_the_closed_arc_test(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.uniform(0, TWO_PI, (2, 200))
+        x = np.concatenate([rng.uniform(0, TWO_PI, 200), a, b, a - 0.5 * TOL, b + 0.5 * TOL, b + 2 * TOL, [math.nan] * 200])
+        a, b = np.tile(a, 7), np.tile(b, 7)
+        expected = [
+            not Arc(CirclePoint(ai), CirclePoint(bi), True, True).contains(CirclePoint(xi), TOL)
+            for xi, ai, bi in zip(x, a, b)
+        ]
+        assert boundary._outside(x, a, b, TOL).tolist() == expected
+
+    def test_corrupt_generators_fail_the_range_check(self, genus2):
+        # Each generator moved one side on: the chains map their targets
+        # with the wrong maps, and the first G out of range is named.
+        g = genus2.generators
+        broken = dataclasses.replace(genus2, generators=g[1:] + g[:1])
+        with pytest.raises(RangeError, match=r"^G_3 lies outside \[P_3, P_4\]$"):
+            solve(broken, EXAMPLE_WORD)
+
     def test_chain_length_bounded(self, genus2):
         import itertools
 
@@ -183,12 +204,41 @@ class TestSolver:
                     wide.append((word, "head", i))
                 if choice(surface.sigma(i)) == "Q" and ccw_distance(solved.d(i).angle, solved.g(i).angle):
                     wide.append((word, "tail", i))
-            for name in "GHD":
-                for i, pt in enumerate(getattr(solved, name), 1):
-                    if angdiff(pt.point.angle, pt.word.evaluate(surface).angle) > 1e-12:
+            for name, pts, words in zip("GHD", (solved.G, solved.H, solved.D), solved.point_words):
+                for i, (pt, w) in enumerate(zip(pts, words), 1):
+                    if angdiff(pt.angle, w.evaluate(surface).angle) > 1e-12:
                         moved.append((word, name, i))
         assert wide == []
         assert moved == []
+
+
+class TestWordsOnDemand:
+    def test_solve_builds_and_evaluates_no_word(self, genus4, monkeypatch):
+        calls = []
+        for owner, name in ((boundary, "prepend"), (GroupWord, "evaluate")):
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+        solved = solve(genus4, "PQ" * 14)
+        assert calls == []
+        solved.d_word(3)
+        assert "prepend" in calls
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_words_are_the_builders_words_and_evaluate_to_the_points(self, g):
+        surface = build_regular_surface(g)
+        n = surface.n
+        rng = random.Random(40 + g)
+        words = [EXAMPLE_WORD] if g == 2 else []
+        words += ["".join(rng.choice("PQ") for _ in range(n)) for _ in range(20)]
+        for word in words:
+            solved = solve(surface, word)
+            g_words = solve_g(solved.params)
+            expected = (g_words, *compute_h_d(solved.params, g_words))
+            got = [[get(i) for i in range(1, n + 1)] for get in (solved.g_word, solved.h_word, solved.d_word)]
+            assert got == [list(w) for w in expected]
+            assert solved.d_word(0) == solved.d_word(n)
+            for pts, ws in zip((solved.G, solved.H, solved.D), expected):
+                assert max(angdiff(pt.angle, w.evaluate(surface).angle) for pt, w in zip(pts, ws)) <= 1e-13
 
 
 class TestHD:
@@ -208,7 +258,7 @@ class TestHD:
         s = genus2
         for i in range(1, 13):
             alt = s.t(s.sigma(i)) @ s.t(s.wrap(s.tau(i) - 1))
-            assert solved_example.u(i).distance_to(alt) < TOL
+            assert s.u(i).distance_to(alt) < TOL
 
     def test_d_from_h_identity(self, genus2, solved_example):
         s = genus2
@@ -449,8 +499,7 @@ class TestBijectivity:
 
     def test_perturbed_corner_is_named(self, genus2, solved_example, domain_example):
         bad_h = list(solved_example.H)
-        pt = bad_h[4].point
-        bad_h[4] = dataclasses.replace(bad_h[4], point=CirclePoint(pt.angle + 0.01))
+        bad_h[4] = CirclePoint(bad_h[4].angle + 0.01)
         broken = dataclasses.replace(solved_example, H=tuple(bad_h))
         report = verify_bijectivity(broken, domain_example, mode="analytic")
         assert not report.analytic_passed
@@ -468,7 +517,7 @@ class TestBijectivity:
         # of side 10's upper image and of side 11's lower one (a Q choice);
         # the check lists each identity once.
         pts = list(getattr(solved_example, name))
-        pts[4] = dataclasses.replace(pts[4], point=CirclePoint(pts[4].point.angle + shift))
+        pts[4] = CirclePoint(pts[4].angle + shift)
         broken = dataclasses.replace(solved_example, **{name: tuple(pts)})
         report = verify_bijectivity(broken, build_domain(broken), mode="analytic")
         assert report.corner_failures == expected
@@ -477,7 +526,7 @@ class TestBijectivity:
     @pytest.mark.parametrize("name", "GHD")
     def test_nan_named_point_fails(self, solved_example, domain_example, name, side):
         pts = list(getattr(solved_example, name))
-        pts[side - 1] = dataclasses.replace(pts[side - 1], point=CirclePoint(math.nan))
+        pts[side - 1] = CirclePoint(math.nan)
         broken = dataclasses.replace(solved_example, **{name: tuple(pts)})
         with np.errstate(invalid="ignore"):
             report = verify_bijectivity(broken, domain_example, mode="analytic")
@@ -499,7 +548,7 @@ class TestBijectivity:
     def test_reversed_tiling_piece_is_named(self, solved_example, domain_example):
         # D_5 moved past D_6 reverses the piece [D_5, D_6] in every strip using it.
         bad_d = list(solved_example.D)
-        bad_d[4] = dataclasses.replace(bad_d[4], point=CirclePoint(bad_d[4].point.angle + 1.0))
+        bad_d[4] = CirclePoint(bad_d[4].angle + 1.0)
         broken = dataclasses.replace(solved_example, D=tuple(bad_d))
         report = verify_bijectivity(broken, domain_example, mode="analytic")
         assert not report.analytic_passed
@@ -512,7 +561,7 @@ class TestBijectivity:
         # Strips share pieces; [D_5, D_6] alone sits in most of them.
         solved = solve(build_regular_surface(g), word)
         bad_d = list(solved.D)
-        bad_d[4] = dataclasses.replace(bad_d[4], point=CirclePoint(bad_d[4].point.angle + 1.0))
+        bad_d[4] = CirclePoint(bad_d[4].angle + 1.0)
         broken = dataclasses.replace(solved, D=tuple(bad_d))
         fails = verify_bijectivity(broken, build_domain(broken), mode="analytic").tiling_failures
         pieces = [f.split(": piece ")[1].split(" reversed")[0] for f in fails if " reversed " in f]
@@ -522,7 +571,7 @@ class TestBijectivity:
     def test_lost_degeneracy_is_named(self, solved_example, domain_example):
         # Moving every H_i off its D partner undoes the degenerate head pieces.
         bad_h = tuple(
-            dataclasses.replace(h, point=CirclePoint(h.point.angle + 1e-6)) for h in solved_example.H
+            CirclePoint(h.angle + 1e-6) for h in solved_example.H
         )
         broken = dataclasses.replace(solved_example, H=bad_h)
         report = verify_bijectivity(broken, domain_example, mode="analytic")
@@ -535,7 +584,7 @@ class TestBijectivity:
     def test_each_degeneracy_failure_is_listed_once(self, solved_example, domain_example):
         # Moving every G_i off its D partner undoes the 5 degenerate tail pieces.
         bad_g = tuple(
-            dataclasses.replace(g, point=CirclePoint(g.point.angle + 1e-6)) for g in solved_example.G
+            CirclePoint(g.angle + 1e-6) for g in solved_example.G
         )
         broken = dataclasses.replace(solved_example, G=bad_g)
         fails = verify_bijectivity(broken, domain_example, mode="analytic").degeneracy_failures

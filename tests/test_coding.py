@@ -35,7 +35,7 @@ from fuchsian.coding import (
     verify_conjugacy,
 )
 from fuchsian.errors import BijectivityError, MarkovError, OutsideDomainError
-from fuchsian.surface import GeodesicClipper, build_regular_surface
+from fuchsian.surface import GeodesicClipper, SurfaceGroup, build_regular_surface
 from oracles import code_geodesic_loop, polygon_status, trace_geodesic
 
 EXAMPLE_WORD = "PPPPQPQQPPQQ"
@@ -244,7 +244,7 @@ class TestPhi:
         # (Q_{i+2}, P_{i+1}) -> (P_tau(i)+1, Q_tau(i)+2).
         s = genus2
         for i in range(1, 13):
-            u_map = solved_example.u(s.tau(i) + 1)
+            u_map = s.u(s.tau(i) + 1)
             assert u_map.apply(s.p(i)).close_to(s.q(s.tau(i) + 1), TOL)
             assert u_map.apply(s.q(i + 1)).close_to(s.p(s.tau(i)), TOL)
             assert u_map.apply(s.p(i + 1)).close_to(s.q(s.tau(i) + 2), TOL)
@@ -253,7 +253,7 @@ class TestPhi:
     def test_vertex_word_carries_h_to_g(self, genus2, solved_example):
         s = genus2
         for i in range(1, 13):
-            u_map = solved_example.u(s.tau(i) + 1)
+            u_map = s.u(s.tau(i) + 1)
             assert u_map.apply(solved_example.h(i + 1)).close_to(
                 solved_example.g(s.tau(i)), TOL
             )
@@ -323,10 +323,11 @@ class TestConjugacy:
         assert report.checked >= 9_000
         assert report.max_deviation < TOL
 
-    def test_fault_injection_fails(self, genus2, solved_example, domain_example):
-        rolled = solved_example.U[1:] + solved_example.U[:1]
-        broken = dataclasses.replace(solved_example, U=tuple(rolled))
-        report = verify_conjugacy(broken, domain_example, samples=2000, seed=11)
+    def test_fault_injection_fails(self, genus2, solved_example, domain_example, monkeypatch):
+        # Every U_i read as U_{i+1}: the surface's vertex maps rolled by one.
+        u = SurfaceGroup.u
+        monkeypatch.setattr(SurfaceGroup, "u", lambda self, i: u(self, i + 1))
+        report = verify_conjugacy(solved_example, domain_example, samples=2000, seed=11)
         assert report.failures > 0
 
     def test_one_clipper_per_surface(self, monkeypatch):

@@ -129,7 +129,7 @@ class TestDualStep:
     def test_image_failure_messages(self, solved_example, dual_example, name, shift, expected):
         # D is read from the dual domain's DualParams, so it carries the move.
         pts = list(getattr(solved_example, name))
-        pts[4] = dataclasses.replace(pts[4], point=CirclePoint(pts[4].point.angle + shift))
+        pts[4] = CirclePoint(pts[4].angle + shift)
         broken = dataclasses.replace(solved_example, **{name: tuple(pts)})
         moved = dataclasses.replace(dual_example, dual=dual_params(broken))
         assert verify_dual_images(broken, moved) == expected
@@ -138,7 +138,7 @@ class TestDualStep:
     @pytest.mark.parametrize("name", "GH")
     def test_nan_named_point_is_reported(self, solved_example, dual_example, name, side):
         pts = list(getattr(solved_example, name))
-        pts[side - 1] = dataclasses.replace(pts[side - 1], point=CirclePoint(math.nan))
+        pts[side - 1] = CirclePoint(math.nan)
         broken = dataclasses.replace(solved_example, **{name: tuple(pts)})
         with np.errstate(invalid="ignore"):
             fails = verify_dual_images(broken, dual_example)

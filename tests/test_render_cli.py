@@ -5,8 +5,10 @@ import time
 
 import pytest
 
+from fuchsian import cli
 from fuchsian.cli import main
 from fuchsian.duality import build_omega_dual
+from fuchsian.sweep import SweepResult
 from fuchsian.render import (
     omega_dual_spec,
     omega_geo_spec,
@@ -221,6 +223,29 @@ class TestCli:
         out = tmp_path / "out.txt"
         assert main(argv + ["--out", str(out)]) == code
         assert out.read_bytes() == stdout
+
+    def test_sweep_writes_each_line_as_its_word_finishes(self, tmp_path, capsysbinary, monkeypatch):
+        results = [
+            SweepResult("P" * 12, "PASS", None),
+            SweepResult("Q" * 12, "FAIL", None),
+            SweepResult("PQ" * 6, "ERROR boom", None),
+        ]
+        written = []
+
+        def fake_sweep(*args):
+            for r in results:
+                yield r
+                written.append(capsysbinary.readouterr().out)  # what the CLI wrote for r
+
+        monkeypatch.setattr(cli, "sweep", fake_sweep)
+        argv = ["sweep", "--genus", "2", "--random", "3", "--seed", "4"]
+        assert main(argv) == 1
+        summary = capsysbinary.readouterr().out
+        assert written == [f"{r.word} {r.verdict}\n".encode() for r in results]
+        assert summary == b"sweep genus=2 words=3 failures=2 seed=4\n"
+        out = tmp_path / "out.txt"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert out.read_bytes() == b"".join(written) + summary
 
     def test_render_requires_params_for_domains(self, capsys):
         assert main(["render", "--what", "omega", "--genus", "2"]) == 2

@@ -224,8 +224,8 @@ class TestToleranceMargins:
         assert corners < TOL
 
     def test_genus_23_stops_in_solve(self):
-        # compute_h_d compares the two products for U_i, whose coefficients
-        # grow like |a|^2, against the absolute TOL: the next genus wall.
+        # solve compares the two products for U_i (SurfaceGroup.check_u), whose
+        # coefficients grow like |a|^2, against the absolute TOL: the next genus wall.
         surface = build_regular_surface(23)
         word = "".join(np.random.default_rng(23).choice(["P", "Q"], size=surface.n))
         with pytest.raises(ContradictionError, match="two expressions for U_"):
