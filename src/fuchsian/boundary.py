@@ -38,7 +38,7 @@ from .circle import (
     CirclePoint,
     angdiff,
     angdiff_many,
-    ccw_distance,
+    ccw_distance_many,
 )
 from .errors import (
     BijectivityError,
@@ -95,6 +95,11 @@ class ExtremalParams:
 
     def choice(self, i: int) -> str:
         return self.word[i % len(self.word) - 1]
+
+    @cached_property
+    def is_q(self) -> np.ndarray:
+        """Where the choice is Q, entry i-1 for side i."""
+        return np.frombuffer(self.word.encode(), np.uint8) == ord("Q")
 
     def a(self, i: int) -> CirclePoint:
         return self.points[i % len(self.points) - 1]
@@ -230,24 +235,31 @@ class SolvedParams:
 def identity_failures(surface: SurfaceGroup, angles: np.ndarray, rows, tol: float = TOL) -> tuple[list[str], float]:
     """Check identities T_i X_j = Y_k among named points with one t_angles call.
 
-    Each row is (i, X, j, Y, k): 1-based indices read mod N, and letters of
-    NAMED picking rows of `angles`, laid out like SolvedParams.angles.  A row
-    passes only when its deviation is within tol, so a NaN fails.  Returns
-    the failing rows' messages, in row order, and the worst deviation.
+    Each row of the int array `rows` is (i, X, j, Y, k): 0-based sides, and
+    X, Y rows of `angles`, laid out like SolvedParams.angles (identity_rows
+    builds such rows from tuples).  A row passes only when its deviation is
+    within tol, so a NaN fails.  Returns the failing rows' messages, in row
+    order, and the worst deviation.
     """
-    gen, src, j, dst, k = zip(*rows)
-    gen, j, k = (np.array([gen, j, k]) - 1) % surface.n
-    src, dst = np.frombuffer("".join(src + dst).encode().translate(_ROW_OF), np.uint8).reshape(2, -1)
+    gen, src, j, dst, k = rows.T
     (img,) = surface.t_angles(gen + 1, angles[src, j])
     dev = angdiff_many(img, angles[dst, k])
-    w = surface.wrap
-    fails = [f"T_{w(a)} {x}_{w(b)} = {y}_{w(c)} off by {d:.3g}"
-             for (a, x, b, y, c), d in zip(rows, dev.tolist()) if not d <= tol]
+    bad = np.flatnonzero(~(dev <= tol))
+    fails = [f"T_{a + 1} {NAMED[x]}_{b + 1} = {NAMED[y]}_{c + 1} off by {d:.3g}"
+             for (a, x, b, y, c), d in zip(rows[bad].tolist(), dev[bad].tolist())]
     return fails, float(dev.max())
 
 
+def identity_rows(n: int, rows) -> np.ndarray:
+    """identity_failures rows from tuples (i, X, j, Y, k): 1-based sides read mod n, letters of NAMED."""
+    gen, src, j, dst, k = zip(*rows)
+    x, y = np.frombuffer("".join(src + dst).encode().translate(_ROW_OF), np.uint8).reshape(2, -1)
+    gen, j, k = (np.array([gen, j, k]) - 1) % n
+    return np.column_stack([gen, x, j, y, k])
+
+
 def endpoint_identities(params: ExtremalParams, i: int) -> list[tuple]:
-    """The P/Q identities of side i, as identity_failures rows: T_i maps the
+    """The P/Q identities of side i, as identity_rows tuples: T_i maps the
     upper strip's y-arc [Q_i, P_{i+1}], and T_i or T_{i-1}, as the choice at i
     is P or Q, the lower strip's [P_i, Q_i], onto arcs between endpoints.
     """
@@ -317,7 +329,7 @@ def solve(surface: SurfaceGroup, word: str, tol: float = TOL) -> SolvedParams:
     side = np.arange(n)
     nxt = (side + 1) % n
     p, q = surface.p_angles, surface.q_angles
-    is_q = np.frombuffer(params.word.encode(), np.uint8) == ord("Q")
+    is_q = params.is_q
     p_sigma = ~is_q[sig]  # A_sigma(i) = P: P_CYCLE or P_CHAIN (classify_type)
     ready = np.where(p_sigma, ~is_q[nxt[nxt]], is_q[tau])
     d_letter = (ts + 1) % n + 1  # tau_sigma(i)+1, the letter of D_i and of a Q chain's G_i
@@ -355,7 +367,7 @@ def solve(surface: SurfaceGroup, word: str, tol: float = TOL) -> SolvedParams:
     angles = np.array([p, q, g, h, d])
     angles[angles >= TWO_PI] = 0.0  # np.remainder can round up to 2*pi
     rows = [(surface.sigma(i), "H", surface.sigma(i) + 1, "D", i) for i in range(1, n + 1)]
-    fails, _ = identity_failures(surface, angles, rows, tol)
+    fails, _ = identity_failures(surface, angles, identity_rows(n, rows), tol)
     if fails:
         raise RangeError(f"corner identity {fails[0]}")
     named = _canonical_angles(angles, tol)[2:].tolist()
@@ -475,19 +487,18 @@ class RectDomain:
     def distance_many(self, u_thetas, w_thetas) -> np.ndarray:
         """Chebyshev angular distance to the closed union, 0 for members.
 
-        Only rectangle k = (the y-arc holding w) can hold (u, w), so each
-        pair is tested against that one rectangle, closed, with the same
-        arithmetic as column k of the m x 2N form in _miss_distance.  A
-        pair that passes has a 0 in that column and every entry is >= 0,
-        so the full row minimum is 0.0 as well: the result is bit-identical
-        to running every row through _miss_distance, which sees only the
-        pairs that miss.
+        w lies in the y-arc of rectangle k, the one rectangle that can hold
+        (u, w), so a pair whose u is in that rectangle's closed x-arc is at
+        distance 0.0; this includes every pair that contains_many accepts.
+        The other pairs go through the m x 2N form in _miss_distance.  Only
+        for a w within ulps of a y-arc end, where the partition and the
+        closed test on arc k can disagree, does the 0.0 differ from that
+        form's result, by those ulps.
         """
         u = np.asarray(u_thetas, dtype=float)
         w = np.asarray(w_thetas, dtype=float)
         k = self._y.index_many(w) - 1
         hit = np.remainder(u - self._x0[k], TWO_PI) <= self._xw[k]
-        hit &= np.remainder(w - self._y0[k], TWO_PI) <= self._yw[k]
         dist = np.zeros(len(u))
         miss = ~hit
         dist[miss] = self._miss_distance(u[miss], w[miss])
@@ -763,76 +774,69 @@ def degeneracy_failures(solved: SolvedParams, tol: float = TOL) -> list[str]:
     [H_i, D_{i+1}] is empty iff the choice at tau_sigma(i-1) is P, and
     [D_i, G_i] iff the choice at sigma(i) is Q.  These are the pieces the
     image decomposition drops, and also the dual head and tail rectangles
-    (tau_sigma(i-1) = sigma(i)+1).
+    (tau_sigma(i-1) = sigma(i)+1).  Messages go side by side, head first.
     """
-    s = solved.surface
-    choice = solved.params.choice
+    n = solved.surface.n
+    sig, _, ts = solved.surface.maps.side_rows - 1
+    ts = np.roll(ts, 1)  # tau_sigma(i-1)
+    _, _, g, h, d = solved.angles
+    # angdiff bit for bit: |math.remainder(x, 2*pi)| is min(m, 2*pi - m), m = fmod(|x|, 2*pi)
+    gap = np.fmod(np.abs([h - np.roll(d, -1), g - d]), TWO_PI)
+    empty = np.minimum(gap, TWO_PI - gap) <= tol
+    is_q = solved.params.is_q
+    word = solved.params.word
     fails = []
-    for i in range(1, s.n + 1):
-        head = angdiff(solved.h(i).angle, solved.d(i + 1).angle) <= tol
-        if head != (choice(s.tau_sigma(i - 1)) == "P"):
+    for i, tail in np.argwhere((empty != [~is_q[ts], is_q[sig]]).T).tolist():
+        if tail:
             fails.append(
-                f"[H_{i}, D_{s.wrap(i + 1)}] degenerate={head} "
-                f"but choice at tau_sigma({s.wrap(i - 1)}) is {choice(s.tau_sigma(i - 1))}"
+                f"[D_{i + 1}, G_{i + 1}] degenerate={empty[1, i]} but choice at sigma({i + 1}) is {word[sig[i]]}"
             )
-        tail = angdiff(solved.g(i).angle, solved.d(i).angle) <= tol
-        if tail != (choice(s.sigma(i)) == "Q"):
-            fails.append(f"[D_{i}, G_{i}] degenerate={tail} but choice at sigma({i}) is {choice(s.sigma(i))}")
+        else:
+            fails.append(
+                f"[H_{i + 1}, D_{(i + 1) % n + 1}] degenerate={empty[0, i]} "
+                f"but choice at tau_sigma({(i - 1) % n + 1}) is {word[ts[i]]}"
+            )
     return fails
 
 
 def _verify_analytic(solved: SolvedParams, report: BijectivityReport, tol: float):
+    """Corner identities, degeneracy and strip tiling, from the surface's index tables.
+
+    The word's corner rows (maps.corner_rows) take one t_angles call.  Each
+    strip is re-tiled from the 3N distinct image pieces (maps.strip_pieces):
+    a piece wider than pi is reversed, named under the first strip that uses
+    it and counted as 0, and each strip sums its widths left to right, as a
+    loop would, against its own width.
+    """
     s = solved.surface
     n = s.n
-    params = solved.params
     report.analytic_checked = True
-
-    rows = []
-    for i in range(1, n + 1):
-        si = s.sigma(i)
-        ends = endpoint_identities(params, i)
-        # Image of the upper rectangle [H_{i+1}, G_{i-1}] x [Q_i, P_{i+1}].
-        rows += [(i, "H", i + 1, "D", si), (i, "G", i - 1, "D", si + 1), *ends[:2]]
-        # Image of the lower rectangle [H_{i+1}, G_{i-2}] x [P_i, Q_i].
-        if params.choice(i) == "P":
-            rows.append((i, "G", i - 2, "G", si))
-        else:
-            k = s.tau_sigma(i)
-            # T_{i-1} G_{i-2} = D_{k+2} is side i-1's upper row (k+2 = sigma(i-1)+1).
-            rows.append((i - 1, "H", i + 1, "H", k + 1))
-        rows += ends[2:]
-    report.corner_failures, report.max_corner_deviation = identity_failures(s, solved.angles, rows, tol)
-
-    # Degeneracy happens exactly where the image decomposition drops a piece.
+    rows, valid = s.maps.corner_rows
+    is_q = solved.params.is_q.astype(np.intp)
+    picked = rows[is_q, np.arange(n)][valid[is_q]]
+    report.corner_failures, report.max_corner_deviation = identity_failures(s, solved.angles, picked, tol)
     report.degeneracy_failures = degeneracy_failures(solved, tol)
 
-    # Re-tile each strip from the image pieces and compare widths.  Strip
-    # (m, end) is the chain H_{m+1}, D_{m+2}, ..., D_end, G_end, so its
-    # pieces are contiguous by construction.  The strips share 3N distinct
-    # pieces, [H_{m+1}, D_{m+2}], [D_j, D_{j+1}] and [D_j, G_j]; each is
-    # measured, and named if reversed, under the first strip that uses it.
-    widths: dict[tuple, float] = {}
-    for m in range(1, n + 1):
-        for kind, end in (("lower", m + n - 2), ("upper", m + n - 1)):
-            chain = [("H", s.wrap(m + 1)), *(("D", s.wrap(j)) for j in range(m + 2, end + 1)), ("G", s.wrap(end))]
-            total = 0.0
-            for piece in zip(chain, chain[1:]):
-                if piece not in widths:
-                    (a, ia), (b, ib) = piece
-                    width = ccw_distance(*(solved.angles[NAMED.index(x), ix - 1] for x, ix in piece))
-                    if width > math.pi:
-                        # a genuinely reversed piece would wrap most of the circle
-                        report.tiling_failures.append(
-                            f"strip {m} {kind}: piece [{a}_{ia},{b}_{ib}] reversed (width {width:.3g})"
-                        )
-                        width = 0.0
-                    widths[piece] = width
-                total += widths[piece]
-            strip_width = ccw_distance(solved.h(m + 1).angle, solved.g(end).angle)
-            if abs(total - strip_width) > n * tol:
-                report.tiling_failures.append(
-                    f"strip {m} {kind}: pieces cover {total:.12f} of {strip_width:.12f}"
-                )
+    pieces, ends = s.maps.strip_pieces
+    _, _, g, h, d = solved.angles
+    d_next = np.roll(d, -1)
+    width = ccw_distance_many(np.concatenate([h, d, d]), np.concatenate([d_next, d_next, g]))
+    backward = np.flatnonzero(width > math.pi)  # a genuinely reversed piece would wrap most of the circle
+    events = []
+    for p in backward.tolist():
+        strip, col = divmod(int(np.argmax(pieces.ravel() == p)), n - 1)
+        kind, j = divmod(p, n)
+        a, b = ("HD", "DD", "DG")[kind]
+        jb = j + 1 if kind == 2 else (j + 1) % n + 1
+        events.append(((strip, col), f"piece [{a}_{j + 1},{b}_{jb}] reversed (width {width[p]:.3g})"))
+    width[backward] = 0.0
+    total = np.cumsum(np.append(width, 0.0)[pieces], axis=1)[:, -1]
+    strip_width = ccw_distance_many(h[ends[:, 0]], g[ends[:, 1]])
+    for strip in np.flatnonzero(np.abs(total - strip_width) > n * tol).tolist():
+        events.append(((strip, n), f"pieces cover {total[strip]:.12f} of {strip_width[strip]:.12f}"))
+    report.tiling_failures = [
+        f"strip {strip // 2 + 1} {('lower', 'upper')[strip % 2]}: {msg}" for (strip, _), msg in sorted(events)
+    ]
 
 
 def _verify_monte_carlo(

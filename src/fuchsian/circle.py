@@ -61,6 +61,13 @@ def ccw_distance(a: float, b: float) -> float:
     return wrap_angle(b - a)
 
 
+def ccw_distance_many(a, b) -> np.ndarray:
+    """Array ccw_distance, bit for bit: the same fmod, shift and clamp of 2*pi to 0."""
+    d = np.fmod(np.subtract(b, a), TWO_PI)
+    d = np.where(d < 0.0, d + TWO_PI, d)
+    return np.where(d >= TWO_PI, 0.0, d)
+
+
 def angular_separation(a: float, b: float) -> float:
     """Shortest angular distance between two angles, in [0, pi]."""
     d = wrap_angle(b - a)

@@ -92,7 +92,7 @@ def _check_options(args) -> str | None:
 
     Resolves a missing --tol from FUCHSIAN_TOL, so commands read args.tol.
     """
-    lows = {"genus": 2, "samples": 1, "random": 1, "iters": 0, "future": 0, "past": 0}
+    lows = {"genus": 2, "samples": 1, "random": 1, "iters": 0, "future": 0, "past": 0, "seed": 0}
     for name, low in lows.items():
         value = getattr(args, name, None)
         if value is not None and value < low:

@@ -40,6 +40,7 @@ from .boundary import (
     endpoint_identities,
     extension_step_many,
     identity_failures,
+    identity_rows,
     inverse_step,  # unused here; the benchmark's trace mode wraps coding.inverse_step
     inverse_step_many,
 )
@@ -433,7 +434,7 @@ def markov_transition_matrix(
             branch[row - 1] = gen
             matrix[row - 1, (start - 1 + np.arange(count)) % m] = True
         claims += endpoint_identities(params, i)
-    fails, _ = identity_failures(s, np.array([s.p_angles, s.q_angles]), claims, tol)
+    fails, _ = identity_failures(s, np.array([s.p_angles, s.q_angles]), identity_rows(n, claims), tol)
     if fails:
         raise MarkovError(f"endpoint image mismatch: {fails[0]}")
 

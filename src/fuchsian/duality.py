@@ -27,6 +27,7 @@ from .boundary import (
     degeneracy_failures,
     extension_step_many,
     identity_failures,
+    identity_rows,
     inverse_step_many,
     solve,
 )
@@ -240,7 +241,7 @@ def verify_dual_images(
             rows += [(i, "G", i, "G", j - 2), (i, "Q", i + 1, "P", j)]
         if params.choice(j + 1) == "Q":
             rows += [(i, "H", i, "H", j + 2), (i, "P", i, "Q", j + 1)]
-    return identity_failures(s, angles, rows, tol)[0]
+    return identity_failures(s, angles, identity_rows(s.n, rows), tol)[0]
 
 
 def verify_duality(

@@ -106,6 +106,45 @@ class SideIndexMaps:
         sides = range(1, self.n + 1)
         return np.array([[f(i) for i in sides] for f in (self.sigma, self.tau, self.tau_sigma)])
 
+    @cached_property
+    def corner_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The analytic check's corner identities T_i X_j = Y_k: rows[c, i-1]
+        holds side i's rows (i, X, j, Y, k) for choice c (0 for P, 1 for Q),
+        with 0-based sides and X, Y rows of the named-point table P, Q, G, H,
+        D.  valid[c] marks the 6 rows of P and the 7 of Q.
+        """
+        P, Q, G, H, D = range(5)
+        rows = np.zeros((2, self.n, 7, 5), dtype=np.intp)
+        for i in range(1, self.n + 1):
+            si, k = self.sigma(i), self.tau_sigma(i)
+            # T_i maps the upper rectangle [H_{i+1}, G_{i-1}] x [Q_i, P_{i+1}]
+            # onto [D_si, D_si+1] x [Q_si+2, P_si-1]; the lower one [H_{i+1},
+            # G_{i-2}] x [P_i, Q_i] goes under T_i (P) or T_{i-1} (Q), whose
+            # T_{i-1} G_{i-2} = D_{k+2} is side i-1's upper row (k+2 = sigma(i-1)+1).
+            upper = [(i, H, i + 1, D, si), (i, G, i - 1, D, si + 1), (i, Q, i, Q, si + 2), (i, P, i + 1, P, si - 1)]
+            rows[0, i - 1, :6] = upper + [(i, G, i - 2, G, si), (i, P, i, Q, si + 1)]
+            rows[1, i - 1] = upper + [(i - 1, H, i + 1, H, k + 1), (i - 1, P, i, P, k), (i - 1, Q, i, P, k + 1)]
+        rows[..., ::2] = (rows[..., ::2] - 1) % self.n
+        return rows, np.arange(7) < np.array([[6], [7]])
+
+    @cached_property
+    def strip_pieces(self) -> tuple[np.ndarray, np.ndarray]:
+        """The analytic check's strip tiling: row 2m-2 (lower, e = m-2) and
+        2m-1 (upper, e = m-1) list the pieces of the chain H_{m+1}, D_{m+2},
+        ..., D_e, G_e, padded with 3N; piece j-1 is [H_j, D_{j+1}], N+j-1 is
+        [D_j, D_{j+1}] and 2N+j-1 is [D_j, G_j].  ends holds each row's
+        0-based H and G sides.
+        """
+        n = self.n
+        pieces = np.full((2 * n, n - 1), 3 * n, dtype=np.intp)
+        ends = np.zeros((2 * n, 2), dtype=np.intp)
+        for m in range(1, n + 1):
+            for row, e in ((2 * m - 2, m + n - 2), (2 * m - 1, m + n - 1)):
+                chain = [m % n, *(n + (j - 1) % n for j in range(m + 2, e)), 2 * n + (e - 1) % n]
+                pieces[row, : len(chain)] = chain
+                ends[row] = m % n, (e - 1) % n
+        return pieces, ends
+
 
 @dataclass(frozen=True)
 class SurfaceGroup:

@@ -6,13 +6,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fuchsian.boundary import boundary_step, extension_step, inverse_step
+from fuchsian.boundary import (
+    NAMED,
+    BijectivityReport,
+    boundary_step,
+    endpoint_identities,
+    extension_step,
+    inverse_step,
+)
 from fuchsian.circle import (
     TOL,
     TWO_PI,
     CirclePoint,
     MoebiusMap,
     angdiff,
+    angdiff_many,
     angular_separation,
     ccw_distance,
     moebius_angles,
@@ -434,3 +442,101 @@ def duality_code_counts(solved, domain, cu, cw, depth, tol=TOL):
         if list(seq.past) != branches:
             failures += 1
     return skipped, checked, failures
+
+
+# -- the analytic bijectivity check --------------------------------------------
+
+
+def identity_failures_tuples(surface, angles, rows, tol=TOL):
+    """identity_failures on tuples (i, X, j, Y, k) of 1-based sides read mod N
+    and letters of NAMED, parsed row by row."""
+    gen, src, j, dst, k = zip(*rows)
+    gen, j, k = (np.array([gen, j, k]) - 1) % surface.n
+    src = np.array([NAMED.index(x) for x in src])
+    dst = np.array([NAMED.index(y) for y in dst])
+    (img,) = surface.t_angles(gen + 1, angles[src, j])
+    dev = angdiff_many(img, angles[dst, k])
+    w = surface.wrap
+    fails = [f"T_{w(a)} {x}_{w(b)} = {y}_{w(c)} off by {d:.3g}"
+             for (a, x, b, y, c), d in zip(rows, dev.tolist()) if not d <= tol]
+    return fails, float(dev.max())
+
+
+def degeneracy_loop(solved, tol=TOL):
+    """degeneracy_failures side by side with the scalar angdiff."""
+    s = solved.surface
+    choice = solved.params.choice
+    fails = []
+    for i in range(1, s.n + 1):
+        head = angdiff(solved.h(i).angle, solved.d(i + 1).angle) <= tol
+        if head != (choice(s.tau_sigma(i - 1)) == "P"):
+            fails.append(
+                f"[H_{i}, D_{s.wrap(i + 1)}] degenerate={head} "
+                f"but choice at tau_sigma({s.wrap(i - 1)}) is {choice(s.tau_sigma(i - 1))}"
+            )
+        tail = angdiff(solved.g(i).angle, solved.d(i).angle) <= tol
+        if tail != (choice(s.sigma(i)) == "Q"):
+            fails.append(f"[D_{i}, G_{i}] degenerate={tail} but choice at sigma({i}) is {choice(s.sigma(i))}")
+    return fails
+
+
+def analytic_loop(solved, tol=TOL):
+    """The analytic bijectivity check by walking each strip's chain of pieces.
+
+    The corner rows come from endpoint_identities side by side; each strip
+    (m, end) is the chain H_{m+1}, D_{m+2}, ..., D_end, G_end, summed piece
+    by piece, and each of the 3N distinct pieces is measured, and named if
+    reversed, under the first strip that uses it.
+    """
+    s = solved.surface
+    n = s.n
+    params = solved.params
+    report = BijectivityReport(analytic_checked=True)
+    rows = []
+    for i in range(1, n + 1):
+        si = s.sigma(i)
+        ends = endpoint_identities(params, i)
+        rows += [(i, "H", i + 1, "D", si), (i, "G", i - 1, "D", si + 1), *ends[:2]]
+        if params.choice(i) == "P":
+            rows.append((i, "G", i - 2, "G", si))
+        else:
+            rows.append((i - 1, "H", i + 1, "H", s.tau_sigma(i) + 1))
+        rows += ends[2:]
+    report.corner_failures, report.max_corner_deviation = identity_failures_tuples(s, solved.angles, rows, tol)
+    report.degeneracy_failures = degeneracy_loop(solved, tol)
+    widths = {}
+    for m in range(1, n + 1):
+        for kind, end in (("lower", m + n - 2), ("upper", m + n - 1)):
+            chain = [("H", s.wrap(m + 1)), *(("D", s.wrap(j)) for j in range(m + 2, end + 1)), ("G", s.wrap(end))]
+            total = 0.0
+            for piece in zip(chain, chain[1:]):
+                if piece not in widths:
+                    (a, ia), (b, ib) = piece
+                    width = ccw_distance(*(solved.angles[NAMED.index(x), ix - 1] for x, ix in piece))
+                    if width > math.pi:
+                        report.tiling_failures.append(
+                            f"strip {m} {kind}: piece [{a}_{ia},{b}_{ib}] reversed (width {width:.3g})"
+                        )
+                        width = 0.0
+                    widths[piece] = width
+                total += widths[piece]
+            strip_width = ccw_distance(solved.h(m + 1).angle, solved.g(end).angle)
+            if abs(total - strip_width) > n * tol:
+                report.tiling_failures.append(f"strip {m} {kind}: pieces cover {total:.12f} of {strip_width:.12f}")
+    return report
+
+
+def dual_image_loop(solved, dual_domain, tol=TOL):
+    """verify_dual_images through identity_failures_tuples."""
+    s = solved.surface
+    angles = np.vstack([solved.angles[:4], dual_domain.dual.solved.angles[4:]])
+    rows = []
+    for i in range(1, s.n + 1):
+        j = s.sigma(i)
+        rows += [(i, "Q", i + 2, "Q", j), (i, "P", i - 1, "P", j + 1)]
+        rows += [(i, "D", i, "H", j + 1), (i, "D", i + 1, "G", j - 1)]
+        if solved.params.choice(j) == "P":
+            rows += [(i, "G", i, "G", j - 2), (i, "Q", i + 1, "P", j)]
+        if solved.params.choice(j + 1) == "Q":
+            rows += [(i, "H", i, "H", j + 2), (i, "P", i, "Q", j + 1)]
+    return identity_failures_tuples(s, angles, rows, tol)[0]

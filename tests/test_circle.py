@@ -18,6 +18,8 @@ from fuchsian.circle import (
     MoebiusMap,
     angdiff,
     angdiff_many,
+    ccw_distance,
+    ccw_distance_many,
     geodesic_endpoints,
     half_turn,
     moebius_angles,
@@ -252,6 +254,26 @@ class TestAngdiffMany:
         got = angdiff_many(a[:, None], b[None, :])
         assert got.shape == (2, 3)
         assert got[1, 1] == angdiff_many(3.0, 6.2)
+
+
+class TestCcwDistanceMany:
+    def test_is_the_scalar_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        # Angles within 8 ulps of 0 and of 2*pi, against each other and 0.
+        ulps = np.arange(-8, 9)
+        near = np.concatenate([ulps * np.spacing(0.0), ulps * 2**-50, TWO_PI + ulps * np.spacing(TWO_PI)])
+        zero = np.zeros_like(near)
+        a = np.concatenate([rng.uniform(0.0, TWO_PI, 10_000), rng.uniform(-20.0, 20.0, 1000), near, zero])
+        b = np.concatenate([rng.uniform(0.0, TWO_PI, 10_000), rng.uniform(-20.0, 20.0, 1000), zero, near])
+        a, b = np.concatenate([a, np.repeat(near, near.size)]), np.concatenate([b, np.tile(near, near.size)])
+        want = np.array([ccw_distance(x, y) for x, y in zip(a.tolist(), b.tolist())])
+        got = ccw_distance_many(a, b)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert ((got >= 0.0) & (got < TWO_PI)).all()
+
+    def test_nan_stays_nan(self):
+        assert math.isnan(ccw_distance(math.nan, 1.0))
+        assert np.isnan(ccw_distance_many([math.nan, 1.0], [1.0, math.nan])).all()
 
 
 class TestMoebius:

@@ -278,6 +278,10 @@ class TestCli:
             (["code", "--params", EXAMPLE_WORD, "--u", "nan", "--w", "2.9"], None),
             (["surface", "--offset", "nan"], None),
             (["solve", "--params", EXAMPLE_WORD, "--offset", "inf"], None),
+            (["verify", "bijectivity", "--params", EXAMPLE_WORD, "--seed", "-1"], None),
+            (["verify", "conjugacy", "--params", EXAMPLE_WORD, "--seed", "-1"], None),
+            (["attractor", "--params", EXAMPLE_WORD, "--seed", "-1"], None),
+            (["sweep", "--seed", "-1"], None),
         ],
     )
     def test_misuse_exits_2_with_one_line(self, monkeypatch, capsys, argv, env_tol):
