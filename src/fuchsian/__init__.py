@@ -16,17 +16,13 @@ from .surface import (
 from .words import BasePoint, GroupWord
 from .boundary import (
     ExtremalParams,
-    IndexType,
     RectDomain,
     SolvedParams,
     boundary_step,
     build_domain,
-    classify_type,
-    compute_h_d,
     extension_step,
     inverse_step,
     solve,
-    solve_g,
     verify_bijectivity,
 )
 from .coding import (
@@ -60,7 +56,6 @@ __all__ = [
     "DualParams",
     "ExtremalParams",
     "GroupWord",
-    "IndexType",
     "MoebiusMap",
     "RectDomain",
     "SideIndexMaps",
@@ -72,9 +67,7 @@ __all__ = [
     "build_domain",
     "build_omega_dual",
     "build_regular_surface",
-    "classify_type",
     "code_geodesic",
-    "compute_h_d",
     "dual_family_check",
     "dual_params",
     "extension_step",
@@ -89,7 +82,6 @@ __all__ = [
     "sigma",
     "sofic_amalgamate",
     "solve",
-    "solve_g",
     "sweep",
     "tau",
     "verify_bijectivity",

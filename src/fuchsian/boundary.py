@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from enum import IntEnum
 from functools import cached_property
 
 import numpy as np
@@ -43,6 +42,7 @@ from .circle import (
 from .errors import (
     BijectivityError,
     ContradictionError,
+    DegeneratePointsError,
     OutsideDomainError,
     RangeError,
 )
@@ -50,21 +50,6 @@ from .surface import SurfaceGroup
 from .words import BasePoint, GroupWord, prepend
 
 NAMED = "PQGHD"  # the row letters of SolvedParams.angles
-_ROW_OF = bytes.maketrans(NAMED.encode(), bytes(range(len(NAMED))))  # letters to rows in one translate call
-
-
-class IndexType(IntEnum):
-    """How an index resolves in the corner-point system.
-
-    P_CYCLE and Q_CYCLE sit on a loop or two-cycle of the equation graph
-    and resolve to a single endpoint; P_CHAIN and Q_CHAIN recurse along a
-    chain that provably terminates on a cycle index.
-    """
-
-    P_CYCLE = 1
-    P_CHAIN = 2
-    Q_CYCLE = 3
-    Q_CHAIN = 4
 
 
 @dataclass(frozen=True)
@@ -104,67 +89,42 @@ class ExtremalParams:
     def a(self, i: int) -> CirclePoint:
         return self.points[i % len(self.points) - 1]
 
+    def chain(self) -> tuple:
+        """The corner-point system for G, entry i-1 for side i: (p_sigma, ready, letter, target, base, steps).
 
-def classify_type(params: ExtremalParams, i: int) -> IndexType:
-    """Type of index i, determined by the choices at sigma(i) and i+2 / tau(i)."""
-    s = params.surface
-    if params.choice(s.sigma(i)) == "P":
-        return IndexType.P_CYCLE if params.choice(i + 2) == "P" else IndexType.P_CHAIN
-    return IndexType.Q_CYCLE if params.choice(s.tau(i)) == "Q" else IndexType.Q_CHAIN
-
-
-def solve_g(params: ExtremalParams, order: list[int] | None = None) -> list[GroupWord]:
-    """Solve the corner-point system for G_1..G_N as canonical words.
-
-    Cycle indices resolve directly to an endpoint; chain indices follow
-    their single defining equation.  A chain that revisits an unresolved
-    index would contradict the solvability guarantee, so it raises.  The
-    result does not depend on the resolution order (each entry is a pure
-    function of its index); `order` exists so tests can assert that.
-    """
-    s = params.surface
-    maps = s.maps
-    n = s.n
-    memo: dict[int, GroupWord] = {}
-
-    def resolve(start: int):
-        stack = [start]
-        active = set()
-        while stack:
-            i = stack[-1]
-            if i in memo:
-                stack.pop()
-                continue
-            t = classify_type(params, i)
-            if t is IndexType.P_CYCLE:
-                memo[i] = GroupWord((), BasePoint("P", s.wrap(i + 1)))
-                stack.pop()
-                continue
-            if t is IndexType.Q_CYCLE:
-                memo[i] = GroupWord((), BasePoint("P", i))
-                stack.pop()
-                continue
-            if t is IndexType.P_CHAIN:
-                letter, target = s.sigma(i), s.wrap(s.sigma(i) - 2)
-            else:
-                letter, target = s.wrap(s.tau_sigma(i) + 1), s.tau_sigma(i)
-            if target in memo:
-                memo[i] = prepend(maps, letter, memo[target])
-                stack.pop()
-                continue
-            if target in active:
+        p_sigma marks A_sigma(i) = P.  A cycle index (ready) has G_i = P_base,
+        base i+1 (p_sigma) or i; a chain index has G_i = T_letter G_target,
+        (letter, target) = (sigma(i), sigma(i)-2) (p_sigma) or (tau_sigma(i)+1,
+        tau_sigma(i)).  steps lists the chain indices by depth, each step's
+        targets resolved before it.  Sides are 0-based, letters 1-based.
+        """
+        n = self.surface.n
+        sig, tau, ts = self.surface.maps.side_rows - 1
+        side = np.arange(n)
+        nxt = (side + 1) % n
+        p_sigma = ~self.is_q[sig]
+        ready = np.where(p_sigma, ~self.is_q[nxt[nxt]], self.is_q[tau])
+        letter = np.where(p_sigma, sig + 1, (ts + 1) % n + 1)
+        target = np.where(p_sigma, (sig - 2) % n, ts)
+        steps, done = [], ready
+        while not done.all():
+            step = ~done & done[target]
+            if not step.any():
+                i = int(np.flatnonzero(~done)[0])
                 raise ContradictionError(
-                    f"corner-point chain through {i} revisits {target}; "
+                    f"corner-point chain through {i + 1} never reaches an endpoint; "
                     "the defining system admits no such cycle"
                 )
-            active.add(i)
-            stack.append(target)
+            steps.append(np.flatnonzero(step))
+            done = done | step
+        return p_sigma, ready, letter, target, np.where(p_sigma, nxt, side), steps
 
-    for i in order if order is not None else range(1, n + 1):
-        resolve(i)
-    for i in range(1, n + 1):
-        resolve(i)
-    return [memo[i] for i in range(1, n + 1)]
+    @property
+    def corner_rows(self) -> np.ndarray:
+        """The word's rows of maps.corner_rows, side by side: 6 per P side, 7 per Q side."""
+        rows, valid = self.surface.maps.corner_rows
+        is_q = self.is_q.astype(np.intp)
+        return rows[is_q, np.arange(len(is_q))][valid[is_q]]
 
 
 @dataclass(frozen=True)
@@ -172,7 +132,7 @@ class SolvedParams:
     """The solved corner data for one extremal parameter choice.
 
     G, H and D hold the named points, entry i-1 for side i.  Their group
-    words are built on first use, by solve_g and compute_h_d.  The
+    words are built on first use, by replaying params.chain().  The
     accessors take any integer i and read entry i mod N.
     """
 
@@ -196,9 +156,21 @@ class SolvedParams:
 
     @cached_property
     def point_words(self) -> tuple[list[GroupWord], list[GroupWord], list[GroupWord]]:
-        """The canonical words of G, H and D, built on first use."""
-        g_words = solve_g(self.params)
-        return (g_words, *compute_h_d(self.params, g_words))
+        """The canonical words of G, H and D, built on first use.
+
+        G replays solve's chain in depth order; H_i = T_sigma(i-1) T_tau(i)
+        G_{tau(i)-1} and D_i = T_{tau_sigma(i)+1} G_tau_sigma(i) follow.
+        """
+        maps = self.surface.maps
+        _, _, letter, target, base, steps = self.params.chain()
+        g = [GroupWord((), BasePoint("P", b + 1)) for b in base.tolist()]
+        for step in steps:
+            for i in step.tolist():
+                g[i] = prepend(maps, int(letter[i]), g[target[i]])
+        sig, tau, ts = (maps.side_rows - 1).tolist()
+        h = [prepend(maps, sig[i - 1] + 1, prepend(maps, t + 1, g[t - 1])) for i, t in enumerate(tau)]
+        d = [prepend(maps, k + 2, g[k], deep=True) for k in ts]
+        return g, h, d
 
     def g_word(self, i: int) -> GroupWord:
         return self.point_words[0][i % len(self.G) - 1]
@@ -216,13 +188,15 @@ class SolvedParams:
         return np.array([self.surface.p_angles, self.surface.q_angles, *named])
 
     def to_json(self) -> str:
+        p_sigma, ready, *_ = self.params.chain()
+        types = (np.where(p_sigma, 1, 3) + ~ready).tolist()  # 1, 2: P cycle, chain; 3, 4: Q cycle, chain
         doc = {
             "genus": self.surface.genus,
             "params": self.params.word,
             "solution": [
                 {
                     "index": i + 1,
-                    "type": int(classify_type(self.params, i + 1)),
+                    "type": types[i],
                     **{name: dict(words[i].to_json(), angle=pts[i].angle)
                        for name, pts, words in zip("GHD", (self.G, self.H, self.D), self.point_words)},
                 }
@@ -236,10 +210,10 @@ def identity_failures(surface: SurfaceGroup, angles: np.ndarray, rows, tol: floa
     """Check identities T_i X_j = Y_k among named points with one t_angles call.
 
     Each row of the int array `rows` is (i, X, j, Y, k): 0-based sides, and
-    X, Y rows of `angles`, laid out like SolvedParams.angles (identity_rows
-    builds such rows from tuples).  A row passes only when its deviation is
-    within tol, so a NaN fails.  Returns the failing rows' messages, in row
-    order, and the worst deviation.
+    X, Y rows of `angles`, laid out like SolvedParams.angles (the per-genus
+    tables of SideIndexMaps hold such rows).  A row passes only when its
+    deviation is within tol, so a NaN fails.  Returns the failing rows'
+    messages, in row order, and the worst deviation.
     """
     gen, src, j, dst, k = rows.T
     (img,) = surface.t_angles(gen + 1, angles[src, j])
@@ -248,28 +222,6 @@ def identity_failures(surface: SurfaceGroup, angles: np.ndarray, rows, tol: floa
     fails = [f"T_{a + 1} {NAMED[x]}_{b + 1} = {NAMED[y]}_{c + 1} off by {d:.3g}"
              for (a, x, b, y, c), d in zip(rows[bad].tolist(), dev[bad].tolist())]
     return fails, float(dev.max())
-
-
-def identity_rows(n: int, rows) -> np.ndarray:
-    """identity_failures rows from tuples (i, X, j, Y, k): 1-based sides read mod n, letters of NAMED."""
-    gen, src, j, dst, k = zip(*rows)
-    x, y = np.frombuffer("".join(src + dst).encode().translate(_ROW_OF), np.uint8).reshape(2, -1)
-    gen, j, k = (np.array([gen, j, k]) - 1) % n
-    return np.column_stack([gen, x, j, y, k])
-
-
-def endpoint_identities(params: ExtremalParams, i: int) -> list[tuple]:
-    """The P/Q identities of side i, as identity_rows tuples: T_i maps the
-    upper strip's y-arc [Q_i, P_{i+1}], and T_i or T_{i-1}, as the choice at i
-    is P or Q, the lower strip's [P_i, Q_i], onto arcs between endpoints.
-    """
-    s = params.surface
-    si = s.sigma(i)
-    rows = [(i, "Q", i, "Q", si + 2), (i, "P", i + 1, "P", si - 1)]
-    if params.choice(i) == "P":
-        return rows + [(i, "P", i, "Q", si + 1)]
-    k = s.tau_sigma(i)
-    return rows + [(i - 1, "P", i, "P", k), (i - 1, "Q", i, "P", k + 1)]
 
 
 def _canonical_angles(angles: np.ndarray, tol: float = TOL) -> np.ndarray:
@@ -301,52 +253,20 @@ def _outside(x: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndar
     return ~((s <= tol) | (s >= TWO_PI - tol) | (np.abs(s - length) <= tol) | (s < length))
 
 
-def compute_h_d(params: ExtremalParams, g_words: list[GroupWord]) -> tuple[list[GroupWord], list[GroupWord]]:
-    """The words of H_i = U_i G_{tau(i)-1} and D_i = T_{tau_sigma(i)+1} G_{tau_sigma(i)},
-    with U_i = T_sigma(i-1) T_tau(i)."""
-    s = params.surface
-    maps = s.maps
-    h_words: list[GroupWord] = []
-    d_words: list[GroupWord] = []
-    for i in range(1, s.n + 1):
-        hw = prepend(maps, s.tau(i), g_words[s.wrap(s.tau(i) - 1) - 1])
-        h_words.append(prepend(maps, s.sigma(i - 1), hw))
-        d_words.append(prepend(maps, s.wrap(s.tau_sigma(i) + 1), g_words[s.tau_sigma(i) - 1], deep=True))
-    return h_words, d_words
-
-
 def solve(surface: SurfaceGroup, word: str, tol: float = TOL) -> SolvedParams:
     """Solve a parameter word end to end, with all range invariants checked.
 
-    A cycle index reads its G from the endpoints; a chain index i has G_i =
-    T_letter(G_target), with (letter, target) as in solve_g.  The chains
-    resolve by depth: each pass maps, with one t_angles call, every index
-    whose target is resolved.  H and D follow in three more calls.
+    G starts at the cycle indices' endpoints and resolves params.chain() by
+    depth, one t_angles call per step.  H and D follow in three more calls.
     """
     params = ExtremalParams(surface, word)
-    n = surface.n
     sig, tau, ts = surface.maps.side_rows - 1  # 0-based sigma(i), tau(i), tau_sigma(i)
-    side = np.arange(n)
-    nxt = (side + 1) % n
     p, q = surface.p_angles, surface.q_angles
-    is_q = params.is_q
-    p_sigma = ~is_q[sig]  # A_sigma(i) = P: P_CYCLE or P_CHAIN (classify_type)
-    ready = np.where(p_sigma, ~is_q[nxt[nxt]], is_q[tau])
-    d_letter = (ts + 1) % n + 1  # tau_sigma(i)+1, the letter of D_i and of a Q chain's G_i
-    letter = np.where(p_sigma, sig + 1, d_letter)
-    target = np.where(p_sigma, (sig - 2) % n, ts)
-    g = np.where(p_sigma, p[nxt], p)  # P_{i+1} or P_i on the cycle indices
-    while not ready.all():
-        step = ~ready & ready[target]
-        if not step.any():
-            i = int(np.flatnonzero(~ready)[0])
-            raise ContradictionError(
-                f"corner-point chain through {i + 1} never reaches an endpoint; "
-                "the defining system admits no such cycle"
-            )
+    _, _, letter, target, base, steps = params.chain()
+    g = p[base]
+    for step in steps:
         (g[step],) = surface.t_angles(letter[step], g[target[step]])
-        ready = ready | step
-    bad = _outside(g, p, p[nxt], tol)
+    bad = _outside(g, p, np.roll(p, -1), tol)
     if bad.any():
         i = int(bad.argmax()) + 1
         raise RangeError(f"G_{i} lies outside [P_{i}, P_{surface.wrap(i + 1)}]")
@@ -354,10 +274,10 @@ def solve(surface: SurfaceGroup, word: str, tol: float = TOL) -> SolvedParams:
     # H_i = T_sigma(i-1) T_tau(i) G_{tau(i)-1} in two steps: applying the
     # product U_i in one call lands up to 28 times farther from the exact
     # image (1.6e-12 at g = 22).
-    (h,) = surface.t_angles(tau + 1, g[(tau - 1) % n])
-    (h,) = surface.t_angles(sig[side - 1] + 1, h)
-    (d,) = surface.t_angles(d_letter, g[ts])
-    bad_h, bad_d = _outside(h, q, q[nxt], tol), _outside(d, p, q, tol)
+    (h,) = surface.t_angles(tau + 1, g[tau - 1])
+    (h,) = surface.t_angles(np.roll(sig, 1) + 1, h)
+    (d,) = surface.t_angles((ts + 1) % surface.n + 1, g[ts])
+    bad_h, bad_d = _outside(h, q, np.roll(q, -1), tol), _outside(d, p, q, tol)
     if (bad_h | bad_d).any():
         k = int((bad_h | bad_d).argmax())
         i = k + 1
@@ -366,8 +286,8 @@ def solve(surface: SurfaceGroup, word: str, tol: float = TOL) -> SolvedParams:
         )
     angles = np.array([p, q, g, h, d])
     angles[angles >= TWO_PI] = 0.0  # np.remainder can round up to 2*pi
-    rows = [(surface.sigma(i), "H", surface.sigma(i) + 1, "D", i) for i in range(1, n + 1)]
-    fails, _ = identity_failures(surface, angles, identity_rows(n, rows), tol)
+    # T_sigma(i) H_{sigma(i)+1} = D_i: the first corner row of side sigma(i).
+    fails, _ = identity_failures(surface, angles, surface.maps.corner_rows[0][0, sig, 0], tol)
     if fails:
         raise RangeError(f"corner identity {fails[0]}")
     named = _canonical_angles(angles, tol)[2:].tolist()
@@ -519,7 +439,10 @@ class RectDomain:
 
     def sample(self, rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:
         """k points uniform on the union (area-weighted over rectangles)."""
-        p = self._areas / self._areas.sum()
+        total = self._areas.sum()
+        if not total > 0:
+            raise DegeneratePointsError(f"the domain has area {total:.3g}; there is nothing to sample")
+        p = self._areas / total
         ridx = rng.choice(len(self.rects), size=k, p=p)
         u = np.remainder(self._x0[ridx] + rng.random(k) * self._xw[ridx], TWO_PI)
         w = np.remainder(self._y0[ridx] + rng.random(k) * self._yw[ridx], TWO_PI)
@@ -802,7 +725,7 @@ def degeneracy_failures(solved: SolvedParams, tol: float = TOL) -> list[str]:
 def _verify_analytic(solved: SolvedParams, report: BijectivityReport, tol: float):
     """Corner identities, degeneracy and strip tiling, from the surface's index tables.
 
-    The word's corner rows (maps.corner_rows) take one t_angles call.  Each
+    The word's corner rows (params.corner_rows) take one t_angles call.  Each
     strip is re-tiled from the 3N distinct image pieces (maps.strip_pieces):
     a piece wider than pi is reversed, named under the first strip that uses
     it and counted as 0, and each strip sums its widths left to right, as a
@@ -811,10 +734,9 @@ def _verify_analytic(solved: SolvedParams, report: BijectivityReport, tol: float
     s = solved.surface
     n = s.n
     report.analytic_checked = True
-    rows, valid = s.maps.corner_rows
-    is_q = solved.params.is_q.astype(np.intp)
-    picked = rows[is_q, np.arange(n)][valid[is_q]]
-    report.corner_failures, report.max_corner_deviation = identity_failures(s, solved.angles, picked, tol)
+    report.corner_failures, report.max_corner_deviation = identity_failures(
+        s, solved.angles, solved.params.corner_rows, tol
+    )
     report.degeneracy_failures = degeneracy_failures(solved, tol)
 
     pieces, ends = s.maps.strip_pieces
@@ -832,7 +754,7 @@ def _verify_analytic(solved: SolvedParams, report: BijectivityReport, tol: float
     width[backward] = 0.0
     total = np.cumsum(np.append(width, 0.0)[pieces], axis=1)[:, -1]
     strip_width = ccw_distance_many(h[ends[:, 0]], g[ends[:, 1]])
-    for strip in np.flatnonzero(np.abs(total - strip_width) > n * tol).tolist():
+    for strip in np.flatnonzero(~(np.abs(total - strip_width) <= n * tol)).tolist():  # a NaN total fails
         events.append(((strip, n), f"pieces cover {total[strip]:.12f} of {strip_width[strip]:.12f}"))
     report.tiling_failures = [
         f"strip {strip // 2 + 1} {('lower', 'upper')[strip % 2]}: {msg}" for (strip, _), msg in sorted(events)

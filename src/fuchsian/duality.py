@@ -27,7 +27,6 @@ from .boundary import (
     degeneracy_failures,
     extension_step_many,
     identity_failures,
-    identity_rows,
     inverse_step_many,
     solve,
 )
@@ -230,18 +229,13 @@ def verify_dual_images(
     maps onto the next lower strip when the choice at sigma(i)+1 is Q.
     """
     s = solved.surface
-    params = solved.params
+    is_q = solved.params.is_q
+    sig = s.maps.side_rows[0] - 1
     angles = np.vstack([solved.angles[:4], dual_domain.dual.solved.angles[4:]])  # D of the dual domain
-    rows = []
-    for i in range(1, s.n + 1):
-        j = s.sigma(i)
-        rows += [(i, "Q", i + 2, "Q", j), (i, "P", i - 1, "P", j + 1)]
-        rows += [(i, "D", i, "H", j + 1), (i, "D", i + 1, "G", j - 1)]
-        if params.choice(j) == "P":
-            rows += [(i, "G", i, "G", j - 2), (i, "Q", i + 1, "P", j)]
-        if params.choice(j + 1) == "Q":
-            rows += [(i, "H", i, "H", j + 2), (i, "P", i, "Q", j + 1)]
-    return identity_failures(s, angles, identity_rows(s.n, rows), tol)[0]
+    use = np.ones((s.n, 8), dtype=bool)  # the rows of maps.dual_rows this word checks
+    use[:, 4:6] = ~is_q[sig, None]
+    use[:, 6:] = is_q[(sig + 1) % s.n, None]
+    return identity_failures(s, angles, s.maps.dual_rows[use], tol)[0]
 
 
 def verify_duality(

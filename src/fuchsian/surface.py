@@ -128,6 +128,22 @@ class SideIndexMaps:
         return rows, np.arange(7) < np.array([[6], [7]])
 
     @cached_property
+    def dual_rows(self) -> np.ndarray:
+        """The dual image checks' identities, laid out like corner_rows: rows[i-1]
+        holds side i's 4 rows for the wide rectangle, then 2 for the tail, used
+        when the choice at sigma(i) is P, and 2 for the head, used when the
+        choice at sigma(i)+1 is Q.
+        """
+        P, Q, G, H, D = range(5)
+        rows = np.zeros((self.n, 8, 5), dtype=np.intp)
+        for i in range(1, self.n + 1):
+            j = self.sigma(i)
+            rows[i - 1] = [(i, Q, i + 2, Q, j), (i, P, i - 1, P, j + 1), (i, D, i, H, j + 1), (i, D, i + 1, G, j - 1),
+                           (i, G, i, G, j - 2), (i, Q, i + 1, P, j), (i, H, i, H, j + 2), (i, P, i, Q, j + 1)]
+        rows[..., ::2] = (rows[..., ::2] - 1) % self.n
+        return rows
+
+    @cached_property
     def strip_pieces(self) -> tuple[np.ndarray, np.ndarray]:
         """The analytic check's strip tiling: row 2m-2 (lower, e = m-2) and
         2m-1 (upper, e = m-1) list the pieces of the chain H_{m+1}, D_{m+2},

@@ -3,6 +3,7 @@
 import cmath
 import math
 from dataclasses import dataclass
+from enum import IntEnum
 
 import numpy as np
 
@@ -10,7 +11,6 @@ from fuchsian.boundary import (
     NAMED,
     BijectivityReport,
     boundary_step,
-    endpoint_identities,
     extension_step,
     inverse_step,
 )
@@ -29,11 +29,13 @@ from fuchsian.coding import CodingSeq
 from fuchsian.duality import dual_params
 from fuchsian.errors import (
     BijectivityError,
+    ContradictionError,
     DegeneratePointsError,
     NotDiskAutomorphismError,
     OutsideDomainError,
 )
 from fuchsian.surface import SurfaceGroup
+from fuchsian.words import BasePoint, GroupWord, prepend
 
 
 # -- Moebius maps and cyclic order ---------------------------------------------
@@ -444,6 +446,109 @@ def duality_code_counts(solved, domain, cu, cw, depth, tol=TOL):
     return skipped, checked, failures
 
 
+# -- the corner-point system, index by index ----------------------------------
+
+
+class IndexType(IntEnum):
+    """How an index resolves in the corner-point system.
+
+    P_CYCLE and Q_CYCLE sit on a loop or two-cycle of the equation graph
+    and resolve to a single endpoint; P_CHAIN and Q_CHAIN recurse along a
+    chain that provably terminates on a cycle index.
+    """
+
+    P_CYCLE = 1
+    P_CHAIN = 2
+    Q_CYCLE = 3
+    Q_CHAIN = 4
+
+
+def classify_type(params, i):
+    """Type of index i, determined by the choices at sigma(i) and i+2 / tau(i)."""
+    s = params.surface
+    if params.choice(s.sigma(i)) == "P":
+        return IndexType.P_CYCLE if params.choice(i + 2) == "P" else IndexType.P_CHAIN
+    return IndexType.Q_CYCLE if params.choice(s.tau(i)) == "Q" else IndexType.Q_CHAIN
+
+
+def solve_g(params):
+    """Solve the corner-point system for G_1..G_N as canonical words.
+
+    Cycle indices resolve directly to an endpoint; chain indices follow
+    their single defining equation.  A chain that revisits an unresolved
+    index would contradict the solvability guarantee, so it raises.
+    """
+    s = params.surface
+    maps = s.maps
+    n = s.n
+    memo = {}
+
+    def resolve(start):
+        stack = [start]
+        active = set()
+        while stack:
+            i = stack[-1]
+            if i in memo:
+                stack.pop()
+                continue
+            t = classify_type(params, i)
+            if t is IndexType.P_CYCLE:
+                memo[i] = GroupWord((), BasePoint("P", s.wrap(i + 1)))
+                stack.pop()
+                continue
+            if t is IndexType.Q_CYCLE:
+                memo[i] = GroupWord((), BasePoint("P", i))
+                stack.pop()
+                continue
+            if t is IndexType.P_CHAIN:
+                letter, target = s.sigma(i), s.wrap(s.sigma(i) - 2)
+            else:
+                letter, target = s.wrap(s.tau_sigma(i) + 1), s.tau_sigma(i)
+            if target in memo:
+                memo[i] = prepend(maps, letter, memo[target])
+                stack.pop()
+                continue
+            if target in active:
+                raise ContradictionError(
+                    f"corner-point chain through {i} revisits {target}; "
+                    "the defining system admits no such cycle"
+                )
+            active.add(i)
+            stack.append(target)
+
+    for i in range(1, n + 1):
+        resolve(i)
+    return [memo[i] for i in range(1, n + 1)]
+
+
+def compute_h_d(params, g_words):
+    """The words of H_i = U_i G_{tau(i)-1} and D_i = T_{tau_sigma(i)+1} G_{tau_sigma(i)},
+    with U_i = T_sigma(i-1) T_tau(i)."""
+    s = params.surface
+    maps = s.maps
+    h_words = []
+    d_words = []
+    for i in range(1, s.n + 1):
+        hw = prepend(maps, s.tau(i), g_words[s.wrap(s.tau(i) - 1) - 1])
+        h_words.append(prepend(maps, s.sigma(i - 1), hw))
+        d_words.append(prepend(maps, s.wrap(s.tau_sigma(i) + 1), g_words[s.tau_sigma(i) - 1], deep=True))
+    return h_words, d_words
+
+
+def endpoint_identities(params, i):
+    """The P/Q identities of side i, as tuples (i, X, j, Y, k): T_i maps the
+    upper strip's y-arc [Q_i, P_{i+1}], and T_i or T_{i-1}, as the choice at i
+    is P or Q, the lower strip's [P_i, Q_i], onto arcs between endpoints.
+    """
+    s = params.surface
+    si = s.sigma(i)
+    rows = [(i, "Q", i, "Q", si + 2), (i, "P", i + 1, "P", si - 1)]
+    if params.choice(i) == "P":
+        return rows + [(i, "P", i, "Q", si + 1)]
+    k = s.tau_sigma(i)
+    return rows + [(i - 1, "P", i, "P", k), (i - 1, "Q", i, "P", k + 1)]
+
+
 # -- the analytic bijectivity check --------------------------------------------
 
 
@@ -521,7 +626,7 @@ def analytic_loop(solved, tol=TOL):
                     widths[piece] = width
                 total += widths[piece]
             strip_width = ccw_distance(solved.h(m + 1).angle, solved.g(end).angle)
-            if abs(total - strip_width) > n * tol:
+            if not abs(total - strip_width) <= n * tol:
                 report.tiling_failures.append(f"strip {m} {kind}: pieces cover {total:.12f} of {strip_width:.12f}")
     return report
 

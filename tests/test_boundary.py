@@ -14,23 +14,17 @@ from fuchsian.boundary import (
     BijectivityReport,
     DomainRect,
     ExtremalParams,
-    IndexType,
     RectDomain,
     boundary_step,
     build_domain,
-    classify_type,
-    compute_h_d,
     degeneracy_failures,
-    endpoint_identities,
     extension_step,
     extension_step_many,
     identity_failures,
-    identity_rows,
     invariant_measure,
     inverse_step,
     inverse_step_many,
     solve,
-    solve_g,
     verify_bijectivity,
 )
 from fuchsian.circle import TOL, TWO_PI, Arc, CirclePartition, CirclePoint, angdiff, ccw_distance
@@ -41,11 +35,14 @@ from fuchsian import boundary
 from fuchsian.words import GroupWord
 from oracles import (
     analytic_loop,
+    classify_type,
+    compute_h_d,
     degeneracy_loop,
     dense_domain_distance,
     dual_image_loop,
     inverse_search,
     inverse_search_many,
+    solve_g,
 )
 
 
@@ -92,20 +89,20 @@ class TestParams:
             assert arc.contains(CirclePoint(theta))
 
 
+def index_types(solved):
+    """The "type" column of solved.to_json()."""
+    return [row["type"] for row in json.loads(solved.to_json())["solution"]]
+
+
 class TestClassify:
-    def test_worked_example_types(self, genus2):
-        params = ExtremalParams(genus2, EXAMPLE_WORD)
-        got = [int(classify_type(params, i)) for i in range(1, 13)]
-        assert got == [3, 3, 4, 1, 2, 3, 1, 1, 4, 2, 1, 1]
-        assert classify_type(params, 7) is IndexType.P_CYCLE
+    def test_worked_example_types(self, solved_example):
+        assert index_types(solved_example) == [3, 3, 4, 1, 2, 3, 1, 1, 4, 2, 1, 1]
 
-    def test_all_p_all_cycle(self, genus2):
-        params = ExtremalParams(genus2, "P" * 12)
-        assert all(classify_type(params, i) is IndexType.P_CYCLE for i in range(1, 13))
+    def test_all_p_all_cycle(self, solved_all_p):
+        assert index_types(solved_all_p) == [1] * 12
 
-    def test_all_q_all_cycle(self, genus2):
-        params = ExtremalParams(genus2, "Q" * 12)
-        assert all(classify_type(params, i) is IndexType.Q_CYCLE for i in range(1, 13))
+    def test_all_q_all_cycle(self, solved_all_q):
+        assert index_types(solved_all_q) == [3] * 12
 
 
 class TestSolver:
@@ -175,24 +172,11 @@ class TestSolver:
             solve(broken, EXAMPLE_WORD)
 
     def test_chain_length_bounded(self, genus2):
-        import itertools
-
         longest = 0
         for bits in itertools.islice(itertools.product("PQ", repeat=12), 0, 4096, 7):
-            params = ExtremalParams(genus2, "".join(bits))
-            for w in solve_g(params):
+            for w in solve(genus2, "".join(bits)).point_words[0]:
                 longest = max(longest, len(w.letters))
         assert longest <= genus2.n
-
-    def test_solution_unique_under_resolution_order(self, genus2):
-        params = ExtremalParams(genus2, EXAMPLE_WORD)
-        reference = [str(w) for w in solve_g(params)]
-        rng = random.Random(99)
-        for _ in range(10):
-            order = list(range(1, 13))
-            rng.shuffle(order)
-            got = [str(w) for w in solve_g(params, order=order)]
-            assert got == reference
 
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_named_points_are_canonical(self, g):
@@ -236,11 +220,16 @@ class TestWordsOnDemand:
 
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_words_are_the_builders_words_and_evaluate_to_the_points(self, g):
+        # All 4096 words at g = 2, 100 random ones at g = 3 and 4: the chain
+        # replay gives the words and the "type" column of the depth-first
+        # solver in oracles, and each word evaluates to its point.
         surface = build_regular_surface(g)
         n = surface.n
-        rng = random.Random(40 + g)
-        words = [EXAMPLE_WORD] if g == 2 else []
-        words += ["".join(rng.choice("PQ") for _ in range(n)) for _ in range(20)]
+        if g == 2:
+            words = ["".join(bits) for bits in itertools.product("PQ", repeat=n)]
+        else:
+            rng = random.Random(40 + g)
+            words = ["".join(rng.choice("PQ") for _ in range(n)) for _ in range(100)]
         for word in words:
             solved = solve(surface, word)
             g_words = solve_g(solved.params)
@@ -248,6 +237,7 @@ class TestWordsOnDemand:
             got = [[get(i) for i in range(1, n + 1)] for get in (solved.g_word, solved.h_word, solved.d_word)]
             assert got == [list(w) for w in expected]
             assert solved.d_word(0) == solved.d_word(n)
+            assert index_types(solved) == [int(classify_type(solved.params, i)) for i in range(1, n + 1)]
             for pts, ws in zip((solved.G, solved.H, solved.D), expected):
                 assert max(angdiff(pt.angle, w.evaluate(surface).angle) for pt, w in zip(pts, ws)) <= 1e-13
 
@@ -566,14 +556,16 @@ class TestBijectivity:
         assert any(f"{name}_{side} " in f and f.endswith("off by nan") for f in report.corner_failures)
 
     def test_identity_failures_reads_indices_mod_n(self, genus2, solved_example):
-        rows = [row for i in range(1, 13) for row in endpoint_identities(solved_example.params, i)]
-        assert identity_failures(genus2, solved_example.angles, identity_rows(12, rows))[0] == []
-        # T_12 Q_12 = Q_sigma(12)+2 holds whatever multiple of N is added to
-        # an index; P_sigma(12) is not the image of P_13, and the message
-        # names it with wrapped indices.
+        # The word's corner rows hold 0-based sides mod N: side 12's upper
+        # rows T_12 Q_12 = Q_sigma(12)+2 and T_12 P_13 = P_sigma(12)-1 read
+        # P_13 as P_1.  A wrong row is named with 1-based sides.
+        rows = solved_example.params.corner_rows
+        assert identity_failures(genus2, solved_example.angles, rows)[0] == []
         si = genus2.sigma(12)
-        rows = [(0, "Q", 24, "Q", si + 14), (12, "P", 13, "P", si)]
-        fails, worst = identity_failures(genus2, solved_example.angles, identity_rows(12, rows))
+        P, Q = 0, 1
+        assert [11, P, 0, P, (si - 2) % 12] in rows.tolist()
+        rows = np.array([(11, Q, 11, Q, (si + 1) % 12), (11, P, 0, P, si - 1)])
+        fails, worst = identity_failures(genus2, solved_example.angles, rows)
         assert [f.split(" off by ")[0] for f in fails] == [f"T_12 P_1 = P_{si}"]
         assert worst > 0.1
 
@@ -768,6 +760,8 @@ class TestAnalyticTables:
                 with np.errstate(invalid="ignore"):
                     report = verify_bijectivity(broken, None, mode="analytic", seed=None)
                     assert json.dumps(report.to_json()) == json.dumps(analytic_loop(broken).to_json())
+                    if math.isnan(shift):  # a NaN strip total is named, not passed over
+                        assert any(" pieces cover nan of " in f for f in report.tiling_failures)
                     assert verify_dual_images(broken, dual_domain) == dual_image_loop(broken, dual_domain)
                     fails = degeneracy_loop(broken)
                     if fails:

@@ -180,3 +180,30 @@ def test_scalar_steps_are_one_row_calls():
                 wrong.append(f"{name} has a loop")
     assert found == steps
     assert wrong == []
+
+
+def test_identity_rows_come_from_index_tables():
+    """identity_failures has four callers, and none builds its rows from NAMED letters."""
+    from fuchsian.boundary import NAMED
+
+    callers, wrong = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            nodes = list(ast.walk(fn))
+            if not any(
+                isinstance(call, ast.Call) and getattr(call.func, "id", getattr(call.func, "attr", None)) == "identity_failures"
+                for call in nodes
+            ):
+                continue
+            callers.add(fn.name)
+            wrong += [
+                f"{path.name}:{node.lineno} {fn.name} builds a tuple of named-point letters"
+                for node in nodes
+                if isinstance(node, ast.Tuple)
+                and any(isinstance(e, ast.Constant) and isinstance(e.value, str) and e.value in NAMED and len(e.value) == 1
+                        for e in node.elts)
+            ]
+    assert callers == {"solve", "_verify_analytic", "markov_transition_matrix", "verify_dual_images"}
+    assert wrong == []

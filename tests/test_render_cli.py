@@ -296,6 +296,28 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["verify", "bijectivity", "--params", EXAMPLE_WORD, "--tol", "0.5"],
+            ["attractor", "--params", EXAMPLE_WORD, "--tol", "1"],
+            ["sweep", "--random", "3", "--tol", "1"],
+        ],
+    )
+    def test_zero_area_domain_exits_1_with_one_line(self, capsys, argv):
+        # A tol this wide merges every named point, so the domain has no area to sample.
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if argv[0] == "sweep":
+            verdicts = captured.out.splitlines()[:-1]
+            assert len(verdicts) == 3
+            assert all(" ERROR the domain has area 0;" in line for line in verdicts)
+            assert captured.err == ""
+        else:
+            assert len(captured.err.strip().splitlines()) == 1
+            assert captured.err.startswith("error: the domain has area 0;")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["solve", "--params", EXAMPLE_WORD, "--out"],
             ["verify", "markov", "--params", EXAMPLE_WORD, "--matrix-out"],
         ],
