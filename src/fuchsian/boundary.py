@@ -371,11 +371,11 @@ class RectDomain:
 
     def __init__(self, rects: list[DomainRect]):
         self.rects = rects
-        self._y = CirclePartition([r.y.start.angle for r in rects])
-        self._x0 = np.array([r.x.start.angle for r in rects])
-        self._xw = np.array([r.x.length for r in rects])
-        self._y0 = np.array([r.y.start.angle for r in rects])
-        self._yw = np.array([r.y.length for r in rects])
+        self._ends = np.array([(r.x.start.angle, r.x.end.angle, r.y.start.angle, r.y.end.angle) for r in rects])
+        self._x0, _, self._y0, _ = self._ends.T.copy()  # contiguous: strided views slow the m x 2N kernels
+        self._xw = ccw_distance_many(self._x0, self._ends[:, 1])  # Arc.length, bit for bit
+        self._yw = ccw_distance_many(self._y0, self._ends[:, 3])
+        self._y = CirclePartition(self._y0)
         self._areas = self._xw * self._yw
         self._x_edges = CirclePartition(np.concatenate([self._x0, self._x0 + self._xw]))
         self._preimages: PreimageTable | None = None
@@ -438,14 +438,17 @@ class RectDomain:
         return np.minimum(self._x_edges.distance_many(u_thetas), self._y.distance_many(w_thetas))
 
     def sample(self, rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """k points uniform on the union (area-weighted over rectangles)."""
+        """k points uniform on the union (area-weighted over rectangles), from one draw of 3k
+        uniforms: rng.choice(p=areas/total)'s arithmetic picks rectangles, then u, then w."""
         total = self._areas.sum()
         if not total > 0:
             raise DegeneratePointsError(f"the domain has area {total:.3g}; there is nothing to sample")
-        p = self._areas / total
-        ridx = rng.choice(len(self.rects), size=k, p=p)
-        u = np.remainder(self._x0[ridx] + rng.random(k) * self._xw[ridx], TWO_PI)
-        w = np.remainder(self._y0[ridx] + rng.random(k) * self._yw[ridx], TWO_PI)
+        cdf = np.cumsum(self._areas / total)
+        cdf /= cdf[-1]
+        r = rng.random(3 * k)
+        ridx = cdf.searchsorted(r[:k], side="right")
+        u = np.remainder(self._x0[ridx] + r[k : 2 * k] * self._xw[ridx], TWO_PI)
+        w = np.remainder(self._y0[ridx] + r[2 * k :] * self._yw[ridx], TWO_PI)
         return u, w
 
 
@@ -521,10 +524,9 @@ class PreimageTable:
     def __init__(self, solved: SolvedParams, domain: RectDomain):
         s = solved.surface
         params = solved.params
-        if not {p.angle for p in params.points} <= {r.y.start.angle for r in domain.rects}:
+        if not {p.angle for p in params.points} <= set(domain._y0.tolist()):
             raise ValueError("the domain's y-breakpoints do not refine the branch partition")
-        rects = [domain.rects[j] for j in np.flatnonzero(~_degenerate(domain._xw, domain._yw))]
-        ends = np.array([(r.x.start.angle, r.x.end.angle, r.y.start.angle, r.y.end.angle) for r in rects])
+        ends = domain._ends[~_degenerate(domain._xw, domain._yw)]
         self.solved = solved
         self.branch = params.partition.index_many(ends[:, 2])
         (img,) = s.t_angles(self.branch[:, None], ends)
@@ -539,7 +541,7 @@ class PreimageTable:
         for near in (named[k - 1], named[k % len(named)]):
             img = np.where(angdiff_many(img, near) <= TOL, near, img)
         self.x0, self.x1, self.y0, self.y1 = img.T
-        self.inverse = np.array([s.sigma(i) for i in self.branch.tolist()])  # T_sigma(i) = T_i^-1
+        self.inverse = s.maps.side_rows[0][self.branch - 1]  # T_sigma(i) = T_i^-1
 
         self.cuts = np.unique(np.concatenate([[0.0], self.y0, self.y1]))
         height = np.remainder(self.y1 - self.y0, TWO_PI)
@@ -781,7 +783,7 @@ def _verify_monte_carlo(
     inside = domain.contains_many(u2, w2) | near_edge
     report.mc_image_misses = int((~inside).sum())
 
-    order = np.lexsort((w2, u2))
+    order = np.argsort(u2 + 1j * w2, kind="stable")  # np.lexsort((w2, u2)) for finite values
     du = np.abs(np.diff(u2[order]))
     dw = np.abs(np.diff(w2[order]))
     close_img = (du <= tol) & (dw <= tol)
@@ -792,7 +794,7 @@ def _verify_monte_carlo(
         report.mc_injectivity_collisions = int((close_img & separated_pre).sum())
 
     tu, tw = domain.sample(rng, samples)
-    _, _, _, count = inverse_step_many(solved, domain, tu, tw)
+    count, _ = domain.preimages(solved).lookup_many(tu, tw)
     edge = domain.boundary_distance_many(tu, tw) <= 10 * tol
     report.boundary_flags += int(edge.sum())
     report.mc_preimage_misses = int(((count == 0) & ~edge).sum())

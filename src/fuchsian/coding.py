@@ -410,33 +410,23 @@ def markov_transition_matrix(
 ) -> TransitionMatrix:
     """Build and numerically validate the half-interval transition matrix.
 
-    Row contents follow the verified closed forms.  The generators' images
-    of the row endpoints, the word's corner rows between P and Q points,
-    are checked numerically; the first mismatch raises MarkovError naming it.
+    Row contents follow the verified closed forms in maps.markov_rows.  The
+    generators' images of the row endpoints, the word's corner rows between P
+    and Q points, are checked; the first mismatch raises MarkovError naming it.
     """
     params = solved_or_params.params if isinstance(solved_or_params, SolvedParams) else solved_or_params
     s = params.surface
-    n = s.n
-    m = 2 * n
-    matrix = np.zeros((m, m), dtype=bool)
-    branch: list[int] = [0] * m
-
-    for i in range(1, n + 1):
-        si = s.sigma(i)
-        # Per row: generator applied, first column and width of the row's
-        # block.  Odd row 2i-1 is (P_i, Q_i), even row 2i is (Q_i, P_{i+1}).
-        odd = (i, 2 * si + 2, 2) if params.choice(i) == "P" else (s.wrap(i - 1), 2 * s.tau_sigma(i) - 1, 2)
-        even = (i, 2 * si + 4, 2 * n - 7)
-        for row, (gen, start, count) in ((2 * i - 1, odd), (2 * i, even)):
-            branch[row - 1] = gen
-            matrix[row - 1, (start - 1 + np.arange(count)) % m] = True
+    table, branches = s.maps.markov_rows
+    is_q = np.repeat(params.is_q, 2)  # row 2i-1 follows side i's choice; both tables agree on row 2i
+    matrix = np.where(is_q[:, None], table[1], table[0])  # a new array: the caller may write to it
+    branch = np.where(is_q, branches[1], branches[0])
     rows = params.corner_rows
     rows = rows[(rows[:, 1] < 2) & (rows[:, 3] < 2)]  # X and Y both P or Q
     fails, _ = identity_failures(s, np.array([s.p_angles, s.q_angles]), rows, tol)
     if fails:
         raise MarkovError(f"endpoint image mismatch: {fails[0]}")
 
-    return TransitionMatrix(genus=s.genus, matrix=matrix, branch=tuple(branch))
+    return TransitionMatrix(genus=s.genus, matrix=matrix, branch=tuple(branch.tolist()))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ Indices are 1-based everywhere, with arithmetic mod 8g-4 mapped back into
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -126,6 +127,22 @@ class SideIndexMaps:
             rows[1, i - 1] = upper + [(i - 1, H, i + 1, H, k + 1), (i - 1, P, i, P, k), (i - 1, Q, i, P, k + 1)]
         rows[..., ::2] = (rows[..., ::2] - 1) % self.n
         return rows, np.arange(7) < np.array([[6], [7]])
+
+    @cached_property
+    def markov_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Markov matrix and branch row of a word of all P (index 0) or all Q (1).
+        Row 2i-1, (P_i, Q_i), follows side i's choice; row 2i, (Q_i, P_{i+1}), does not."""
+        n, m = self.n, 2 * self.n
+        matrix = np.zeros((2, m, m), dtype=bool)
+        branch = np.zeros((2, m), dtype=np.intp)
+        for c, i in itertools.product(range(2), range(1, n + 1)):
+            si = self.sigma(i)
+            # Per row: generator applied, first column and width of the row's block.
+            odd = (self.wrap(i - 1), 2 * self.tau_sigma(i) - 1, 2) if c else (i, 2 * si + 2, 2)
+            for row, (gen, start, count) in ((2 * i - 2, odd), (2 * i - 1, (i, 2 * si + 4, 2 * n - 7))):
+                branch[c, row] = gen
+                matrix[c, row, (start - 1 + np.arange(count)) % m] = True
+        return matrix, branch
 
     @cached_property
     def dual_rows(self) -> np.ndarray:

@@ -12,7 +12,10 @@ from fuchsian.boundary import (
     BijectivityReport,
     boundary_step,
     extension_step,
+    extension_step_many,
+    identity_failures,
     inverse_step,
+    inverse_step_many,
 )
 from fuchsian.circle import (
     TOL,
@@ -25,12 +28,13 @@ from fuchsian.circle import (
     ccw_distance,
     moebius_angles,
 )
-from fuchsian.coding import CodingSeq
+from fuchsian.coding import CodingSeq, TransitionMatrix
 from fuchsian.duality import dual_params
 from fuchsian.errors import (
     BijectivityError,
     ContradictionError,
     DegeneratePointsError,
+    MarkovError,
     NotDiskAutomorphismError,
     OutsideDomainError,
 )
@@ -645,3 +649,84 @@ def dual_image_loop(solved, dual_domain, tol=TOL):
         if solved.params.choice(j + 1) == "Q":
             rows += [(i, "H", i, "H", j + 2), (i, "P", i, "Q", j + 1)]
     return identity_failures_tuples(s, angles, rows, tol)[0]
+
+
+# -- the Monte Carlo check and the Markov matrix --------------------------------
+
+
+def sample_choice(domain, rng, k):
+    """RectDomain.sample through rng.choice, then rng.random(k) for u and for w,
+    with the rectangle arrays read off domain.rects."""
+    rects = domain.rects
+    x0, xw = np.array([r.x.start.angle for r in rects]), np.array([r.x.length for r in rects])
+    y0, yw = np.array([r.y.start.angle for r in rects]), np.array([r.y.length for r in rects])
+    areas = xw * yw
+    total = areas.sum()
+    if not total > 0:
+        raise DegeneratePointsError(f"the domain has area {total:.3g}; there is nothing to sample")
+    p = areas / total
+    ridx = rng.choice(len(rects), size=k, p=p)
+    u = np.remainder(x0[ridx] + rng.random(k) * xw[ridx], TWO_PI)
+    w = np.remainder(y0[ridx] + rng.random(k) * yw[ridx], TWO_PI)
+    return u, w
+
+
+def monte_carlo_loop(solved, domain, samples=1000, seed=0, tol=TOL):
+    """verify_bijectivity(mode="mc") with sample_choice, a lexsort and full
+    inverse_step_many preimages, of which only the count is read."""
+    params = solved.params
+    rng = np.random.default_rng(seed)
+    report = BijectivityReport(seed=seed)
+    report.mc_checked = True
+    report.mc_samples = samples
+
+    u, w = sample_choice(domain, rng, samples)
+    u2, w2, _ = extension_step_many(params, u, w)
+    near_edge = domain.boundary_distance_many(u2, w2) <= 10 * tol
+    report.boundary_flags += int(near_edge.sum())
+    inside = domain.contains_many(u2, w2) | near_edge
+    report.mc_image_misses = int((~inside).sum())
+
+    order = np.lexsort((w2, u2))
+    du = np.abs(np.diff(u2[order]))
+    dw = np.abs(np.diff(w2[order]))
+    close_img = (du <= tol) & (dw <= tol)
+    if close_img.any():
+        pu = np.abs(np.diff(u[order]))
+        pw = np.abs(np.diff(w[order]))
+        separated_pre = (pu > 10 * tol) | (pw > 10 * tol)
+        report.mc_injectivity_collisions = int((close_img & separated_pre).sum())
+
+    tu, tw = sample_choice(domain, rng, samples)
+    _, _, _, count = inverse_step_many(solved, domain, tu, tw)
+    edge = domain.boundary_distance_many(tu, tw) <= 10 * tol
+    report.boundary_flags += int(edge.sum())
+    report.mc_preimage_misses = int(((count == 0) & ~edge).sum())
+    report.mc_preimage_ambiguous = int(((count > 1) & ~edge).sum())
+    return report
+
+
+def markov_loop(params, tol=TOL):
+    """markov_transition_matrix building each side's two rows in Python."""
+    s = params.surface
+    n = s.n
+    m = 2 * n
+    matrix = np.zeros((m, m), dtype=bool)
+    branch: list[int] = [0] * m
+
+    for i in range(1, n + 1):
+        si = s.sigma(i)
+        # Per row: generator applied, first column and width of the row's
+        # block.  Odd row 2i-1 is (P_i, Q_i), even row 2i is (Q_i, P_{i+1}).
+        odd = (i, 2 * si + 2, 2) if params.choice(i) == "P" else (s.wrap(i - 1), 2 * s.tau_sigma(i) - 1, 2)
+        even = (i, 2 * si + 4, 2 * n - 7)
+        for row, (gen, start, count) in ((2 * i - 1, odd), (2 * i, even)):
+            branch[row - 1] = gen
+            matrix[row - 1, (start - 1 + np.arange(count)) % m] = True
+    rows = params.corner_rows
+    rows = rows[(rows[:, 1] < 2) & (rows[:, 3] < 2)]  # X and Y both P or Q
+    fails, _ = identity_failures(s, np.array([s.p_angles, s.q_angles]), rows, tol)
+    if fails:
+        raise MarkovError(f"endpoint image mismatch: {fails[0]}")
+
+    return TransitionMatrix(genus=s.genus, matrix=matrix, branch=tuple(branch))

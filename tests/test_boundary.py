@@ -29,8 +29,10 @@ from fuchsian.boundary import (
 )
 from fuchsian.circle import TOL, TWO_PI, Arc, CirclePartition, CirclePoint, angdiff, ccw_distance
 from fuchsian.duality import build_omega_dual, verify_dual_images
-from fuchsian.errors import ConstructionError, FuchsianError, OutsideDomainError, RangeError
+from fuchsian.attractor import attractor_experiment
+from fuchsian.errors import ConstructionError, DegeneratePointsError, FuchsianError, OutsideDomainError, RangeError
 from fuchsian.surface import SurfaceGroup, build_regular_surface
+from fuchsian.sweep import sweep
 from fuchsian import boundary
 from fuchsian.words import GroupWord
 from oracles import (
@@ -42,6 +44,8 @@ from oracles import (
     dual_image_loop,
     inverse_search,
     inverse_search_many,
+    monte_carlo_loop,
+    sample_choice,
     solve_g,
 )
 
@@ -869,3 +873,80 @@ class TestPreimageTable:
         assert (shrunk.mc_preimage_misses, shrunk.mc_preimage_ambiguous) == (3, 0)
         assert (grown.mc_preimage_misses, grown.mc_preimage_ambiguous) == (4, 4)
         assert not shrunk.mc_passed and not grown.mc_passed
+
+
+class TestMonteCarloCheck:
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_sample_is_the_choice_stream(self, g):
+        # One draw of 3k uniforms gives rng.choice's rows and leaves the
+        # generator where choice and two rng.random(k) calls leave it.
+        for solved, _ in fault_words(g):
+            domain = build_domain(solved)
+            for seed, k in itertools.product(range(40), (1, 7, 1000)):
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got, want = domain.sample(got_rng, k), sample_choice(domain, want_rng, k)
+                assert all((a == b).all() for a, b in zip(got, want))
+                assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("end", [None, math.nan], ids=["zero", "nan"])
+    def test_sample_of_no_area_raises(self, domain_example, end):
+        rects = [dataclasses.replace(r, x=Arc(r.x.start, r.x.start if end is None else CirclePoint(end)))
+                 for r in domain_example.rects]
+        domain = RectDomain(rects)
+        messages = []
+        for sampler in (RectDomain.sample, sample_choice):
+            with pytest.raises(DegeneratePointsError, match="^the domain has area (0|nan); there is nothing") as err:
+                sampler(domain, np.random.default_rng(1), 10)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("entry, tol", [("bijectivity", 0.5), ("attractor", 1.0), ("sweep", 1.0)])
+    def test_zero_area_domain_is_named(self, genus2, entry, tol):
+        # A tol this wide merges every named point, so the domain has no
+        # area to sample; the CLI refuses such a tol before this point.
+        solved = solve(genus2, EXAMPLE_WORD, tol)
+        if entry == "sweep":
+            verdicts = [r.verdict for r in sweep(genus2, [EXAMPLE_WORD, "P" * 12, "Q" * 12], tol=tol)]
+            assert len(verdicts) == 3
+            assert all(v.startswith("ERROR the domain has area 0;") for v in verdicts)
+        else:
+            run = {"bijectivity": verify_bijectivity, "attractor": attractor_experiment}[entry]
+            with pytest.raises(DegeneratePointsError, match="^the domain has area 0;"):
+                run(solved, build_domain(solved), tol=tol)
+
+    def test_report_matches_the_full_inverse_check(self):
+        # Named points moved by 1e-6 or 1.0, and a tol wide enough for near
+        # images, give nonzero counts of every kind; each report is that of
+        # the oracle, which maps every preimage sample and sorts by lexsort.
+        kinds = ("image_misses", "injectivity_collisions", "preimage_misses", "preimage_ambiguous")
+        counts = np.zeros(len(kinds), dtype=int)
+        for g in (2, 3, 4):
+            for solved, _ in fault_words(g):
+                cases = [solved]
+                for name, shift, side in itertools.product("GHD", (1e-6, 1.0), (1, 5, solved.surface.n)):
+                    pts = list(getattr(solved, name))
+                    pts[side - 1] = CirclePoint(pts[side - 1].angle + shift)
+                    cases.append(dataclasses.replace(solved, **{name: tuple(pts)}))
+                for seed, case in enumerate(cases):
+                    domain = build_domain(case)
+                    for tol in (TOL, 1e-2):
+                        got = verify_bijectivity(case, domain, mode="mc", samples=500, seed=seed, tol=tol).to_json()
+                        assert json.dumps(got) == json.dumps(monte_carlo_loop(case, domain, 500, seed, tol).to_json())
+                        counts += [got[f"mc_{kind}"] for kind in kinds]
+        assert counts.all()
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_preimage_samples_are_counted_not_mapped(self, g, monkeypatch):
+        # One t_angles call maps the forward samples and one builds the
+        # PreimageTable; the preimage samples are only looked up, so a
+        # domain whose table is built makes the first call alone.
+        calls = []
+        t_angles = SurfaceGroup.t_angles
+        monkeypatch.setattr(SurfaceGroup, "t_angles", lambda *a, **k: calls.append(1) or t_angles(*a, **k))
+        for solved, _ in fault_words(g):
+            domain = build_domain(solved)
+            for expected in (2, 1):
+                calls.clear()
+                assert verify_bijectivity(solved, domain, mode="mc", samples=300).mc_passed
+                assert len(calls) == expected
+

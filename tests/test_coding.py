@@ -1,7 +1,9 @@
 """Geometric map, conjugacy, symbol sequences, Markov and sofic structure."""
 
 import dataclasses
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ from fuchsian.coding import (
 )
 from fuchsian.errors import BijectivityError, MarkovError, OutsideDomainError
 from fuchsian.surface import GeodesicClipper, SurfaceGroup, build_regular_surface
-from oracles import code_geodesic_loop, polygon_status, trace_geodesic
+from oracles import code_geodesic_loop, markov_loop, polygon_status, trace_geodesic
 
 EXAMPLE_WORD = "PPPPQPQQPPQQ"
 
@@ -678,6 +680,38 @@ class TestMarkov:
                 assert len(starts) == 1
                 block = {(starts[0] + j - 1) % 24 + 1 for j in range(len(entries))}
                 assert entries == block
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_rows_match_the_side_loop(self, g):
+        # Every genus-2 word and 300 random words at g = 3 and 4 give the
+        # side loop's matrix and branch.  With T_N replaced by T_1 the
+        # endpoint check fails at side 1 (choice Q) or side N (P), so the
+        # error text follows the word.
+        surface = build_regular_surface(g)
+        n = surface.n
+        if g == 2:
+            words = ["".join(bits) for bits in itertools.product("PQ", repeat=n)]
+        else:
+            rng = random.Random(g)
+            words = ["".join(rng.choice("PQ") for _ in range(n)) for _ in range(300)]
+        broken = dataclasses.replace(surface, generators=surface.generators[:-1] + surface.generators[:1])
+        errors = set()
+        for word in words:
+            got, want = (build(ExtremalParams(surface, word)) for build in (markov_transition_matrix, markov_loop))
+            assert (got.genus, got.branch) == (want.genus, want.branch)
+            assert (got.matrix == want.matrix).all() and got.matrix.shape == want.matrix.shape
+            with pytest.raises(MarkovError) as got:
+                markov_transition_matrix(ExtremalParams(broken, word))
+            with pytest.raises(MarkovError) as want:
+                markov_loop(ExtremalParams(broken, word))
+            assert str(got.value) == str(want.value)
+            errors.add(str(got.value))
+        assert len(errors) == 2
+
+    def test_matrix_is_not_the_table(self, genus2, solved_example):
+        tm = markov_transition_matrix(solved_example)
+        tm.matrix[:] = False
+        assert markov_transition_matrix(solved_example).matrix.sum() == 12 * 2 + 12 * (2 * genus2.n - 7)
 
 
 class TestSofic:

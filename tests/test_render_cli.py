@@ -282,6 +282,16 @@ class TestCli:
             (["verify", "conjugacy", "--params", EXAMPLE_WORD, "--seed", "-1"], None),
             (["attractor", "--params", EXAMPLE_WORD, "--seed", "-1"], None),
             (["sweep", "--seed", "-1"], None),
+            # A tol of 1e-3 or more can merge distinct named points, leaving
+            # a domain of no area.
+            (["omega", "--params", EXAMPLE_WORD, "--tol", "1"], None),
+            (["verify", "markov", "--params", EXAMPLE_WORD, "--tol", "0.5"], None),
+            (["verify", "bijectivity", "--params", EXAMPLE_WORD, "--tol", "0.5"], None),
+            (["attractor", "--params", EXAMPLE_WORD, "--tol", "1"], None),
+            (["sweep", "--random", "3", "--tol", "1"], None),
+            (["solve", "--params", EXAMPLE_WORD, "--tol", "1e-3"], None),
+            (["solve", "--params", EXAMPLE_WORD, "--tol", "inf"], None),
+            (["solve", "--params", EXAMPLE_WORD], "0.001"),
         ],
     )
     def test_misuse_exits_2_with_one_line(self, monkeypatch, capsys, argv, env_tol):
@@ -292,28 +302,6 @@ class TestCli:
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
         assert "Traceback" not in captured.err
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["verify", "bijectivity", "--params", EXAMPLE_WORD, "--tol", "0.5"],
-            ["attractor", "--params", EXAMPLE_WORD, "--tol", "1"],
-            ["sweep", "--random", "3", "--tol", "1"],
-        ],
-    )
-    def test_zero_area_domain_exits_1_with_one_line(self, capsys, argv):
-        # A tol this wide merges every named point, so the domain has no area to sample.
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert "Traceback" not in captured.err
-        if argv[0] == "sweep":
-            verdicts = captured.out.splitlines()[:-1]
-            assert len(verdicts) == 3
-            assert all(" ERROR the domain has area 0;" in line for line in verdicts)
-            assert captured.err == ""
-        else:
-            assert len(captured.err.strip().splitlines()) == 1
-            assert captured.err.startswith("error: the domain has area 0;")
 
     @pytest.mark.parametrize(
         "argv",
