@@ -56,13 +56,13 @@ NAMED = "PQGHD"  # the row letters of SolvedParams.angles
 class ExtremalParams:
     """A choice A_i in {P_i, Q_i} for each side, as a word over {P, Q}.
 
-    `partition` cuts the circle at A_1..A_N: the circle map applies T_i on
-    its arc i, [A_i, A_{i+1}).
+    `a_angles` holds A_1..A_N, and `partition` cuts the circle there: the
+    circle map applies T_i on its arc i, [A_i, A_{i+1}).
     """
 
     surface: SurfaceGroup
     word: str
-    points: tuple[CirclePoint, ...] = field(init=False)
+    a_angles: np.ndarray = field(init=False, repr=False, compare=False)
     partition: CirclePartition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -71,15 +71,10 @@ class ExtremalParams:
         if len(w) != n or any(ch not in "PQ" for ch in w):
             raise ValueError(f"parameter word must have length {n} over {{P,Q}}: {self.word!r}")
         object.__setattr__(self, "word", w)
-        pts = tuple(
-            self.surface.p(i) if w[i - 1] == "P" else self.surface.q(i)
-            for i in range(1, n + 1)
-        )
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "partition", CirclePartition([p.angle for p in pts]))
-
-    def choice(self, i: int) -> str:
-        return self.word[i % len(self.word) - 1]
+        a_angles = np.where(self.is_q, self.surface.q_angles, self.surface.p_angles)
+        a_angles.setflags(write=False)
+        object.__setattr__(self, "a_angles", a_angles)
+        object.__setattr__(self, "partition", CirclePartition(a_angles))
 
     @cached_property
     def is_q(self) -> np.ndarray:
@@ -87,7 +82,7 @@ class ExtremalParams:
         return np.frombuffer(self.word.encode(), np.uint8) == ord("Q")
 
     def a(self, i: int) -> CirclePoint:
-        return self.points[i % len(self.points) - 1]
+        return CirclePoint(self.a_angles[i % self.surface.n - 1])
 
     def chain(self) -> tuple:
         """The corner-point system for G, entry i-1 for side i: (p_sigma, ready, letter, target, base, steps).
@@ -127,32 +122,31 @@ class ExtremalParams:
         return rows[is_q, np.arange(len(is_q))][valid[is_q]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolvedParams:
     """The solved corner data for one extremal parameter choice.
 
-    G, H and D hold the named points, entry i-1 for side i.  Their group
-    words are built on first use, by replaying params.chain().  The
-    accessors take any integer i and read entry i mod N.
+    `angles`, the named-point table, is the one stored form of the solved
+    points: rows P, Q, G, H, D (NAMED), column i-1 for side i, read-only
+    from solve.  The words of G, H and D are built on first use, by
+    replaying params.chain().  The accessors read column i mod N.
     """
 
     params: ExtremalParams
-    G: tuple[CirclePoint, ...]
-    H: tuple[CirclePoint, ...]
-    D: tuple[CirclePoint, ...]
+    angles: np.ndarray
 
     @property
     def surface(self) -> SurfaceGroup:
         return self.params.surface
 
     def g(self, i: int) -> CirclePoint:
-        return self.G[i % len(self.G) - 1]
+        return CirclePoint(self.angles[2, i % self.surface.n - 1])
 
     def h(self, i: int) -> CirclePoint:
-        return self.H[i % len(self.H) - 1]
+        return CirclePoint(self.angles[3, i % self.surface.n - 1])
 
     def d(self, i: int) -> CirclePoint:
-        return self.D[i % len(self.D) - 1]
+        return CirclePoint(self.angles[4, i % self.surface.n - 1])
 
     @cached_property
     def point_words(self) -> tuple[list[GroupWord], list[GroupWord], list[GroupWord]]:
@@ -173,23 +167,18 @@ class SolvedParams:
         return g, h, d
 
     def g_word(self, i: int) -> GroupWord:
-        return self.point_words[0][i % len(self.G) - 1]
+        return self.point_words[0][i % self.surface.n - 1]
 
     def h_word(self, i: int) -> GroupWord:
-        return self.point_words[1][i % len(self.H) - 1]
+        return self.point_words[1][i % self.surface.n - 1]
 
     def d_word(self, i: int) -> GroupWord:
-        return self.point_words[2][i % len(self.D) - 1]
-
-    @cached_property
-    def angles(self) -> np.ndarray:
-        """The named-point angle table: rows P, Q, G, H, D (NAMED), column i-1 for side i."""
-        named = [[pt.angle for pt in pts] for pts in (self.G, self.H, self.D)]
-        return np.array([self.surface.p_angles, self.surface.q_angles, *named])
+        return self.point_words[2][i % self.surface.n - 1]
 
     def to_json(self) -> str:
         p_sigma, ready, *_ = self.params.chain()
         types = (np.where(p_sigma, 1, 3) + ~ready).tolist()  # 1, 2: P cycle, chain; 3, 4: Q cycle, chain
+        named = self.angles[2:].tolist()
         doc = {
             "genus": self.surface.genus,
             "params": self.params.word,
@@ -197,8 +186,8 @@ class SolvedParams:
                 {
                     "index": i + 1,
                     "type": types[i],
-                    **{name: dict(words[i].to_json(), angle=pts[i].angle)
-                       for name, pts, words in zip("GHD", (self.G, self.H, self.D), self.point_words)},
+                    **{name: dict(words[i].to_json(), angle=row[i])
+                       for name, row, words in zip("GHD", named, self.point_words)},
                 }
                 for i in range(self.surface.n)
             ],
@@ -290,8 +279,9 @@ def solve(surface: SurfaceGroup, word: str, tol: float = TOL) -> SolvedParams:
     fails, _ = identity_failures(surface, angles, surface.maps.corner_rows[0][0, sig, 0], tol)
     if fails:
         raise RangeError(f"corner identity {fails[0]}")
-    named = _canonical_angles(angles, tol)[2:].tolist()
-    return SolvedParams(params, *(tuple(map(CirclePoint, row)) for row in named))
+    angles = _canonical_angles(angles, tol)
+    angles.setflags(write=False)
+    return SolvedParams(params, angles)
 
 
 # -- the boundary map and its two-coordinate extension ------------------------
@@ -360,25 +350,35 @@ class DomainRect:
     def degenerate(self) -> bool:
         return bool(_degenerate(self.width, self.height))
 
+    @classmethod
+    def of(cls, ends, strip: int, kind: str) -> DomainRect:
+        """The rectangle [x0, x1] x [y0, y1] from its end angles (x0, x1, y0, y1)."""
+        x0, x1, y0, y1 = map(CirclePoint, ends)
+        return cls(Arc(x0, x1), Arc(y0, y1), strip, kind)
+
 
 class RectDomain:
     """A finite union of rectangles with half-open membership semantics.
 
-    The y-arcs of the rectangles tile the circle (indexed lookups go
-    through a CirclePartition of their starts, which are also their ends);
-    the x-arcs are arbitrary.
+    `ends` has a row (x0, x1, y0, y1) per rectangle.  The y-arcs tile the
+    circle (indexed lookups go through a CirclePartition of their starts,
+    which are also their ends); the x-arcs are arbitrary.
     """
 
-    def __init__(self, rects: list[DomainRect]):
-        self.rects = rects
-        self._ends = np.array([(r.x.start.angle, r.x.end.angle, r.y.start.angle, r.y.end.angle) for r in rects])
-        self._x0, _, self._y0, _ = self._ends.T.copy()  # contiguous: strided views slow the m x 2N kernels
+    def __init__(self, ends: np.ndarray):
+        self._ends = ends
+        self._x0, _, self._y0, _ = ends.T.copy()  # contiguous: strided views slow the m x 2N kernels
         self._xw = ccw_distance_many(self._x0, self._ends[:, 1])  # Arc.length, bit for bit
         self._yw = ccw_distance_many(self._y0, self._ends[:, 3])
         self._y = CirclePartition(self._y0)
         self._areas = self._xw * self._yw
         self._x_edges = CirclePartition(np.concatenate([self._x0, self._x0 + self._xw]))
         self._preimages: PreimageTable | None = None
+
+    @cached_property
+    def rects(self) -> list[DomainRect]:
+        """The rectangles as objects, built on first use: row k is strip k//2 + 1, lower then upper."""
+        return [DomainRect.of(end, k // 2 + 1, ("lower", "upper")[k % 2]) for k, end in enumerate(self._ends.tolist())]
 
     def locate(self, u: CirclePoint, w: CirclePoint) -> int | None:
         """Index of the rectangle containing (u, w), or None; locate_many for one pair."""
@@ -456,29 +456,12 @@ def build_domain(solved: SolvedParams) -> RectDomain:
     """The 2N-rectangle domain of the natural extension.
 
     Lower strip i: [H_{i+1}, G_{i-2}] x [P_i, Q_i]; upper strip i:
-    [H_{i+1}, G_{i-1}] x [Q_i, P_{i+1}].  Degenerate rectangles (empty
-    x-extent) are retained so counts and labels stay stable.
+    [H_{i+1}, G_{i-1}] x [Q_i, P_{i+1}], gathered from the named-point
+    table through maps.rect_rows.  Degenerate rectangles (empty x-extent)
+    are retained so counts and labels stay stable.
     """
-    s = solved.surface
-    rects = []
-    for i in range(1, s.n + 1):
-        rects.append(
-            DomainRect(
-                x=Arc(solved.h(i + 1), solved.g(i - 2)),
-                y=Arc(s.p(i), s.q(i)),
-                strip=i,
-                kind="lower",
-            )
-        )
-        rects.append(
-            DomainRect(
-                x=Arc(solved.h(i + 1), solved.g(i - 1)),
-                y=Arc(s.q(i), s.p(i + 1)),
-                strip=i,
-                kind="upper",
-            )
-        )
-    return RectDomain(rects)
+    rows, sides = solved.surface.maps.rect_rows[:, : 2 * solved.surface.n]
+    return RectDomain(solved.angles[rows, sides])
 
 
 def invariant_measure(rect: DomainRect) -> float:
@@ -524,7 +507,7 @@ class PreimageTable:
     def __init__(self, solved: SolvedParams, domain: RectDomain):
         s = solved.surface
         params = solved.params
-        if not {p.angle for p in params.points} <= set(domain._y0.tolist()):
+        if not np.isin(params.a_angles, domain._y0).all():
             raise ValueError("the domain's y-breakpoints do not refine the branch partition")
         ends = domain._ends[~_degenerate(domain._xw, domain._yw)]
         self.solved = solved

@@ -30,7 +30,7 @@ from .boundary import (
     inverse_step_many,
     solve,
 )
-from .circle import TOL, TWO_PI, Arc, CirclePartition, CirclePoint, angdiff_many
+from .circle import TOL, TWO_PI, CirclePartition, CirclePoint, angdiff_many
 from .errors import ConstructionError
 from .surface import SurfaceGroup
 from .words import GroupWord
@@ -55,10 +55,6 @@ class DualParams:
     def source_word(self) -> str:
         return self.solved.params.word
 
-    @property
-    def n(self) -> int:
-        return self.surface.n
-
     def d(self, i: int) -> CirclePoint:
         return self.solved.d(i)
 
@@ -67,7 +63,7 @@ class DualParams:
 
     @cached_property
     def partition(self) -> CirclePartition:
-        return CirclePartition([self.d(i).angle for i in range(1, self.n + 1)])
+        return CirclePartition(self.solved.angles[4])
 
     def extremal_word(self, tol: float = TOL) -> str | None:
         """The {P,Q} word matching the dual points, or None if non-extremal."""
@@ -79,10 +75,8 @@ class DualParams:
     def to_json(self) -> str:
         doc = json.loads(self.solved.to_json())
         doc["source_params"] = self.source_word
-        doc["dual"] = [
-            dict(self.d_word(i).to_json(), angle=self.d(i).angle)
-            for i in range(1, self.n + 1)
-        ]
+        d_words, d = self.solved.point_words[2], self.solved.angles[4].tolist()
+        doc["dual"] = [dict(w.to_json(), angle=a) for w, a in zip(d_words, d)]
         return json.dumps(doc, indent=2)
 
 
@@ -90,7 +84,7 @@ def dual_params(solved: SolvedParams) -> DualParams:
     return DualParams(solved=solved)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualDomain:
     """Domain of the dual extension, in both decompositions.
 
@@ -98,32 +92,24 @@ class DualDomain:
         wide  [Q_{i+2}, P_{i-1}] x [D_i, D_{i+1})
         head  [P_{i-1}, P_i]     x [H_i, D_{i+1})   empty iff A_{sigma(i)+1} = P
         tail  [Q_{i+1}, Q_{i+2}] x [D_i, G_i)       empty iff A_{sigma(i)} = Q
+    ends[i-1] holds strip i's wide, head and tail ends (x0, x1, y0, y1).
     The vertical-strip view is the coordinate flip of the primal domain.
     """
 
     dual: DualParams
     vertical: RectDomain  # stored flipped: its (x, y) is our (w, u)
-    wide: tuple[DomainRect, ...]
-    head: tuple[DomainRect, ...]
-    tail: tuple[DomainRect, ...]
-
-    @property
-    def surface(self) -> SurfaceGroup:
-        return self.dual.surface
+    ends: np.ndarray
 
     def rectangles(self) -> list[DomainRect]:
-        return list(self.wide) + list(self.head) + list(self.tail)
+        """The rectangles as objects: wide 1..N, then head, then tail."""
+        return [
+            DomainRect.of(end, i + 1, kind)
+            for kind, family in zip(("wide", "head", "tail"), self.ends.transpose(1, 0, 2).tolist())
+            for i, end in enumerate(family)
+        ]
 
     def contains_vertical_many(self, u_thetas, w_thetas) -> np.ndarray:
         return self.vertical.contains_many(w_thetas, u_thetas)
-
-    @cached_property
-    def _ends(self) -> dict[str, np.ndarray]:
-        """Per family, the (4, N) start/end angles of the x- and y-arcs of rectangles 1..N."""
-        return {
-            name: np.array([[r.x.start.angle, r.x.end.angle, r.y.start.angle, r.y.end.angle] for r in rects]).T
-            for name, rects in (("wide", self.wide), ("head", self.head), ("tail", self.tail))
-        }
 
     def contains_horizontal_many(self, u_thetas, w_thetas) -> np.ndarray:
         u = np.asarray(u_thetas, dtype=float)
@@ -133,9 +119,7 @@ class DualDomain:
         def in_arc(theta, a0, a1):
             return np.remainder(theta - a0, TWO_PI) < np.remainder(a1 - a0, TWO_PI)
 
-        wx0, wx1, _, _ = self._ends["wide"][:, k]
-        hx0, hx1, hy0, hy1 = self._ends["head"][:, k]
-        tx0, tx1, ty0, ty1 = self._ends["tail"][:, k]
+        (wx0, wx1, _, _), (hx0, hx1, hy0, hy1), (tx0, tx1, ty0, ty1) = self.ends[k].transpose(1, 2, 0)
         in_head = in_arc(u, hx0, hx1) & in_arc(w, hy0, hy1)
         in_tail = in_arc(u, tx0, tx1) & in_arc(w, ty0, ty1)
         return in_arc(u, wx0, wx1) | in_head | in_tail
@@ -150,43 +134,16 @@ def build_omega_dual(solved: SolvedParams, tol: float = TOL) -> DualDomain:
 
     Verifies that the head/tail rectangles degenerate exactly under the
     conditions read off the parameter word (degeneracy_failures); a
-    mismatch raises ConstructionError.
+    mismatch raises ConstructionError.  The rectangle ends are gathered
+    from the named-point table through maps.rect_rows.
     """
     fails = degeneracy_failures(solved, tol)
     if fails:
         raise ConstructionError(f"dual head/tail rectangles contradict the word: {'; '.join(fails)}")
-    s = solved.surface
-    dual = dual_params(solved)
+    n = solved.surface.n
     vertical = build_domain(solved)  # the flip: V_i = phi(lower strip i), etc.
-
-    wide, head, tail = [], [], []
-    for i in range(1, s.n + 1):
-        wide.append(
-            DomainRect(
-                x=Arc(s.q(i + 2), s.p(i - 1)),
-                y=Arc(dual.d(i), dual.d(i + 1)),
-                strip=i,
-                kind="wide",
-            )
-        )
-        head.append(
-            DomainRect(
-                x=Arc(s.p(i - 1), s.p(i)),
-                y=Arc(solved.h(i), dual.d(i + 1)),
-                strip=i,
-                kind="head",
-            )
-        )
-        tail.append(
-            DomainRect(
-                x=Arc(s.q(i + 1), s.q(i + 2)),
-                y=Arc(dual.d(i), solved.g(i)),
-                strip=i,
-                kind="tail",
-            )
-        )
-
-    return DualDomain(dual=dual, vertical=vertical, wide=tuple(wide), head=tuple(head), tail=tuple(tail))
+    rows, sides = solved.surface.maps.rect_rows[:, 2 * n :]
+    return DualDomain(dual_params(solved), vertical, solved.angles[rows, sides].reshape(n, 3, 4))
 
 
 # -- verification -------------------------------------------------------------

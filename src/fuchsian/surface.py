@@ -161,6 +161,25 @@ class SideIndexMaps:
         return rows
 
     @cached_property
+    def rect_rows(self) -> np.ndarray:
+        """Where the domains' rectangle ends sit in the named-point table:
+        rows[0] holds the table row (P, Q, G, H, D) and rows[1] the 0-based
+        side of each end (x0, x1, y0, y1).  Rows 2i-2 and 2i-1 are strip i's
+        lower and upper rectangles (build_domain); from row 2N come each
+        strip's dual wide, head and tail rectangles (DualDomain).
+        """
+        P, Q, G, H, D = range(5)
+        ends = []
+        for i in range(1, self.n + 1):
+            ends += [[(H, i + 1), (G, i - 2), (P, i), (Q, i)], [(H, i + 1), (G, i - 1), (Q, i), (P, i + 1)]]
+        for i in range(1, self.n + 1):
+            ends += [[(Q, i + 2), (P, i - 1), (D, i), (D, i + 1)], [(P, i - 1), (P, i), (H, i), (D, i + 1)],
+                     [(Q, i + 1), (Q, i + 2), (D, i), (G, i)]]
+        rows = np.array(ends).transpose(2, 0, 1)
+        rows[1] = (rows[1] - 1) % self.n
+        return rows
+
+    @cached_property
     def strip_pieces(self) -> tuple[np.ndarray, np.ndarray]:
         """The analytic check's strip tiling: row 2m-2 (lower, e = m-2) and
         2m-1 (upper, e = m-1) list the pieces of the chain H_{m+1}, D_{m+2},

@@ -1,6 +1,7 @@
 """Reference implementations that the fast paths are tested against."""
 
 import cmath
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -10,6 +11,8 @@ import numpy as np
 from fuchsian.boundary import (
     NAMED,
     BijectivityReport,
+    DomainRect,
+    RectDomain,
     boundary_step,
     extension_step,
     extension_step_many,
@@ -20,6 +23,7 @@ from fuchsian.boundary import (
 from fuchsian.circle import (
     TOL,
     TWO_PI,
+    Arc,
     CirclePoint,
     MoebiusMap,
     angdiff,
@@ -27,6 +31,7 @@ from fuchsian.circle import (
     angular_separation,
     ccw_distance,
     moebius_angles,
+    wrap_angle,
 )
 from fuchsian.coding import CodingSeq, TransitionMatrix
 from fuchsian.duality import dual_params
@@ -469,10 +474,10 @@ class IndexType(IntEnum):
 
 def classify_type(params, i):
     """Type of index i, determined by the choices at sigma(i) and i+2 / tau(i)."""
-    s = params.surface
-    if params.choice(s.sigma(i)) == "P":
-        return IndexType.P_CYCLE if params.choice(i + 2) == "P" else IndexType.P_CHAIN
-    return IndexType.Q_CYCLE if params.choice(s.tau(i)) == "Q" else IndexType.Q_CHAIN
+    s, w = params.surface, params.word
+    if w[s.sigma(i) - 1] == "P":
+        return IndexType.P_CYCLE if w[(i + 2) % s.n - 1] == "P" else IndexType.P_CHAIN
+    return IndexType.Q_CYCLE if w[s.tau(i) - 1] == "Q" else IndexType.Q_CHAIN
 
 
 def solve_g(params):
@@ -547,10 +552,86 @@ def endpoint_identities(params, i):
     s = params.surface
     si = s.sigma(i)
     rows = [(i, "Q", i, "Q", si + 2), (i, "P", i + 1, "P", si - 1)]
-    if params.choice(i) == "P":
+    if params.word[i - 1] == "P":
         return rows + [(i, "P", i, "Q", si + 1)]
     k = s.tau_sigma(i)
     return rows + [(i - 1, "P", i, "P", k), (i - 1, "Q", i, "P", k + 1)]
+
+
+# -- the rectangle domains and fault injection ----------------------------------
+
+
+def domain_loop(solved):
+    """build_domain's rectangles, built side by side from the scalar accessors."""
+    s = solved.surface
+    rects = []
+    for i in range(1, s.n + 1):
+        rects.append(
+            DomainRect(
+                x=Arc(solved.h(i + 1), solved.g(i - 2)),
+                y=Arc(s.p(i), s.q(i)),
+                strip=i,
+                kind="lower",
+            )
+        )
+        rects.append(
+            DomainRect(
+                x=Arc(solved.h(i + 1), solved.g(i - 1)),
+                y=Arc(s.q(i), s.p(i + 1)),
+                strip=i,
+                kind="upper",
+            )
+        )
+    return rects
+
+
+def dual_domain_loop(solved):
+    """build_omega_dual's horizontal rectangles, side by side: wide 1..N, then head, then tail."""
+    s = solved.surface
+    dual = dual_params(solved)
+    wide, head, tail = [], [], []
+    for i in range(1, s.n + 1):
+        wide.append(
+            DomainRect(
+                x=Arc(s.q(i + 2), s.p(i - 1)),
+                y=Arc(dual.d(i), dual.d(i + 1)),
+                strip=i,
+                kind="wide",
+            )
+        )
+        head.append(
+            DomainRect(
+                x=Arc(s.p(i - 1), s.p(i)),
+                y=Arc(solved.h(i), dual.d(i + 1)),
+                strip=i,
+                kind="head",
+            )
+        )
+        tail.append(
+            DomainRect(
+                x=Arc(s.q(i + 1), s.q(i + 2)),
+                y=Arc(dual.d(i), solved.g(i)),
+                strip=i,
+                kind="tail",
+            )
+        )
+    return wide + head + tail
+
+
+def with_points(solved, name, angles, sides=None):
+    """solved with its named points name_i (name a letter of NAMED) at the
+    1-based sides (all by default) set to angles, wrapped into [0, 2*pi) as
+    CirclePoint wraps them: a fault case, made by replacing the table."""
+    table = solved.angles.copy()
+    cols = slice(None) if sides is None else np.asarray(sides) - 1
+    row = np.broadcast_to(np.asarray(angles, dtype=float), table[0, cols].shape)
+    table[NAMED.index(name), cols] = [wrap_angle(a) for a in row.tolist()]
+    return dataclasses.replace(solved, angles=table)
+
+
+def rect_domain(rects):
+    """The RectDomain of a list of DomainRects, such as a domain's edited rects."""
+    return RectDomain(np.array([(r.x.start.angle, r.x.end.angle, r.y.start.angle, r.y.end.angle) for r in rects]))
 
 
 # -- the analytic bijectivity check --------------------------------------------
@@ -574,18 +655,19 @@ def identity_failures_tuples(surface, angles, rows, tol=TOL):
 def degeneracy_loop(solved, tol=TOL):
     """degeneracy_failures side by side with the scalar angdiff."""
     s = solved.surface
-    choice = solved.params.choice
+    word = solved.params.word
     fails = []
     for i in range(1, s.n + 1):
         head = angdiff(solved.h(i).angle, solved.d(i + 1).angle) <= tol
-        if head != (choice(s.tau_sigma(i - 1)) == "P"):
+        a = word[s.tau_sigma(i - 1) - 1]
+        if head != (a == "P"):
             fails.append(
-                f"[H_{i}, D_{s.wrap(i + 1)}] degenerate={head} "
-                f"but choice at tau_sigma({s.wrap(i - 1)}) is {choice(s.tau_sigma(i - 1))}"
+                f"[H_{i}, D_{s.wrap(i + 1)}] degenerate={head} but choice at tau_sigma({s.wrap(i - 1)}) is {a}"
             )
         tail = angdiff(solved.g(i).angle, solved.d(i).angle) <= tol
-        if tail != (choice(s.sigma(i)) == "Q"):
-            fails.append(f"[D_{i}, G_{i}] degenerate={tail} but choice at sigma({i}) is {choice(s.sigma(i))}")
+        a = word[s.sigma(i) - 1]
+        if tail != (a == "Q"):
+            fails.append(f"[D_{i}, G_{i}] degenerate={tail} but choice at sigma({i}) is {a}")
     return fails
 
 
@@ -606,7 +688,7 @@ def analytic_loop(solved, tol=TOL):
         si = s.sigma(i)
         ends = endpoint_identities(params, i)
         rows += [(i, "H", i + 1, "D", si), (i, "G", i - 1, "D", si + 1), *ends[:2]]
-        if params.choice(i) == "P":
+        if params.word[i - 1] == "P":
             rows.append((i, "G", i - 2, "G", si))
         else:
             rows.append((i - 1, "H", i + 1, "H", s.tau_sigma(i) + 1))
@@ -644,9 +726,9 @@ def dual_image_loop(solved, dual_domain, tol=TOL):
         j = s.sigma(i)
         rows += [(i, "Q", i + 2, "Q", j), (i, "P", i - 1, "P", j + 1)]
         rows += [(i, "D", i, "H", j + 1), (i, "D", i + 1, "G", j - 1)]
-        if solved.params.choice(j) == "P":
+        if solved.params.word[j - 1] == "P":
             rows += [(i, "G", i, "G", j - 2), (i, "Q", i + 1, "P", j)]
-        if solved.params.choice(j + 1) == "Q":
+        if solved.params.word[j % s.n] == "Q":
             rows += [(i, "H", i, "H", j + 2), (i, "P", i, "Q", j + 1)]
     return identity_failures_tuples(s, angles, rows, tol)[0]
 
@@ -718,7 +800,7 @@ def markov_loop(params, tol=TOL):
         si = s.sigma(i)
         # Per row: generator applied, first column and width of the row's
         # block.  Odd row 2i-1 is (P_i, Q_i), even row 2i is (Q_i, P_{i+1}).
-        odd = (i, 2 * si + 2, 2) if params.choice(i) == "P" else (s.wrap(i - 1), 2 * s.tau_sigma(i) - 1, 2)
+        odd = (i, 2 * si + 2, 2) if params.word[i - 1] == "P" else (s.wrap(i - 1), 2 * s.tau_sigma(i) - 1, 2)
         even = (i, 2 * si + 4, 2 * n - 7)
         for row, (gen, start, count) in ((2 * i - 1, odd), (2 * i, even)):
             branch[row - 1] = gen

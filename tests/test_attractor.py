@@ -41,8 +41,8 @@ def test_zero_iterations_check_the_start_points(solved_example, domain_example):
 class LeakyDomain(RectDomain):
     """A domain whose `sample` puts its first point at a pair off the domain."""
 
-    def __init__(self, rects, off):
-        super().__init__(rects)
+    def __init__(self, ends, off):
+        super().__init__(ends)
         self.off = off
 
     def sample(self, rng, k):
@@ -55,7 +55,7 @@ def test_zero_iterations_catch_a_start_point_off_the_domain(solved_example, doma
     rng = np.random.default_rng(3)
     u, w = rng.uniform(0, TWO_PI, 1000), rng.uniform(0, TWO_PI, 1000)
     k = int(np.argmax(domain_example.distance_many(u, w)))
-    leaky = LeakyDomain(domain_example.rects, (u[k], w[k]))
+    leaky = LeakyDomain(domain_example._ends, (u[k], w[k]))
     rep = attractor_experiment(solved_example, leaky, iterations=0, samples=3000, seed=4)
     assert not rep.forward_invariant_ok
     assert rep.forward_invariant_max_dist > 0.1

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fuchsian.boundary import (
+    NAMED,
     BijectivityReport,
     DomainRect,
     ExtremalParams,
@@ -41,12 +42,16 @@ from oracles import (
     compute_h_d,
     degeneracy_loop,
     dense_domain_distance,
+    domain_loop,
+    dual_domain_loop,
     dual_image_loop,
     inverse_search,
     inverse_search_many,
     monte_carlo_loop,
+    rect_domain,
     sample_choice,
     solve_g,
+    with_points,
 )
 
 
@@ -197,15 +202,14 @@ class TestSolver:
         for word in words:
             solved = solve(surface, word)
             assert degeneracy_failures(solved) == []
-            choice = solved.params.choice
             for i in range(1, surface.n + 1):
-                if choice(surface.tau_sigma(i - 1)) == "P" and ccw_distance(solved.h(i).angle, solved.d(i + 1).angle):
+                if word[surface.tau_sigma(i - 1) - 1] == "P" and ccw_distance(solved.h(i).angle, solved.d(i + 1).angle):
                     wide.append((word, "head", i))
-                if choice(surface.sigma(i)) == "Q" and ccw_distance(solved.d(i).angle, solved.g(i).angle):
+                if word[surface.sigma(i) - 1] == "Q" and ccw_distance(solved.d(i).angle, solved.g(i).angle):
                     wide.append((word, "tail", i))
-            for name, pts, words in zip("GHD", (solved.G, solved.H, solved.D), solved.point_words):
-                for i, (pt, w) in enumerate(zip(pts, words), 1):
-                    if angdiff(pt.angle, w.evaluate(surface).angle) > 1e-12:
+            for name, row, words in zip("GHD", solved.angles[2:], solved.point_words):
+                for i, (angle, w) in enumerate(zip(row, words), 1):
+                    if angdiff(angle, w.evaluate(surface).angle) > 1e-12:
                         moved.append((word, name, i))
         assert wide == []
         assert moved == []
@@ -242,8 +246,8 @@ class TestWordsOnDemand:
             assert got == [list(w) for w in expected]
             assert solved.d_word(0) == solved.d_word(n)
             assert index_types(solved) == [int(classify_type(solved.params, i)) for i in range(1, n + 1)]
-            for pts, ws in zip((solved.G, solved.H, solved.D), expected):
-                assert max(angdiff(pt.angle, w.evaluate(surface).angle) for pt, w in zip(pts, ws)) <= 1e-13
+            for row, ws in zip(solved.angles[2:], expected):
+                assert max(angdiff(angle, w.evaluate(surface).angle) for angle, w in zip(row, ws)) <= 1e-13
 
 
 class TestHD:
@@ -524,9 +528,7 @@ class TestBijectivity:
             assert t.apply(s.p(i + 1)).close_to(s.p(si - 1), TOL)
 
     def test_perturbed_corner_is_named(self, genus2, solved_example, domain_example):
-        bad_h = list(solved_example.H)
-        bad_h[4] = CirclePoint(bad_h[4].angle + 0.01)
-        broken = dataclasses.replace(solved_example, H=tuple(bad_h))
+        broken = with_points(solved_example, "H", solved_example.h(5).angle + 0.01, [5])
         report = verify_bijectivity(broken, domain_example, mode="analytic")
         assert not report.analytic_passed
         assert any("H_5" in f for f in report.corner_failures)
@@ -542,18 +544,14 @@ class TestBijectivity:
         # The complete list for one moved point.  T_10 G_9 = D_5 is a corner
         # of side 10's upper image and of side 11's lower one (a Q choice);
         # the check lists each identity once.
-        pts = list(getattr(solved_example, name))
-        pts[4] = CirclePoint(pts[4].angle + shift)
-        broken = dataclasses.replace(solved_example, **{name: tuple(pts)})
+        broken = with_points(solved_example, name, solved_example.angles[NAMED.index(name), 4] + shift, [5])
         report = verify_bijectivity(broken, build_domain(broken), mode="analytic")
         assert report.corner_failures == expected
 
     @pytest.mark.parametrize("side", range(1, 13))
     @pytest.mark.parametrize("name", "GHD")
     def test_nan_named_point_fails(self, solved_example, domain_example, name, side):
-        pts = list(getattr(solved_example, name))
-        pts[side - 1] = CirclePoint(math.nan)
-        broken = dataclasses.replace(solved_example, **{name: tuple(pts)})
+        broken = with_points(solved_example, name, math.nan, [side])
         with np.errstate(invalid="ignore"):
             report = verify_bijectivity(broken, domain_example, mode="analytic")
         assert not report.analytic_passed
@@ -575,9 +573,7 @@ class TestBijectivity:
 
     def test_reversed_tiling_piece_is_named(self, solved_example, domain_example):
         # D_5 moved past D_6 reverses the piece [D_5, D_6] in every strip using it.
-        bad_d = list(solved_example.D)
-        bad_d[4] = CirclePoint(bad_d[4].angle + 1.0)
-        broken = dataclasses.replace(solved_example, D=tuple(bad_d))
+        broken = with_points(solved_example, "D", solved_example.d(5).angle + 1.0, [5])
         report = verify_bijectivity(broken, domain_example, mode="analytic")
         assert not report.analytic_passed
         assert "strip 1 lower: piece [D_5,D_6] reversed (width 5.77)" in report.tiling_failures
@@ -588,9 +584,7 @@ class TestBijectivity:
     def test_each_reversed_piece_is_named_once(self, g, word):
         # Strips share pieces; [D_5, D_6] alone sits in most of them.
         solved = solve(build_regular_surface(g), word)
-        bad_d = list(solved.D)
-        bad_d[4] = CirclePoint(bad_d[4].angle + 1.0)
-        broken = dataclasses.replace(solved, D=tuple(bad_d))
+        broken = with_points(solved, "D", solved.d(5).angle + 1.0, [5])
         fails = verify_bijectivity(broken, build_domain(broken), mode="analytic").tiling_failures
         pieces = [f.split(": piece ")[1].split(" reversed")[0] for f in fails if " reversed " in f]
         assert "[D_5,D_6]" in pieces
@@ -598,10 +592,7 @@ class TestBijectivity:
 
     def test_lost_degeneracy_is_named(self, solved_example, domain_example):
         # Moving every H_i off its D partner undoes the degenerate head pieces.
-        bad_h = tuple(
-            CirclePoint(h.angle + 1e-6) for h in solved_example.H
-        )
-        broken = dataclasses.replace(solved_example, H=bad_h)
+        broken = with_points(solved_example, "H", solved_example.angles[3] + 1e-6)
         report = verify_bijectivity(broken, domain_example, mode="analytic")
         assert not report.analytic_passed
         assert (
@@ -611,10 +602,7 @@ class TestBijectivity:
 
     def test_each_degeneracy_failure_is_listed_once(self, solved_example, domain_example):
         # Moving every G_i off its D partner undoes the 5 degenerate tail pieces.
-        bad_g = tuple(
-            CirclePoint(g.angle + 1e-6) for g in solved_example.G
-        )
-        broken = dataclasses.replace(solved_example, G=bad_g)
+        broken = with_points(solved_example, "G", solved_example.angles[2] + 1e-6)
         fails = verify_bijectivity(broken, domain_example, mode="analytic").degeneracy_failures
         assert len(fails) == 5
         assert len(set(fails)) == len(fails)
@@ -686,7 +674,7 @@ def resized(domain, k, delta):
     r = rects[k]
     end = r.x.start if delta is None else CirclePoint(r.x.end.angle + delta)
     rects[k] = dataclasses.replace(r, x=Arc(r.x.start, end))
-    return RectDomain(rects)
+    return rect_domain(rects)
 
 
 def scalar_outcome(fn, *args):
@@ -758,9 +746,7 @@ class TestAnalyticTables:
         # the scalar chain walk in oracles, text for text.
         for solved, dual_domain in fault_words(g):
             for side in (1, 5, solved.surface.n):
-                pts = list(getattr(solved, name))
-                pts[side - 1] = CirclePoint(pts[side - 1].angle + shift)
-                broken = dataclasses.replace(solved, **{name: tuple(pts)})
+                broken = with_points(solved, name, solved.angles[NAMED.index(name), side - 1] + shift, [side])
                 with np.errstate(invalid="ignore"):
                     report = verify_bijectivity(broken, None, mode="analytic", seed=None)
                     assert json.dumps(report.to_json()) == json.dumps(analytic_loop(broken).to_json())
@@ -836,7 +822,7 @@ class TestPreimageTable:
         assert domain.preimages(solved_example) is table
 
     def test_y_arcs_must_refine_branches(self, solved_example, domain_example):
-        shifted = RectDomain(
+        shifted = rect_domain(
             [
                 dataclasses.replace(r, y=Arc(CirclePoint(r.y.start.angle + 0.01), r.y.end))
                 for r in domain_example.rects
@@ -892,7 +878,7 @@ class TestMonteCarloCheck:
     def test_sample_of_no_area_raises(self, domain_example, end):
         rects = [dataclasses.replace(r, x=Arc(r.x.start, r.x.start if end is None else CirclePoint(end)))
                  for r in domain_example.rects]
-        domain = RectDomain(rects)
+        domain = rect_domain(rects)
         messages = []
         for sampler in (RectDomain.sample, sample_choice):
             with pytest.raises(DegeneratePointsError, match="^the domain has area (0|nan); there is nothing") as err:
@@ -924,9 +910,7 @@ class TestMonteCarloCheck:
             for solved, _ in fault_words(g):
                 cases = [solved]
                 for name, shift, side in itertools.product("GHD", (1e-6, 1.0), (1, 5, solved.surface.n)):
-                    pts = list(getattr(solved, name))
-                    pts[side - 1] = CirclePoint(pts[side - 1].angle + shift)
-                    cases.append(dataclasses.replace(solved, **{name: tuple(pts)}))
+                    cases.append(with_points(solved, name, solved.angles[NAMED.index(name), side - 1] + shift, [side]))
                 for seed, case in enumerate(cases):
                     domain = build_domain(case)
                     for tol in (TOL, 1e-2):
@@ -950,3 +934,58 @@ class TestMonteCarloCheck:
                 assert verify_bijectivity(solved, domain, mode="mc", samples=300).mc_passed
                 assert len(calls) == expected
 
+
+
+class TestNamedPointTable:
+    def test_table_is_read_only(self, solved_example):
+        for table in (solved_example.angles, solved_example.params.a_angles):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+        table = solved_example.angles.copy()
+        table[2, 0] = 1.0
+        moved = dataclasses.replace(solved_example, angles=table)
+        assert moved.g(1).angle == 1.0 and moved.g(2) == solved_example.g(2)
+        assert solved_example.g(1).angle != 1.0
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_domains_are_the_side_loops(self, g):
+        # All 4096 words at g = 2, 100 random ones at g = 3 and 4: the
+        # rectangles gathered through rect_rows are those the side loops in
+        # oracles build, angles bit for bit, and the dual partition cut at
+        # the table's D row has the breaks of one cut at the points D_i.
+        surface = build_regular_surface(g)
+        n = surface.n
+        if g == 2:
+            words = ["".join(bits) for bits in itertools.product("PQ", repeat=n)]
+        else:
+            rng = random.Random(80 + g)
+            words = ["".join(rng.choice("PQ") for _ in range(n)) for _ in range(100)]
+
+        def fields(rects):
+            ends = np.array([(r.x.start.angle, r.x.end.angle, r.y.start.angle, r.y.end.angle) for r in rects])
+            return ends.tobytes(), [(r.strip, r.kind, r.degenerate) for r in rects]
+
+        for word in words:
+            solved = solve(surface, word)
+            dual_domain = build_omega_dual(solved)
+            assert fields(build_domain(solved).rects) == fields(domain_loop(solved))
+            assert fields(dual_domain.rectangles()) == fields(dual_domain_loop(solved))
+            got = dual_domain.dual.partition
+            want = CirclePartition([solved.d(i).angle for i in range(1, n + 1)])
+            assert got.base == want.base and got.labels.tolist() == want.labels.tolist()
+            assert got.breaks.tobytes() == want.breaks.tobytes()
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_sweep_builds_no_point_arc_or_rectangle(self, g, monkeypatch):
+        # A swept word stays in the named-point table and its gathered
+        # arrays; objects are built only at the JSON and render edge.
+        surface = build_regular_surface(g)
+        built = []
+        for cls in (CirclePoint, Arc, DomainRect):
+            init = cls.__init__
+            monkeypatch.setattr(
+                cls, "__init__", lambda self, *a, _init=init, **k: built.append(type(self)) or _init(self, *a, **k)
+            )
+        (result,) = sweep(surface, [("PQ" * surface.n)[: surface.n]])
+        assert result.passed
+        assert built == []

@@ -160,7 +160,7 @@ def partition_case(request):
     surface = request.getfixturevalue(f"genus{genus}")
     if side == "primal":
         params = ExtremalParams(surface, word)
-        angles = [p.angle for p in params.points]
+        angles = params.a_angles
     else:
         params = dual_params(solve(surface, word))
         angles = [params.d(i).angle for i in range(1, surface.n + 1)]

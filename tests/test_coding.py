@@ -10,7 +10,6 @@ import pytest
 
 from fuchsian.boundary import (
     ExtremalParams,
-    RectDomain,
     boundary_step,
     boundary_step_many,
     build_domain,
@@ -38,7 +37,7 @@ from fuchsian.coding import (
 )
 from fuchsian.errors import BijectivityError, MarkovError, OutsideDomainError
 from fuchsian.surface import GeodesicClipper, SurfaceGroup, build_regular_surface
-from oracles import code_geodesic_loop, markov_loop, polygon_status, trace_geodesic
+from oracles import code_geodesic_loop, markov_loop, polygon_status, rect_domain, trace_geodesic
 
 EXAMPLE_WORD = "PPPPQPQQPPQQ"
 
@@ -540,7 +539,7 @@ class TestCodingMany:
         solved = solve(surface, STEP_WORDS[g])
         rects = build_domain(solved).rects
         j = next(j for j, r in enumerate(rects) if not r.degenerate)
-        domain = RectDomain(rects[: j + 1] + rects[j:])
+        domain = rect_domain(rects[: j + 1] + rects[j:])
         rng = np.random.default_rng(g)
         r = rects[j]
         u = r.x.start.angle + r.width * rng.uniform(0.01, 0.99, 200)
@@ -618,7 +617,7 @@ class TestMarkov:
         for i in range(1, 13):
             si = genus2.sigma(i)
             row = set(tm.row_entries(2 * i - 1))
-            if solved_example.params.choice(i) == "P":
+            if solved_example.params.word[i - 1] == "P":
                 expected = {(2 * si + 2 - 1) % n2 + 1, (2 * si + 3 - 1) % n2 + 1}
             else:
                 k = genus2.tau_sigma(i)

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from fuchsian.boundary import build_domain, extension_step, solve
-from fuchsian.circle import TOL, TWO_PI, Arc, CirclePoint
+from fuchsian.boundary import NAMED, build_domain, extension_step, solve
+from fuchsian.circle import TOL, TWO_PI, CirclePoint
 from fuchsian.duality import (
     build_omega_dual,
     dual_family_check,
@@ -18,7 +18,7 @@ from fuchsian.duality import (
 )
 from fuchsian.errors import ConstructionError
 from fuchsian.surface import build_regular_surface
-from oracles import duality_code_counts
+from oracles import duality_code_counts, with_points
 
 EXAMPLE_WORD = "PPPPQPQQPPQQ"
 EXPECTED_D = [
@@ -67,12 +67,13 @@ class TestDualParams:
 class TestDualDomain:
     def test_rectangle_count_and_flags(self, genus2, solved_example, dual_example):
         assert len(dual_example.rectangles()) == 36
-        params = solved_example.params
+        word = solved_example.params.word
+        rects = dual_example.rectangles()
         for i in range(1, 13):
-            head = dual_example.head[i - 1]
-            tail = dual_example.tail[i - 1]
-            assert head.degenerate == (params.choice(genus2.sigma(i) + 1) == "P")
-            assert tail.degenerate == (params.choice(genus2.sigma(i)) == "Q")
+            head = rects[12 + i - 1]
+            tail = rects[24 + i - 1]
+            assert head.degenerate == (word[genus2.sigma(i) % 12] == "P")
+            assert tail.degenerate == (word[genus2.sigma(i) - 1] == "Q")
 
     def test_flip_membership_samples(self, solved_example, domain_example, dual_example):
         rng = np.random.default_rng(21)
@@ -108,8 +109,7 @@ class TestDualDomain:
             assert len(hits) == 1, [f"{r.kind}_{r.strip}" for r in hits]
 
     def test_tampered_dual_detected(self, genus2, solved_example):
-        rolled = solved_example.D[1:] + solved_example.D[:1]
-        broken = dataclasses.replace(solved_example, D=tuple(rolled))
+        broken = with_points(solved_example, "D", np.roll(solved_example.angles[4], -1))
         with pytest.raises(ConstructionError):
             build_omega_dual(broken)
 
@@ -128,18 +128,14 @@ class TestDualStep:
     )
     def test_image_failure_messages(self, solved_example, dual_example, name, shift, expected):
         # D is read from the dual domain's DualParams, so it carries the move.
-        pts = list(getattr(solved_example, name))
-        pts[4] = CirclePoint(pts[4].angle + shift)
-        broken = dataclasses.replace(solved_example, **{name: tuple(pts)})
+        broken = with_points(solved_example, name, solved_example.angles[NAMED.index(name), 4] + shift, [5])
         moved = dataclasses.replace(dual_example, dual=dual_params(broken))
         assert verify_dual_images(broken, moved) == expected
 
     @pytest.mark.parametrize("side", range(1, 13))
     @pytest.mark.parametrize("name", "GH")
     def test_nan_named_point_is_reported(self, solved_example, dual_example, name, side):
-        pts = list(getattr(solved_example, name))
-        pts[side - 1] = CirclePoint(math.nan)
-        broken = dataclasses.replace(solved_example, **{name: tuple(pts)})
+        broken = with_points(solved_example, name, math.nan, [side])
         with np.errstate(invalid="ignore"):
             fails = verify_dual_images(broken, dual_example)
         assert any(f"{name}_{side} " in f and f.endswith("off by nan") for f in fails)
@@ -187,8 +183,7 @@ class TestVerifyDuality:
 
     def test_fault_injection_fails(self, genus2, solved_example, domain_example):
         # Shift every dual point one index forward: the flip identity breaks.
-        rolled = solved_example.D[1:] + solved_example.D[:1]
-        broken = dataclasses.replace(solved_example, D=tuple(rolled))
+        broken = with_points(solved_example, "D", np.roll(solved_example.angles[4], -1))
         domain = domain_example
         try:
             dual_domain = build_omega_dual(broken)
@@ -200,8 +195,9 @@ class TestVerifyDuality:
     def test_decompositions_disagreeing_fails(self, solved_example, domain_example, dual_example):
         # With H_i moved onto D_{i+1}, every head rectangle [H_i, D_{i+1}) of
         # the horizontal view is empty; the vertical view still holds them.
-        headless = tuple(dataclasses.replace(r, y=Arc(r.y.end, r.y.end)) for r in dual_example.head)
-        broken = dataclasses.replace(dual_example, head=headless)
+        ends = dual_example.ends.copy()
+        ends[:, 1, 2] = ends[:, 1, 3]  # each head's y-arc [D_{i+1}, D_{i+1}]
+        broken = dataclasses.replace(dual_example, ends=ends)
         report = verify_duality(solved_example, domain_example, broken, samples=2000, seed=33)
         assert report.flip_failures > 0
         assert not report.passed

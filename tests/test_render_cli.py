@@ -42,7 +42,7 @@ class TestRender:
         params = solved_example.params
         s = solved_example.surface
         for i in range(1, 13):
-            if params.choice(s.sigma(i)) == "Q":
+            if params.word[s.sigma(i) - 1] == "Q":
                 assert f"<title>tail_{i}</title>" not in svg
 
     def test_geo_chart_has_boundary_curves(self, genus2):
