@@ -3,12 +3,11 @@ hyperbolic surfaces presented by (8g-4)-sided fundamental polygons."""
 
 __version__ = "0.1.0"
 
-from .circle import TOL, Arc, CirclePoint, MoebiusMap, geodesic_endpoints
+from .circle import TOL, CirclePoint, MoebiusMap, geodesic_endpoints
 from .surface import (
     SideIndexMaps,
     SurfaceGroup,
     build_regular_surface,
-    geodesic_intersects_polygon,
     sigma,
     tau,
     verify_group_relations,
@@ -28,10 +27,6 @@ from .boundary import (
 from .coding import (
     CodingSeq,
     code_geodesic,
-    geo_step,
-    locate_region,
-    apply_phi,
-    reduce_geodesic,
     markov_transition_matrix,
     sofic_amalgamate,
     verify_conjugacy,
@@ -49,7 +44,6 @@ from .render import render_svg
 
 __all__ = [
     "TOL",
-    "Arc",
     "BasePoint",
     "CirclePoint",
     "CodingSeq",
@@ -61,7 +55,6 @@ __all__ = [
     "SideIndexMaps",
     "SolvedParams",
     "SurfaceGroup",
-    "apply_phi",
     "attractor_experiment",
     "boundary_step",
     "build_domain",
@@ -71,13 +64,9 @@ __all__ = [
     "dual_family_check",
     "dual_params",
     "extension_step",
-    "geo_step",
     "geodesic_endpoints",
-    "geodesic_intersects_polygon",
     "inverse_step",
-    "locate_region",
     "markov_transition_matrix",
-    "reduce_geodesic",
     "render_svg",
     "sigma",
     "sofic_amalgamate",

@@ -32,11 +32,11 @@ import numpy as np
 from .circle import (
     TOL,
     TWO_PI,
-    Arc,
     CirclePartition,
     CirclePoint,
     angdiff,
     angdiff_many,
+    ccw_distance,
     ccw_distance_many,
 )
 from .errors import (
@@ -236,7 +236,7 @@ def _canonical_angles(angles: np.ndarray, tol: float = TOL) -> np.ndarray:
 
 
 def _outside(x: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Where x lies outside the closed arc [a, b], as Arc(a, b, True, True).contains(x, tol) decides."""
+    """Where x lies outside the closed arc [a, b]: farther than tol from both ends, and not in between."""
     s = np.remainder(x - a, TWO_PI)
     length = np.remainder(b - a, TWO_PI)
     return ~((s <= tol) | (s >= TWO_PI - tol) | (np.abs(s - length) <= tol) | (s < length))
@@ -331,30 +331,30 @@ def _degenerate(width, height):
 
 @dataclass(frozen=True)
 class DomainRect:
-    """One axis-aligned rectangle of a domain on the two-torus of angle pairs."""
+    """The rectangle [x0, x1] x [y0, y1] of a domain on the two-torus of angle pairs.
 
-    x: Arc
-    y: Arc
+    A rectangle is its four end angles, named points in [0, 2*pi); each
+    side runs counterclockwise from its first end to its second.
+    """
+
+    x0: float
+    x1: float
+    y0: float
+    y1: float
     strip: int
     kind: str  # "lower" for [P_i, Q_i] strips, "upper" for [Q_i, P_{i+1}]
 
     @property
     def width(self) -> float:
-        return self.x.length
+        return ccw_distance(self.x0, self.x1)
 
     @property
     def height(self) -> float:
-        return self.y.length
+        return ccw_distance(self.y0, self.y1)
 
     @property
     def degenerate(self) -> bool:
         return bool(_degenerate(self.width, self.height))
-
-    @classmethod
-    def of(cls, ends, strip: int, kind: str) -> DomainRect:
-        """The rectangle [x0, x1] x [y0, y1] from its end angles (x0, x1, y0, y1)."""
-        x0, x1, y0, y1 = map(CirclePoint, ends)
-        return cls(Arc(x0, x1), Arc(y0, y1), strip, kind)
 
 
 class RectDomain:
@@ -378,7 +378,7 @@ class RectDomain:
     @cached_property
     def rects(self) -> list[DomainRect]:
         """The rectangles as objects, built on first use: row k is strip k//2 + 1, lower then upper."""
-        return [DomainRect.of(end, k // 2 + 1, ("lower", "upper")[k % 2]) for k, end in enumerate(self._ends.tolist())]
+        return [DomainRect(*end, k // 2 + 1, ("lower", "upper")[k % 2]) for k, end in enumerate(self._ends.tolist())]
 
     def locate(self, u: CirclePoint, w: CirclePoint) -> int | None:
         """Index of the rectangle containing (u, w), or None; locate_many for one pair."""
@@ -472,12 +472,11 @@ def invariant_measure(rect: DomainRect) -> float:
     for the rectangle [a,b] x [c,d]; the arguments never vanish on
     rectangles that avoid the diagonal.
     """
-    a = rect.x.start.angle
-    b = a + rect.x.length
-    c = rect.y.start.angle
+    a = rect.x0
+    b = a + rect.width
     # Lift the y-arc so differences are taken consistently on the cover.
-    c = a + math.remainder(c - a, TWO_PI)
-    d = c + rect.y.length
+    c = a + math.remainder(rect.y0 - a, TWO_PI)
+    d = c + rect.height
 
     def s(x):
         return abs(math.sin(0.5 * x))

@@ -1,12 +1,12 @@
-"""Points and arcs on the unit circle, and the disk Moebius group.
+"""Points on the unit circle, and the disk Moebius group.
 
-Everything downstream is built on three primitives: a point of the circle
-at infinity stored by its angle, a counterclockwise arc between two such
-points, and a disk-preserving Moebius transformation stored in the
-normalized form  z -> (a*z + conj(c)) / (c*z + conj(a))  with
-|a|^2 - |c|^2 = 1.  All operations are pure; all objects are immutable.
-A CirclePartition cuts the circle into half-open arcs at given points,
-and moebius_angles applies such maps to arrays of angles.
+Everything downstream is built on two primitives: a point of the circle
+at infinity stored by its angle, and a disk-preserving Moebius
+transformation stored in the normalized form
+z -> (a*z + conj(c)) / (c*z + conj(a))  with  |a|^2 - |c|^2 = 1.  All
+operations are pure; all objects are immutable.  An arc is the pair of
+its end angles: a CirclePartition cuts the circle into half-open arcs at
+given points, and moebius_angles applies such maps to arrays of angles.
 """
 
 from __future__ import annotations
@@ -108,39 +108,6 @@ class CirclePoint:
 
     def __repr__(self):
         return f"CirclePoint({self.angle:.12g})"
-
-
-@dataclass(frozen=True)
-class Arc:
-    """Counterclockwise arc from start to end.
-
-    start == end denotes the single-point arc, never the full circle.
-    Closure flags say whether each endpoint belongs to the arc.
-    """
-
-    start: CirclePoint
-    end: CirclePoint
-    closed_left: bool = True
-    closed_right: bool = False
-
-    @property
-    def length(self) -> float:
-        return ccw_distance(self.start.angle, self.end.angle)
-
-    def contains(self, x: CirclePoint, tol: float = TOL) -> bool:
-        """Membership respecting closure flags; endpoint hits resolved within tol."""
-        s = ccw_distance(self.start.angle, x.angle)
-        if s <= tol or s >= TWO_PI - tol:
-            return self.closed_left
-        length = self.length
-        if abs(s - length) <= tol:
-            return self.closed_right
-        return s < length
-
-    def __repr__(self):
-        lb = "[" if self.closed_left else "("
-        rb = "]" if self.closed_right else ")"
-        return f"Arc{lb}{self.start.angle:.6f}, {self.end.angle:.6f}{rb}"
 
 
 class CirclePartition:

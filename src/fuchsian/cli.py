@@ -144,8 +144,8 @@ def _rects_json(rects) -> list[dict]:
         {
             "strip": r.strip,
             "kind": r.kind,
-            "x": [r.x.start.angle, r.x.length],
-            "y": [r.y.start.angle, r.y.length],
+            "x": [r.x0, r.width],
+            "y": [r.y0, r.height],
             "degenerate": r.degenerate,
         }
         for r in rects

@@ -24,15 +24,10 @@ from .circle import (
     TWO_PI,
     CirclePartition,
     CirclePoint,
-    angdiff,
     angdiff_many,
     moebius_angles,
 )
-from .errors import (
-    DegeneratePointsError,
-    MarkovError,
-    OutsideDomainError,
-)
+from .errors import MarkovError, OutsideDomainError
 from .boundary import (
     ExtremalParams,
     RectDomain,
@@ -45,33 +40,11 @@ from .boundary import (
 from .surface import SurfaceGroup
 
 
-def _check_distinct(u: CirclePoint, w: CirclePoint, tol: float):
-    if angdiff(u.angle, w.angle) <= tol:
-        raise DegeneratePointsError("geodesic endpoints coincide")
-
-
-def geo_step(
-    surface: SurfaceGroup, u: CirclePoint, w: CirclePoint, tol: float = TOL
-) -> tuple[CirclePoint, CirclePoint, int]:
-    """Apply the exit-side generator to a geodesic crossing the polygon."""
-    _check_distinct(u, w, tol)
-    lo, hi, entry, exit_, _, hi_ties = surface.clipper.clip([u.angle], [w.angle])
-    if not (hi[0] - lo[0] > tol and entry[0] > 0 and exit_[0] > 0):
-        raise OutsideDomainError("geodesic does not cross the polygon")
-    if hi_ties[0] > 1:
-        raise DegeneratePointsError("geodesic exits through a vertex")
-    gu, gw = surface.t_angles(exit_, [u.angle], [w.angle])
-    return CirclePoint(gu[0]), CirclePoint(gw[0]), int(exit_[0])
-
-
 # -- bulges and corners -------------------------------------------------------
 
 #: Samples closer than this to a boundary curve, a rectangle edge or a
 #: partition point are not drawn or checked by the conjugacy verifier.
 MARGIN = 1e-7
-
-# Names of the RegionTable.classify codes; code -1 (undecided) picks the last.
-_KINDS = ("core", "bulge_lower", "bulge_upper", "boundary")
 
 
 def _in_box(thetas, start_angles, end_angles, tol=TOL):
@@ -141,45 +114,6 @@ class RegionTable:
                 u2[sel] = moebius_angles(m.a, m.c, u2[sel])
                 w2[sel] = moebius_angles(m.a, m.c, w2[sel])
         return u2, w2
-
-
-def locate_region(
-    regions: RegionTable, u: CirclePoint, w: CirclePoint, tol: float = TOL
-) -> tuple[str, int | None]:
-    """('core'|'bulge_lower'|'bulge_upper'|'outside'|'boundary', index)."""
-    _check_distinct(u, w, tol)
-    ut, wt = np.array([u.angle]), np.array([w.angle])
-    status = regions.surface.clipper.status_codes(ut, wt, tol)
-    if status[0] < 0:
-        return ("outside", None)
-    code, index = regions.classify(ut, wt, status == 1, tol)
-    return (_KINDS[code[0]], int(index[0]) if code[0] > 0 else None)
-
-
-def reduce_geodesic(
-    regions: RegionTable, u: CirclePoint, w: CirclePoint, tol: float = TOL
-) -> tuple[CirclePoint, CirclePoint, int | None]:
-    """Replace a polygon-crossing geodesic by its equivalent domain member.
-
-    Returns (u', w', j) where j is the index of the vertex word applied,
-    or None when the geodesic was already in the rectangle domain.
-    """
-    kind, i = locate_region(regions, u, w, tol)
-    if kind == "outside":
-        raise OutsideDomainError("geodesic does not cross the polygon")
-    if i is None:
-        return u, w, None
-    s = regions.surface
-    j = s.wrap(s.tau(i) + 1) if kind == "bulge_lower" else s.tau(i)
-    pu, pw = regions.phi_many([u.angle], [w.angle], np.array([_KINDS.index(kind)]), np.array([i]))
-    return CirclePoint(pu[0]), CirclePoint(pw[0]), j
-
-
-def apply_phi(
-    regions: RegionTable, u: CirclePoint, w: CirclePoint, tol: float = TOL
-) -> tuple[CirclePoint, CirclePoint]:
-    """The conjugacy: identity on the core, a vertex word on each bulge."""
-    return reduce_geodesic(regions, u, w, tol)[:2]
 
 
 # -- conjugacy verification ---------------------------------------------------
@@ -447,16 +381,11 @@ class SoficGraph:
         return sorted(self.triples)
 
     def is_strongly_connected(self) -> bool:
-        """A forward and a reverse search from vertex 1 both reach every vertex."""
-        forward = {(a, b) for a, b, _ in self.triples}
-        for arrows in (forward, {(b, a) for a, b in forward}):
-            seen = frontier = {1}
-            while frontier:
-                frontier = {b for a, b in arrows if a in frontier} - seen
-                seen = seen | frontier
-            if len(seen) != self.n:
-                return False
-        return True
+        """Every vertex reaches every other: (I | A)^n has no False entry, A the n x n adjacency."""
+        reach = np.eye(self.n, dtype=bool)
+        for a, b, _ in self.triples:
+            reach[a - 1, b - 1] = True
+        return bool(np.linalg.matrix_power(reach, self.n).all())
 
     def to_json(self) -> str:
         return json.dumps(

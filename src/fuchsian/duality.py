@@ -103,7 +103,7 @@ class DualDomain:
     def rectangles(self) -> list[DomainRect]:
         """The rectangles as objects: wide 1..N, then head, then tail."""
         return [
-            DomainRect.of(end, i + 1, kind)
+            DomainRect(*end, i + 1, kind)
             for kind, family in zip(("wide", "head", "tail"), self.ends.transpose(1, 0, 2).tolist())
             for i, end in enumerate(family)
         ]

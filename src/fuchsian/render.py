@@ -58,10 +58,10 @@ def patches(rects, colors: dict[str, str]) -> list[RectPatch]:
     """One patch per non-degenerate rectangle, filled by its kind."""
     return [
         RectPatch(
-            x0=r.x.start.angle,
-            x1=r.x.start.angle + r.x.length,
-            y0=r.y.start.angle,
-            y1=r.y.start.angle + r.y.length,
+            x0=r.x0,
+            x1=r.x0 + r.width,
+            y0=r.y0,
+            y1=r.y0 + r.height,
             fill=colors[r.kind],
             label=f"{r.kind}_{r.strip}",
         )

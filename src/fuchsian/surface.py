@@ -27,13 +27,12 @@ from .circle import (
     TWO_PI,
     CirclePoint,
     MoebiusMap,
-    angdiff,
     ccw_distance,
     geodesic_circle,
     geodesic_endpoints,
     moebius_angles,
 )
-from .errors import ConstructionError, ContradictionError, DegeneratePointsError
+from .errors import ConstructionError, ContradictionError
 
 
 def _wrap(i: int, n: int) -> int:
@@ -621,12 +620,3 @@ class GeodesicClipper:
         touched = (entry > 0) | (exit_ > 0)
         return np.where(inside, 1, np.where(np.abs(hi - lo) <= tol, np.where(touched, 0, -1), -1))
 
-
-def geodesic_intersects_polygon(
-    surface: SurfaceGroup, u: CirclePoint, w: CirclePoint, tol: float = TOL
-) -> str:
-    """'inside' | 'boundary' | 'outside' for the geodesic u -> w vs the polygon."""
-    if angdiff(u.angle, w.angle) <= tol:
-        raise DegeneratePointsError("geodesic endpoints coincide")
-    code = surface.clipper.status_codes([u.angle], [w.angle], tol)[0]
-    return ("outside", "boundary", "inside")[code + 1]

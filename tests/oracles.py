@@ -23,7 +23,6 @@ from fuchsian.boundary import (
 from fuchsian.circle import (
     TOL,
     TWO_PI,
-    Arc,
     CirclePoint,
     MoebiusMap,
     angdiff,
@@ -33,7 +32,7 @@ from fuchsian.circle import (
     moebius_angles,
     wrap_angle,
 )
-from fuchsian.coding import CodingSeq, TransitionMatrix
+from fuchsian.coding import CodingSeq, RegionTable, TransitionMatrix
 from fuchsian.duality import dual_params
 from fuchsian.errors import (
     BijectivityError,
@@ -45,6 +44,50 @@ from fuchsian.errors import (
 )
 from fuchsian.surface import SurfaceGroup
 from fuchsian.words import BasePoint, GroupWord, prepend
+
+
+# -- arcs ----------------------------------------------------------------------
+#
+# The closed-arc reference that boundary._outside is tested against, and the
+# half-open arcs of a DomainRect, which the library keeps as end angles.
+
+
+@dataclass(frozen=True)
+class Arc:
+    """Counterclockwise arc from start to end.
+
+    start == end denotes the single-point arc, never the full circle.
+    Closure flags say whether each endpoint belongs to the arc.
+    """
+
+    start: CirclePoint
+    end: CirclePoint
+    closed_left: bool = True
+    closed_right: bool = False
+
+    @property
+    def length(self) -> float:
+        return ccw_distance(self.start.angle, self.end.angle)
+
+    def contains(self, x: CirclePoint, tol: float = TOL) -> bool:
+        """Membership respecting closure flags; endpoint hits resolved within tol."""
+        s = ccw_distance(self.start.angle, x.angle)
+        if s <= tol or s >= TWO_PI - tol:
+            return self.closed_left
+        length = self.length
+        if abs(s - length) <= tol:
+            return self.closed_right
+        return s < length
+
+    def __repr__(self):
+        lb = "[" if self.closed_left else "("
+        rb = "]" if self.closed_right else ")"
+        return f"Arc{lb}{self.start.angle:.6f}, {self.end.angle:.6f}{rb}"
+
+
+def rect_arcs(r):
+    """A DomainRect's x- and y-arcs, closed on the left and open on the right."""
+    return Arc(CirclePoint(r.x0), CirclePoint(r.x1)), Arc(CirclePoint(r.y0), CirclePoint(r.y1))
 
 
 # -- Moebius maps and cyclic order ---------------------------------------------
@@ -213,10 +256,10 @@ def dense_domain_distance(domain, u_thetas, w_thetas):
     """Chebyshev angular distance from each pair to the closed union of the
     domain's rectangles, through the full m x 2N matrix of per-rectangle
     distances."""
-    x0 = np.array([r.x.start.angle for r in domain.rects])
-    xw = np.array([r.x.length for r in domain.rects])
-    y0 = np.array([r.y.start.angle for r in domain.rects])
-    yw = np.array([r.y.length for r in domain.rects])
+    x0 = np.array([r.x0 for r in domain.rects])
+    xw = np.array([r.width for r in domain.rects])
+    y0 = np.array([r.y0 for r in domain.rects])
+    yw = np.array([r.height for r in domain.rects])
     u = np.asarray(u_thetas, dtype=float)[:, None]
     w = np.asarray(w_thetas, dtype=float)[:, None]
     su = np.remainder(u - x0[None, :], TWO_PI)
@@ -224,6 +267,7 @@ def dense_domain_distance(domain, u_thetas, w_thetas):
     sw = np.remainder(w - y0[None, :], TWO_PI)
     dw = np.where(sw <= yw[None, :], 0.0, np.minimum(sw - yw[None, :], TWO_PI - sw))
     return np.maximum(du, dw).min(axis=1)
+
 
 # -- the scalar geodesic tracer ------------------------------------------------
 #
@@ -383,6 +427,86 @@ def point_in_polygon(surface: SurfaceGroup, z: complex, tol: float = TOL) -> boo
     return True
 
 
+# -- the scalar twins of the array geodesic, region and conjugacy steps --------
+#
+# One geodesic at a time through the array code: GeodesicClipper.status_codes,
+# verify_conjugacy's exit-generator step and RegionTable.
+
+
+def geodesic_intersects_polygon(
+    surface: SurfaceGroup, u: CirclePoint, w: CirclePoint, tol: float = TOL
+) -> str:
+    """'inside' | 'boundary' | 'outside' for the geodesic u -> w vs the polygon."""
+    if angdiff(u.angle, w.angle) <= tol:
+        raise DegeneratePointsError("geodesic endpoints coincide")
+    code = surface.clipper.status_codes([u.angle], [w.angle], tol)[0]
+    return ("outside", "boundary", "inside")[code + 1]
+
+
+def _check_distinct(u: CirclePoint, w: CirclePoint, tol: float):
+    if angdiff(u.angle, w.angle) <= tol:
+        raise DegeneratePointsError("geodesic endpoints coincide")
+
+
+def geo_step(
+    surface: SurfaceGroup, u: CirclePoint, w: CirclePoint, tol: float = TOL
+) -> tuple[CirclePoint, CirclePoint, int]:
+    """Apply the exit-side generator to a geodesic crossing the polygon."""
+    _check_distinct(u, w, tol)
+    lo, hi, entry, exit_, _, hi_ties = surface.clipper.clip([u.angle], [w.angle])
+    if not (hi[0] - lo[0] > tol and entry[0] > 0 and exit_[0] > 0):
+        raise OutsideDomainError("geodesic does not cross the polygon")
+    if hi_ties[0] > 1:
+        raise DegeneratePointsError("geodesic exits through a vertex")
+    gu, gw = surface.t_angles(exit_, [u.angle], [w.angle])
+    return CirclePoint(gu[0]), CirclePoint(gw[0]), int(exit_[0])
+
+
+
+# Names of the RegionTable.classify codes; code -1 (undecided) picks the last.
+_KINDS = ("core", "bulge_lower", "bulge_upper", "boundary")
+
+
+
+def locate_region(
+    regions: RegionTable, u: CirclePoint, w: CirclePoint, tol: float = TOL
+) -> tuple[str, int | None]:
+    """('core'|'bulge_lower'|'bulge_upper'|'outside'|'boundary', index)."""
+    _check_distinct(u, w, tol)
+    ut, wt = np.array([u.angle]), np.array([w.angle])
+    status = regions.surface.clipper.status_codes(ut, wt, tol)
+    if status[0] < 0:
+        return ("outside", None)
+    code, index = regions.classify(ut, wt, status == 1, tol)
+    return (_KINDS[code[0]], int(index[0]) if code[0] > 0 else None)
+
+
+def reduce_geodesic(
+    regions: RegionTable, u: CirclePoint, w: CirclePoint, tol: float = TOL
+) -> tuple[CirclePoint, CirclePoint, int | None]:
+    """Replace a polygon-crossing geodesic by its equivalent domain member.
+
+    Returns (u', w', j) where j is the index of the vertex word applied,
+    or None when the geodesic was already in the rectangle domain.
+    """
+    kind, i = locate_region(regions, u, w, tol)
+    if kind == "outside":
+        raise OutsideDomainError("geodesic does not cross the polygon")
+    if i is None:
+        return u, w, None
+    s = regions.surface
+    j = s.wrap(s.tau(i) + 1) if kind == "bulge_lower" else s.tau(i)
+    pu, pw = regions.phi_many([u.angle], [w.angle], np.array([_KINDS.index(kind)]), np.array([i]))
+    return CirclePoint(pu[0]), CirclePoint(pw[0]), j
+
+
+def apply_phi(
+    regions: RegionTable, u: CirclePoint, w: CirclePoint, tol: float = TOL
+) -> tuple[CirclePoint, CirclePoint]:
+    """The conjugacy: identity on the core, a vertex word on each bulge."""
+    return reduce_geodesic(regions, u, w, tol)[:2]
+
+
 # -- the scalar coding loop ----------------------------------------------------
 
 
@@ -425,19 +549,57 @@ def code_geodesic_loop(solved, domain, u, w, n_future, n_past, tol=TOL):
     )
 
 
+def code_rows_reference(solved, domain, u_thetas, w_thetas, n_future, n_past, tol=TOL):
+    """code_geodesic_loop on all rows at once, with its stop rules; returns
+    code_geodesic_many's (future, past, truncated).
+
+    The inverse is the N-candidate search (inverse_search_many), which does
+    not read the PreimageTable, and the partition distance is
+    dense_distance_many.
+    """
+    u = np.asarray(u_thetas, dtype=float)
+    w = np.asarray(w_thetas, dtype=float)
+    if not domain.contains_many(u, w).all():
+        raise OutsideDomainError("coding requires a point of the rectangle domain")
+    s = solved.surface
+    params = solved.params
+    sigma = np.array([0, *(s.sigma(i) for i in range(1, s.n + 1))])
+    future = np.zeros((len(u), n_future), dtype=np.int64)
+    past = np.zeros((len(u), n_past), dtype=np.int64)
+    truncated = np.zeros(len(u), dtype=bool)
+
+    rows, cu, cw = np.arange(len(u)), u, w
+    for step in range(n_future):
+        ok = dense_distance_many(params.partition, cw) > tol
+        truncated[rows[~ok]] = True
+        rows = rows[ok]
+        cu, cw, i = extension_step_many(params, cu[ok], cw[ok])
+        future[rows, step] = sigma[i]
+
+    rows, cu, cw = np.arange(len(u)), u, w
+    for step in range(n_past):
+        pu, pw, i, count = inverse_search_many(solved, domain, cu, cw)
+        ok = domain.contains_many(cu, cw) & (count == 1)
+        ok &= dense_distance_many(params.partition, pw) > tol
+        truncated[rows[~ok]] = True
+        rows, cu, cw = rows[ok], pu[ok], pw[ok]
+        past[rows, step] = sigma[i[ok]]
+
+    return future, past, truncated
+
+
 def duality_code_counts(solved, domain, cu, cw, depth, tol=TOL):
     """verify_duality step (c) one sample at a time: the primal past of each
-    sample against the dual orbit of its first coordinate, by the scalar
-    loop and boundary_step.  Returns (skipped, checked, failures)."""
+    sample, from code_rows_reference, against the dual orbit of its first
+    coordinate by boundary_step.  Returns (skipped, checked, failures)."""
     dual = dual_params(solved)
+    _, pasts, truncated = code_rows_reference(solved, domain, cu, cw, 0, depth)
     skipped = checked = failures = 0
     for k in range(len(cu)):
-        p_u, p_w = CirclePoint(cu[k]), CirclePoint(cw[k])
-        seq = code_geodesic_loop(solved, domain, p_u, p_w, 0, depth)
-        if seq.truncated or len(seq.past) < depth:
+        if truncated[k]:
             skipped += 1
             continue
-        x = p_u
+        x = CirclePoint(cu[k])
         branches = []
         bad = False
         for _ in range(depth):
@@ -450,7 +612,7 @@ def duality_code_counts(solved, domain, cu, cw, depth, tol=TOL):
             skipped += 1
             continue
         checked += 1
-        if list(seq.past) != branches:
+        if pasts[k].tolist() != branches:
             failures += 1
     return skipped, checked, failures
 
@@ -561,27 +723,18 @@ def endpoint_identities(params, i):
 # -- the rectangle domains and fault injection ----------------------------------
 
 
+def _rect(x0, x1, y0, y1, strip, kind):
+    """The DomainRect with ends at the CirclePoints x0, x1, y0, y1."""
+    return DomainRect(x0.angle, x1.angle, y0.angle, y1.angle, strip, kind)
+
+
 def domain_loop(solved):
     """build_domain's rectangles, built side by side from the scalar accessors."""
     s = solved.surface
     rects = []
     for i in range(1, s.n + 1):
-        rects.append(
-            DomainRect(
-                x=Arc(solved.h(i + 1), solved.g(i - 2)),
-                y=Arc(s.p(i), s.q(i)),
-                strip=i,
-                kind="lower",
-            )
-        )
-        rects.append(
-            DomainRect(
-                x=Arc(solved.h(i + 1), solved.g(i - 1)),
-                y=Arc(s.q(i), s.p(i + 1)),
-                strip=i,
-                kind="upper",
-            )
-        )
+        rects.append(_rect(solved.h(i + 1), solved.g(i - 2), s.p(i), s.q(i), i, "lower"))
+        rects.append(_rect(solved.h(i + 1), solved.g(i - 1), s.q(i), s.p(i + 1), i, "upper"))
     return rects
 
 
@@ -591,30 +744,9 @@ def dual_domain_loop(solved):
     dual = dual_params(solved)
     wide, head, tail = [], [], []
     for i in range(1, s.n + 1):
-        wide.append(
-            DomainRect(
-                x=Arc(s.q(i + 2), s.p(i - 1)),
-                y=Arc(dual.d(i), dual.d(i + 1)),
-                strip=i,
-                kind="wide",
-            )
-        )
-        head.append(
-            DomainRect(
-                x=Arc(s.p(i - 1), s.p(i)),
-                y=Arc(solved.h(i), dual.d(i + 1)),
-                strip=i,
-                kind="head",
-            )
-        )
-        tail.append(
-            DomainRect(
-                x=Arc(s.q(i + 1), s.q(i + 2)),
-                y=Arc(dual.d(i), solved.g(i)),
-                strip=i,
-                kind="tail",
-            )
-        )
+        wide.append(_rect(s.q(i + 2), s.p(i - 1), dual.d(i), dual.d(i + 1), i, "wide"))
+        head.append(_rect(s.p(i - 1), s.p(i), solved.h(i), dual.d(i + 1), i, "head"))
+        tail.append(_rect(s.q(i + 1), s.q(i + 2), dual.d(i), solved.g(i), i, "tail"))
     return wide + head + tail
 
 
@@ -631,7 +763,7 @@ def with_points(solved, name, angles, sides=None):
 
 def rect_domain(rects):
     """The RectDomain of a list of DomainRects, such as a domain's edited rects."""
-    return RectDomain(np.array([(r.x.start.angle, r.x.end.angle, r.y.start.angle, r.y.end.angle) for r in rects]))
+    return RectDomain(np.array([(r.x0, r.x1, r.y0, r.y1) for r in rects]))
 
 
 # -- the analytic bijectivity check --------------------------------------------
@@ -740,8 +872,8 @@ def sample_choice(domain, rng, k):
     """RectDomain.sample through rng.choice, then rng.random(k) for u and for w,
     with the rectangle arrays read off domain.rects."""
     rects = domain.rects
-    x0, xw = np.array([r.x.start.angle for r in rects]), np.array([r.x.length for r in rects])
-    y0, yw = np.array([r.y.start.angle for r in rects]), np.array([r.y.length for r in rects])
+    x0, xw = np.array([r.x0 for r in rects]), np.array([r.width for r in rects])
+    y0, yw = np.array([r.y0 for r in rects]), np.array([r.height for r in rects])
     areas = xw * yw
     total = areas.sum()
     if not total > 0:
@@ -786,6 +918,20 @@ def monte_carlo_loop(solved, domain, samples=1000, seed=0, tol=TOL):
     report.mc_preimage_misses = int(((count == 0) & ~edge).sum())
     report.mc_preimage_ambiguous = int(((count > 1) & ~edge).sum())
     return report
+
+
+def strongly_connected_search(graph):
+    """SoficGraph.is_strongly_connected by a forward and a reverse search
+    from vertex 1, each of which must reach every vertex."""
+    forward = {(a, b) for a, b, _ in graph.triples}
+    for arrows in (forward, {(b, a) for a, b in forward}):
+        seen = frontier = {1}
+        while frontier:
+            frontier = {b for a, b in arrows if a in frontier} - seen
+            seen = seen | frontier
+        if len(seen) != graph.n:
+            return False
+    return True
 
 
 def markov_loop(params, tol=TOL):

@@ -28,7 +28,7 @@ from fuchsian.boundary import (
     solve,
     verify_bijectivity,
 )
-from fuchsian.circle import TOL, TWO_PI, Arc, CirclePartition, CirclePoint, angdiff, ccw_distance
+from fuchsian.circle import TOL, TWO_PI, CirclePartition, CirclePoint, angdiff, ccw_distance, wrap_angle
 from fuchsian.duality import build_omega_dual, verify_dual_images
 from fuchsian.attractor import attractor_experiment
 from fuchsian.errors import ConstructionError, DegeneratePointsError, FuchsianError, OutsideDomainError, RangeError
@@ -37,6 +37,7 @@ from fuchsian.sweep import sweep
 from fuchsian import boundary
 from fuchsian.words import GroupWord
 from oracles import (
+    Arc,
     analytic_loop,
     classify_type,
     compute_h_d,
@@ -48,6 +49,7 @@ from oracles import (
     inverse_search,
     inverse_search_many,
     monte_carlo_loop,
+    rect_arcs,
     rect_domain,
     sample_choice,
     solve_g,
@@ -336,18 +338,19 @@ class TestDomain:
             lower = domain_example.rects[2 * (i - 1)]
             upper = domain_example.rects[2 * (i - 1) + 1]
             assert lower.kind == "lower" and upper.kind == "upper"
-            assert lower.x.start.close_to(solved_example.h(i + 1))
-            assert lower.x.end.close_to(solved_example.g(i - 2))
-            assert lower.y.start.close_to(s.p(i)) and lower.y.end.close_to(s.q(i))
-            assert upper.x.end.close_to(solved_example.g(i - 1))
-            assert upper.y.start.close_to(s.q(i)) and upper.y.end.close_to(s.p(i + 1))
+            (lower_x, lower_y), (upper_x, upper_y) = rect_arcs(lower), rect_arcs(upper)
+            assert lower_x.start.close_to(solved_example.h(i + 1))
+            assert lower_x.end.close_to(solved_example.g(i - 2))
+            assert lower_y.start.close_to(s.p(i)) and lower_y.end.close_to(s.q(i))
+            assert upper_x.end.close_to(solved_example.g(i - 1))
+            assert upper_y.start.close_to(s.q(i)) and upper_y.end.close_to(s.p(i + 1))
 
     def test_all_p_lower_strip_ends_at_p(self, genus2, solved_all_p):
         # With every choice P the solved corner G_{i-2} is the endpoint P_{i-1}.
         domain = build_domain(solved_all_p)
         for i in range(1, 13):
             lower = domain.rects[2 * (i - 1)]
-            assert lower.x.end.close_to(genus2.p(i - 1))
+            assert CirclePoint(lower.x1).close_to(genus2.p(i - 1))
 
     def test_no_degenerate_strips(self, domain_example):
         for r in domain_example.rects:
@@ -361,9 +364,9 @@ class TestDomain:
         for k in range(0, 2000, 50):
             pu, pw = CirclePoint(u[k]), CirclePoint(w[k])
             hits = [
-                r
-                for r in domain_example.rects
-                if r.x.contains(pu) and r.y.contains(pw)
+                (x_arc, y_arc)
+                for x_arc, y_arc in map(rect_arcs, domain_example.rects)
+                if x_arc.contains(pu) and y_arc.contains(pw)
             ]
             assert len(hits) == 1
 
@@ -376,8 +379,8 @@ class TestDomain:
             pu, pw = CirclePoint(u[k]), CirclePoint(w[k])
             brute = [
                 j
-                for j, r in enumerate(domain_example.rects)
-                if r.x.contains(pu, 0.0) and r.y.contains(pw, 0.0)
+                for j, (x_arc, y_arc) in enumerate(map(rect_arcs, domain_example.rects))
+                if x_arc.contains(pu, 0.0) and y_arc.contains(pw, 0.0)
             ]
             if located[k] >= 0:
                 assert brute == [located[k]]
@@ -388,14 +391,14 @@ class TestDomain:
         # Random pairs, then every rectangle edge and one ulp on either side
         # of it, paired with the edges and midpoints of the other coordinate.
         rng = np.random.default_rng(19)
-        rects = domain_example.rects
+        x_arcs, y_arcs = zip(*map(rect_arcs, domain_example.rects))
 
         def near(arcs):
             edges = np.array([[a.start.angle, a.start.angle + a.length] for a in arcs]).ravel()
             return np.concatenate([edges, np.nextafter(edges, -7.0), np.nextafter(edges, 7.0)])
 
-        xs = np.concatenate([near(r.x for r in rects), [midpoint(r.x).angle for r in rects]])
-        ys = np.concatenate([near(r.y for r in rects), [midpoint(r.y).angle for r in rects]])
+        xs = np.concatenate([near(x_arcs), [midpoint(a).angle for a in x_arcs]])
+        ys = np.concatenate([near(y_arcs), [midpoint(a).angle for a in y_arcs]])
         ux, wy = np.meshgrid(xs, ys)
         u = np.concatenate([rng.uniform(0, TWO_PI, 100_000), ux.ravel()])
         w = np.concatenate([rng.uniform(0, TWO_PI, 100_000), wy.ravel()])
@@ -434,10 +437,10 @@ class TestDomain:
             # There distance_many reads 0.0 for a u in that arc's closed
             # x-arc, and the dense form may read those few ulps instead.
             for r in domain.rects:
-                xs = np.array([r.x.start.angle, r.x.start.angle + r.x.length])
-                ys = np.array([r.y.start.angle, r.y.start.angle + r.y.length])
+                xs = np.array([r.x0, r.x0 + r.width])
+                ys = np.array([r.y0, r.y0 + r.height])
                 xs = np.concatenate([xs, np.nextafter(xs, -7.0), np.nextafter(xs, 7.0)])
-                xs = np.append(xs, midpoint(r.x).angle)
+                xs = np.append(xs, midpoint(rect_arcs(r)[0]).angle)
                 ys = np.concatenate([ys + j * np.spacing(ys) for j in range(-8, 9)])
                 cu, cw = np.meshgrid(xs, ys)
                 cases.append((cu.ravel(), cw.ravel()))
@@ -468,8 +471,8 @@ class TestDomain:
         u = np.concatenate([su, rng.uniform(0, TWO_PI, 5000)])
         w = np.concatenate([sw, rng.uniform(0, TWO_PI, 5000)])
         rects = domain_example.rects
-        k = CirclePartition([r.y.start.angle for r in rects]).index_many(w) - 1
-        x0, xw = np.array([r.x.start.angle for r in rects]), np.array([r.x.length for r in rects])
+        k = CirclePartition([r.y0 for r in rects]).index_many(w) - 1
+        x0, xw = np.array([r.x0 for r in rects]), np.array([r.width for r in rects])
         closed = np.remainder(u - x0[k], TWO_PI) <= xw[k]
         seen.clear()
         domain_example.distance_many(u, w)
@@ -486,9 +489,9 @@ class TestDomain:
         rng = random.Random(60 + g)
         for _ in range(5):
             domain = build_domain(solve(surface, "".join(rng.choice("PQ") for _ in range(surface.n))))
-            x0 = np.array([r.x.start.angle for r in domain.rects])
-            xw = np.array([r.x.length for r in domain.rects])
-            ys = np.unique([a for r in domain.rects for a in (r.y.start.angle, r.y.end.angle)])
+            x0 = np.array([r.x0 for r in domain.rects])
+            xw = np.array([r.width for r in domain.rects])
+            ys = np.unique([a for r in domain.rects for a in (r.y0, r.y1)])
             ws = np.concatenate([ys + j * np.spacing(ys) for j in range(-8, 9)])
             u, w = (a.ravel() for a in np.meshgrid(np.concatenate([x0, x0 + 0.5 * xw, x0 + xw]), ws))
             inside = domain.contains_many(u, w)
@@ -658,8 +661,10 @@ class TestBijectivity:
             si = s.sigma(i)
             upper = domain_example.rects[2 * (i - 1) + 1]
             image = DomainRect(
-                x=Arc(solved_example.d(si), solved_example.d(si + 1)),
-                y=Arc(s.q(si + 2), s.p(si - 1)),
+                x0=solved_example.d(si).angle,
+                x1=solved_example.d(si + 1).angle,
+                y0=s.q(si + 2).angle,
+                y1=s.p(si - 1).angle,
                 strip=si,
                 kind="upper",
             )
@@ -672,8 +677,7 @@ def resized(domain, k, delta):
     """The domain with rectangle k's x-extent moved at its end by delta."""
     rects = list(domain.rects)
     r = rects[k]
-    end = r.x.start if delta is None else CirclePoint(r.x.end.angle + delta)
-    rects[k] = dataclasses.replace(r, x=Arc(r.x.start, end))
+    rects[k] = dataclasses.replace(r, x1=r.x0 if delta is None else wrap_angle(r.x1 + delta))
     return rect_domain(rects)
 
 
@@ -799,8 +803,8 @@ class TestPreimageTable:
             solved = solve(surface, "".join(rng.choice(["P", "Q"], size=surface.n)))
             domain = build_domain(solved)
             u, w = domain.sample(rng, 4000)
-            x_edges = [a.angle for r in domain.rects for a in (r.x.start, r.x.end)]
-            y_edges = [r.y.start.angle for r in domain.rects]
+            x_edges = [a for r in domain.rects for a in (r.x0, r.x1)]
+            y_edges = [r.y0 for r in domain.rects]
             if kind == "y-edge":
                 w = rng.choice(y_edges, len(w))
             elif kind == "x-edge":
@@ -823,10 +827,7 @@ class TestPreimageTable:
 
     def test_y_arcs_must_refine_branches(self, solved_example, domain_example):
         shifted = rect_domain(
-            [
-                dataclasses.replace(r, y=Arc(CirclePoint(r.y.start.angle + 0.01), r.y.end))
-                for r in domain_example.rects
-            ]
+            [dataclasses.replace(r, y0=wrap_angle(r.y0 + 0.01)) for r in domain_example.rects]
         )
         with pytest.raises(ValueError, match="refine"):
             shifted.preimages(solved_example)
@@ -876,8 +877,7 @@ class TestMonteCarloCheck:
 
     @pytest.mark.parametrize("end", [None, math.nan], ids=["zero", "nan"])
     def test_sample_of_no_area_raises(self, domain_example, end):
-        rects = [dataclasses.replace(r, x=Arc(r.x.start, r.x.start if end is None else CirclePoint(end)))
-                 for r in domain_example.rects]
+        rects = [dataclasses.replace(r, x1=r.x0 if end is None else wrap_angle(end)) for r in domain_example.rects]
         domain = rect_domain(rects)
         messages = []
         for sampler in (RectDomain.sample, sample_choice):
@@ -962,7 +962,7 @@ class TestNamedPointTable:
             words = ["".join(rng.choice("PQ") for _ in range(n)) for _ in range(100)]
 
         def fields(rects):
-            ends = np.array([(r.x.start.angle, r.x.end.angle, r.y.start.angle, r.y.end.angle) for r in rects])
+            ends = np.array([(r.x0, r.x1, r.y0, r.y1) for r in rects])
             return ends.tobytes(), [(r.strip, r.kind, r.degenerate) for r in rects]
 
         for word in words:
@@ -974,6 +974,24 @@ class TestNamedPointTable:
             want = CirclePartition([solved.d(i).angle for i in range(1, n + 1)])
             assert got.base == want.base and got.labels.tolist() == want.labels.tolist()
             assert got.breaks.tobytes() == want.breaks.tobytes()
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_rectangles_are_their_end_rows(self, g, monkeypatch):
+        # Each rectangle of both domains is one constructor call on its row
+        # of ends: its four floats are that row bit for bit, and no
+        # CirclePoint is built on the way.
+        surface = build_regular_surface(g)
+        word = ("PQQ" * surface.n)[: surface.n]
+        solved = solve(surface, word)
+        domain, dual_domain = build_domain(solved), build_omega_dual(solved)
+        built = []
+        init = CirclePoint.__init__
+        monkeypatch.setattr(CirclePoint, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+        rects, dual_rects = domain.rects, dual_domain.rectangles()
+        assert built == []
+        for got, ends in ((rects, domain._ends), (dual_rects, dual_domain.ends.transpose(1, 0, 2).reshape(-1, 4))):
+            assert len(got) == len(ends)
+            assert np.array([(r.x0, r.x1, r.y0, r.y1) for r in got]).tobytes() == ends.tobytes()
 
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_sweep_builds_no_point_arc_or_rectangle(self, g, monkeypatch):

@@ -12,7 +12,6 @@ from fuchsian.boundary import ExtremalParams, solve
 from fuchsian.circle import (
     TOL,
     TWO_PI,
-    Arc,
     CirclePartition,
     CirclePoint,
     MoebiusMap,
@@ -27,6 +26,7 @@ from fuchsian.circle import (
 from fuchsian.duality import dual_params
 from fuchsian.errors import DegeneratePointsError, NotDiskAutomorphismError
 from oracles import (
+    Arc,
     ccw,
     dense_distance_many,
     derivative_abs,

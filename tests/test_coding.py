@@ -20,24 +20,33 @@ from fuchsian.boundary import (
     solve,
     verify_bijectivity,
 )
-from fuchsian.circle import TOL, TWO_PI, Arc, CirclePoint
+from fuchsian.circle import TOL, TWO_PI, CirclePoint
 from fuchsian.coding import (
     RegionTable,
     SoficGraph,
-    apply_phi,
     code_geodesic,
     code_geodesic_many,
-    geo_step,
-    locate_region,
     markov_transition_matrix,
-    reduce_geodesic,
     sample_curvilinear,
     sofic_amalgamate,
     verify_conjugacy,
 )
 from fuchsian.errors import BijectivityError, MarkovError, OutsideDomainError
 from fuchsian.surface import GeodesicClipper, SurfaceGroup, build_regular_surface
-from oracles import code_geodesic_loop, markov_loop, polygon_status, rect_domain, trace_geodesic
+from oracles import (
+    Arc,
+    apply_phi,
+    code_geodesic_loop,
+    code_rows_reference,
+    geo_step,
+    locate_region,
+    markov_loop,
+    polygon_status,
+    reduce_geodesic,
+    rect_domain,
+    strongly_connected_search,
+    trace_geodesic,
+)
 
 EXAMPLE_WORD = "PPPPQPQQPPQQ"
 
@@ -460,13 +469,20 @@ def _row(future, past, truncated, k):
 
 def _x_edges(domain):
     """Both ends of every rectangle's x-arc."""
-    return np.array([[r.x.start.angle, r.x.end.angle] for r in domain.rects]).ravel()
+    return np.array([[r.x0, r.x1] for r in domain.rects]).ravel()
+
+
+def _mismatched_rows(got, want):
+    """The rows where two (future, past, truncated) triples differ."""
+    differ = (got[0] != want[0]).any(axis=1) | (got[1] != want[1]).any(axis=1) | (got[2] != want[2])
+    return np.flatnonzero(differ).tolist()
 
 
 class TestCodingMany:
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_matches_the_scalar_loop(self, g):
-        # 3 words x 10^4 domain samples per genus, at depth 6 both ways.
+        # 3 words x 10^4 domain samples per genus, at depth 6 both ways,
+        # against the scalar loop's stop rules run on all rows at once.
         surface = build_regular_surface(g)
         rng = np.random.default_rng(40 + g)
         words = [EXAMPLE_WORD if g == 2 else "PQ" * (surface.n // 2)]
@@ -476,17 +492,15 @@ class TestCodingMany:
             solved = solve(surface, word)
             domain = build_domain(solved)
             u, w = domain.sample(rng, 10_000)
-            future, past, truncated = code_geodesic_many(solved, domain, u, w, 6, 6)
-            for k in range(len(u)):
-                want = code_geodesic_loop(solved, domain, CirclePoint(u[k]), CirclePoint(w[k]), 6, 6)
-                if _row(future, past, truncated, k) != (want.future, want.past, want.truncated):
-                    mismatches.append((word, k))
+            got = code_geodesic_many(solved, domain, u, w, 6, 6)
+            want = code_rows_reference(solved, domain, u, w, 6, 6)
+            mismatches += [(word, k) for k in _mismatched_rows(got, want)]
         assert mismatches == []
 
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_matches_the_scalar_loop_at_depth_30(self, g):
-        # Both loops run the same Moebius arithmetic, so they agree on
-        # every symbol even where double precision no longer fixes it.
+        # Both run the same Moebius arithmetic, so they agree on every
+        # symbol even where double precision no longer fixes it.
         surface = build_regular_surface(g)
         rng = np.random.default_rng(70 + g)
         mismatches = []
@@ -494,11 +508,26 @@ class TestCodingMany:
             solved = solve(surface, word)
             domain = build_domain(solved)
             u, w = domain.sample(rng, 600)
-            future, past, truncated = code_geodesic_many(solved, domain, u, w, 30, 30)
-            for k in range(len(u)):
-                want = code_geodesic_loop(solved, domain, CirclePoint(u[k]), CirclePoint(w[k]), 30, 30)
-                if _row(future, past, truncated, k) != (want.future, want.past, want.truncated):
-                    mismatches.append((word, k))
+            got = code_geodesic_many(solved, domain, u, w, 30, 30)
+            want = code_rows_reference(solved, domain, u, w, 30, 30)
+            mismatches += [(word, k) for k in _mismatched_rows(got, want)]
+        assert mismatches == []
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_the_scalar_loop_is_the_array_reference(self, g):
+        # 300 rows per genus, at depth 6 both ways: code_rows_reference
+        # stands in for code_geodesic_loop in the tests above.
+        surface = build_regular_surface(g)
+        rng = np.random.default_rng(90 + g)
+        solved = solve(surface, "".join(rng.choice(["P", "Q"], size=surface.n)))
+        domain = build_domain(solved)
+        u, w = domain.sample(rng, 300)
+        future, past, truncated = code_rows_reference(solved, domain, u, w, 6, 6)
+        mismatches = []
+        for k in range(len(u)):
+            want = code_geodesic_loop(solved, domain, CirclePoint(u[k]), CirclePoint(w[k]), 6, 6)
+            if _row(future, past, truncated, k) != (want.future, want.past, want.truncated):
+                mismatches.append(k)
         assert mismatches == []
 
     def test_edge_rows_match_the_scalar_loop_for_one_step(self):
@@ -514,7 +543,7 @@ class TestCodingMany:
                 solved = solve(surface, "".join(rng.choice(["P", "Q"], size=surface.n)))
                 domain = build_domain(solved)
                 x_edges = _x_edges(domain)
-                y_edges = np.array([r.y.start.angle for r in domain.rects])
+                y_edges = np.array([r.y0 for r in domain.rects])
                 corner_u, corner_w = (a.ravel() for a in np.meshgrid(x_edges, y_edges))
                 u, w = domain.sample(rng, 2000)
                 u = np.concatenate([corner_u, rng.choice(x_edges, 1000), u[1000:]])
@@ -542,8 +571,8 @@ class TestCodingMany:
         domain = rect_domain(rects[: j + 1] + rects[j:])
         rng = np.random.default_rng(g)
         r = rects[j]
-        u = r.x.start.angle + r.width * rng.uniform(0.01, 0.99, 200)
-        w = r.y.start.angle + r.height * rng.uniform(0.01, 0.99, 200)
+        u = r.x0 + r.width * rng.uniform(0.01, 0.99, 200)
+        w = r.y0 + r.height * rng.uniform(0.01, 0.99, 200)
         u, w, _ = extension_step_many(solved.params, u, w)
         count = inverse_step_many(solved, domain, u, w)[3]
         assert (count == 2).all()
@@ -727,6 +756,22 @@ class TestSofic:
         cycle = path | {(12, 1, 1)}
         assert SoficGraph(genus=2, triples=cycle).is_strongly_connected()
         assert not SoficGraph(genus=2, triples=cycle - {(5, 6, 1)}).is_strongly_connected()
+
+    def test_no_edges_is_not_connected(self):
+        assert SoficGraph(genus=2, triples=frozenset()).is_strongly_connected() is False
+
+    @pytest.mark.parametrize("g", [2, 4])
+    def test_connectivity_is_the_set_search(self, g):
+        # Random words' graphs, and each with one edge cut.
+        surface = build_regular_surface(g)
+        rng = np.random.default_rng(g)
+        for _ in range(100):
+            params = ExtremalParams(surface, "".join(rng.choice(["P", "Q"], size=surface.n)))
+            graph = sofic_amalgamate(params, markov_transition_matrix(params))
+            edges = graph.edges()
+            cut = SoficGraph(g, graph.triples - {edges[rng.integers(len(edges))]})
+            for h in (graph, cut):
+                assert h.is_strongly_connected() is strongly_connected_search(h)
 
     def test_refinement_reproduces_matrix(self, genus2, solved_example):
         tm = markov_transition_matrix(solved_example)

@@ -18,7 +18,7 @@ from fuchsian.duality import (
 )
 from fuchsian.errors import ConstructionError
 from fuchsian.surface import build_regular_surface
-from oracles import duality_code_counts, with_points
+from oracles import Arc, duality_code_counts, rect_arcs, with_points
 
 EXAMPLE_WORD = "PPPPQPQQPPQQ"
 EXPECTED_D = [
@@ -51,8 +51,6 @@ class TestDualParams:
 
     def test_points_stay_in_their_gaps(self, genus2, solved_example):
         dual = dual_params(solved_example)
-        from fuchsian.circle import Arc
-
         for i in range(1, 13):
             assert Arc(genus2.p(i), genus2.q(i), True, True).contains(dual.d(i), TOL)
 
@@ -101,11 +99,11 @@ class TestDualDomain:
         u, w = dual_example.sample(rng, 500)
         for k in range(500):
             pu, pw = CirclePoint(u[k]), CirclePoint(w[k])
-            hits = [
-                r
-                for r in dual_example.rectangles()
-                if not r.degenerate and r.x.contains(pu, 0.0) and r.y.contains(pw, 0.0)
-            ]
+            hits = []
+            for r in dual_example.rectangles():
+                x_arc, y_arc = rect_arcs(r)
+                if not r.degenerate and x_arc.contains(pu, 0.0) and y_arc.contains(pw, 0.0):
+                    hits.append(r)
             assert len(hits) == 1, [f"{r.kind}_{r.strip}" for r in hits]
 
     def test_tampered_dual_detected(self, genus2, solved_example):

@@ -16,7 +16,6 @@ from fuchsian.surface import (
     SurfaceGroup,
     assemble_surface,
     build_regular_surface,
-    geodesic_intersects_polygon,
     interior_angle,
     regular_vertex_radius,
     rho,
@@ -24,7 +23,7 @@ from fuchsian.surface import (
     tau,
     verify_group_relations,
 )
-from oracles import point_in_polygon, polygon_status, trace_geodesic
+from oracles import geodesic_intersects_polygon, point_in_polygon, polygon_status, trace_geodesic
 
 STATUS_CODE = {"inside": 1, "boundary": 0, "outside": -1}
 
