@@ -38,6 +38,7 @@ from .circle import (
     angdiff_many,
     ccw_distance,
     ccw_distance_many,
+    outside_arc,
 )
 from .errors import (
     BijectivityError,
@@ -235,13 +236,6 @@ def _canonical_angles(angles: np.ndarray, tol: float = TOL) -> np.ndarray:
     return canon.reshape(angles.shape)
 
 
-def _outside(x: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Where x lies outside the closed arc [a, b]: farther than tol from both ends, and not in between."""
-    s = np.remainder(x - a, TWO_PI)
-    length = np.remainder(b - a, TWO_PI)
-    return ~((s <= tol) | (s >= TWO_PI - tol) | (np.abs(s - length) <= tol) | (s < length))
-
-
 def solve(surface: SurfaceGroup, word: str, tol: float = TOL) -> SolvedParams:
     """Solve a parameter word end to end, with all range invariants checked.
 
@@ -255,7 +249,7 @@ def solve(surface: SurfaceGroup, word: str, tol: float = TOL) -> SolvedParams:
     g = p[base]
     for step in steps:
         (g[step],) = surface.t_angles(letter[step], g[target[step]])
-    bad = _outside(g, p, np.roll(p, -1), tol)
+    bad = outside_arc(g, p, np.roll(p, -1), tol)
     if bad.any():
         i = int(bad.argmax()) + 1
         raise RangeError(f"G_{i} lies outside [P_{i}, P_{surface.wrap(i + 1)}]")
@@ -266,7 +260,7 @@ def solve(surface: SurfaceGroup, word: str, tol: float = TOL) -> SolvedParams:
     (h,) = surface.t_angles(tau + 1, g[tau - 1])
     (h,) = surface.t_angles(np.roll(sig, 1) + 1, h)
     (d,) = surface.t_angles((ts + 1) % surface.n + 1, g[ts])
-    bad_h, bad_d = _outside(h, q, np.roll(q, -1), tol), _outside(d, p, q, tol)
+    bad_h, bad_d = outside_arc(h, q, np.roll(q, -1), tol), outside_arc(d, p, q, tol)
     if (bad_h | bad_d).any():
         k = int((bad_h | bad_d).argmax())
         i = k + 1

@@ -18,11 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DegeneratePointsError,
-    NotDiskAutomorphismError,
-    SingularMapError,
-)
+from .errors import DegeneratePointsError, NotDiskAutomorphismError
 
 TWO_PI = 2.0 * math.pi
 
@@ -66,6 +62,14 @@ def ccw_distance_many(a, b) -> np.ndarray:
     d = np.fmod(np.subtract(b, a), TWO_PI)
     d = np.where(d < 0.0, d + TWO_PI, d)
     return np.where(d >= TWO_PI, 0.0, d)
+
+
+def outside_arc(x, a, b, tol: float) -> np.ndarray:
+    """Where x lies outside the closed counterclockwise arc [a, b]: farther
+    than tol from both ends, and not in between (element-wise, broadcasts)."""
+    s = np.remainder(np.subtract(x, a), TWO_PI)
+    length = np.remainder(np.subtract(b, a), TWO_PI)
+    return ~((s <= tol) | (s >= TWO_PI - tol) | (np.abs(s - length) <= tol) | (s < length))
 
 
 def angular_separation(a: float, b: float) -> float:
@@ -178,20 +182,6 @@ class MoebiusMap:
 
     def __matmul__(self, other: "MoebiusMap") -> "MoebiusMap":
         return self.compose(other)
-
-    def apply_complex(self, z: complex) -> complex:
-        den = self.c * z + self.a.conjugate()
-        if abs(den) < TOL:
-            raise SingularMapError("Moebius denominator vanished; corrupted data")
-        return (self.a * z + self.c.conjugate()) / den
-
-    def apply(self, x: CirclePoint) -> CirclePoint:
-        w = self.apply_complex(x.value)
-        return CirclePoint(cmath.phase(w))
-
-    def apply_angle(self, theta: float) -> float:
-        w = self.apply_complex(cmath.exp(1j * theta))
-        return wrap_angle(cmath.phase(w))
 
     def distance_to(self, other: "MoebiusMap") -> float:
         """Coefficient distance modulo the global sign ambiguity."""

@@ -26,6 +26,7 @@ from .circle import (
     CirclePoint,
     angdiff_many,
     moebius_angles,
+    outside_arc,
 )
 from .errors import MarkovError, OutsideDomainError
 from .boundary import (
@@ -45,13 +46,6 @@ from .surface import SurfaceGroup
 #: Samples closer than this to a boundary curve, a rectangle edge or a
 #: partition point are not drawn or checked by the conjugacy verifier.
 MARGIN = 1e-7
-
-
-def _in_box(thetas, start_angles, end_angles, tol=TOL):
-    """Membership in the closed counterclockwise arcs [start, end], within tol."""
-    width = np.remainder(end_angles - start_angles, TWO_PI)
-    rel = np.remainder(thetas - start_angles, TWO_PI)
-    return (rel <= width + tol) | (rel >= TWO_PI - tol)
 
 
 class RegionTable:
@@ -88,31 +82,28 @@ class RegionTable:
             i_low = self.p_partition.index_many(w_thetas)  # w in [P_i, P_{i+1})
             x0 = s.q_angles[i_low % n]  # Q_{i+1}
             x1 = s.q_angles[(i_low + 1) % n]  # Q_{i+2}
-            low_ok = rest & _in_box(u_thetas, x0, x1, tol)
+            low_ok = rest & ~outside_arc(u_thetas, x0, x1, tol)
             code[low_ok] = 1
             index[low_ok] = i_low[low_ok]
             i_up = self.q_partition.index_many(w_thetas)  # w in [Q_j, Q_{j+1})
             x0u = s.p_angles[(i_up - 2) % n]  # P_{j-1}
             x1u = s.p_angles[(i_up - 1) % n]  # P_j
-            up_ok = rest & ~low_ok & _in_box(u_thetas, x0u, x1u, tol)
+            up_ok = rest & ~low_ok & ~outside_arc(u_thetas, x0u, x1u, tol)
             code[up_ok] = 2
             index[up_ok] = i_up[up_ok]
         return code, index
 
     def phi_many(self, u_thetas, w_thetas, code, index):
-        """Apply the conjugacy given classification codes."""
+        """Apply the conjugacy given classification codes: U_{tau(i)+1} on
+        lower bulge i, U_tau(i) on upper bulge i, the identity elsewhere."""
         s = self.surface
+        bulge = code > 0
+        k = (s.maps.side_rows[1][index[bulge] - 1] - (code[bulge] == 2)) % s.n
+        a, c = s.vertex_products[0][:, k]
         u2 = np.array(u_thetas, dtype=float, copy=True)
         w2 = np.array(w_thetas, dtype=float, copy=True)
-        for kind, tau_shift in ((1, 1), (2, 0)):
-            mask = code == kind
-            if not mask.any():
-                continue
-            for i in np.unique(index[mask]):
-                m = s.u(s.tau(int(i)) + tau_shift)
-                sel = mask & (index == i)
-                u2[sel] = moebius_angles(m.a, m.c, u2[sel])
-                w2[sel] = moebius_angles(m.a, m.c, w2[sel])
+        u2[bulge] = moebius_angles(a, c, u2[bulge])
+        w2[bulge] = moebius_angles(a, c, w2[bulge])
         return u2, w2
 
 

@@ -13,10 +13,6 @@ class NotDiskAutomorphismError(FuchsianError):
     """The data is not realized by an orientation-preserving disk map."""
 
 
-class SingularMapError(FuchsianError):
-    """A Moebius denominator vanished; the map data is corrupted."""
-
-
 class ConstructionError(FuchsianError):
     """A surface-group invariant failed after construction."""
 

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .boundary import RectDomain, SolvedParams
-from .circle import TWO_PI, half_turn, wrap_angle
+from .circle import TWO_PI, half_turn, moebius_angles, wrap_angle
 from .duality import DualDomain
 from .surface import SurfaceGroup
 
@@ -74,19 +76,16 @@ def curvilinear_boundary(surface: SurfaceGroup) -> list[CurveSegment]:
     """The boundary curves of the curvilinear domain: geodesics through a
     fixed vertex, traced by pairing each u with its half-turn image."""
     out = []
+    steps = np.arange(CURVE_SAMPLES + 1)
     for k in range(1, surface.n + 1):
         rot = half_turn(surface.v(k))
         for a0, a1, color in (
             (surface.p(k - 1).angle, surface.p(k).angle, "#aa2222"),  # upper piece
             (surface.q(k).angle, surface.q(k + 1).angle, "#2222aa"),  # lower piece
         ):
-            width = (a1 - a0) % TWO_PI
-            pts = []
-            for j in range(CURVE_SAMPLES + 1):
-                u = a0 + width * j / CURVE_SAMPLES
-                w = rot.apply_angle(u)
-                pts.append((wrap_angle(u), w))
-            out.append(CurveSegment(points=tuple(pts), color=color))
+            u = a0 + (a1 - a0) % TWO_PI * steps / CURVE_SAMPLES
+            w = moebius_angles(rot.a, rot.c, u)
+            out.append(CurveSegment(points=tuple(zip(map(wrap_angle, u.tolist()), w.tolist())), color=color))
     return out
 
 

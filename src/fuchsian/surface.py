@@ -27,7 +27,8 @@ from .circle import (
     TWO_PI,
     CirclePoint,
     MoebiusMap,
-    ccw_distance,
+    angdiff_many,
+    ccw_distance_many,
     geodesic_circle,
     geodesic_endpoints,
     moebius_angles,
@@ -197,81 +198,73 @@ class SideIndexMaps:
         return pieces, ends
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurfaceGroup:
-    """Polygon data plus the generators identifying its sides.
+    """Polygon data plus the generators identifying its sides, as read-only arrays.
 
-    vertices[k] is V_{k+1}; P[k], Q[k] are the ideal points P_{k+1}, Q_{k+1};
-    generators[k] is T_{k+1}.  Use the 1-based accessors v/p/q/t/u, which read
-    entry i mod N (index -1 is entry N).  n, wrap, sigma, tau and tau_sigma
-    are those of `maps`, bound on the instance.
+    Entry k belongs to index k+1: vertices[k] is V_{k+1}, p_angles[k] and
+    q_angles[k] are the angles of the ideal points P_{k+1} and Q_{k+1}, and
+    coefficients[:, k] holds the a and c of T_{k+1}.  The 1-based accessors
+    v/p/q/t/u read entry i mod N (index -1 is entry N).  n, wrap, sigma, tau
+    and tau_sigma are those of `maps`, bound on the instance.
     """
 
     genus: int
-    vertices: tuple[complex, ...]
-    P: tuple[CirclePoint, ...]
-    Q: tuple[CirclePoint, ...]
-    generators: tuple[MoebiusMap, ...]
+    vertices: np.ndarray
+    p_angles: np.ndarray
+    q_angles: np.ndarray
+    coefficients: np.ndarray
     maps: SideIndexMaps
     offset: float = 0.0
 
     def __post_init__(self):
         for name in ("n", "wrap", "sigma", "tau", "tau_sigma"):
             object.__setattr__(self, name, getattr(self.maps, name))
+        for x in (self.vertices, self.p_angles, self.q_angles, self.coefficients):
+            x.setflags(write=False)
 
     def v(self, i: int) -> complex:
-        return self.vertices[i % self.n - 1]
+        return complex(self.vertices[i % self.n - 1])
 
     def p(self, i: int) -> CirclePoint:
-        return self.P[i % self.n - 1]
+        return CirclePoint(self.p_angles[i % self.n - 1])
 
     def q(self, i: int) -> CirclePoint:
-        return self.Q[i % self.n - 1]
+        return CirclePoint(self.q_angles[i % self.n - 1])
 
     def t(self, i: int) -> MoebiusMap:
-        return self.generators[i % self.n - 1]
-
-    @cached_property
-    def _coefficients(self) -> tuple[np.ndarray, np.ndarray]:
-        """The coefficients a and c of T_1..T_N, as arrays."""
-        return np.array([m.a for m in self.generators]), np.array([m.c for m in self.generators])
+        return MoebiusMap(*self.coefficients[:, i % self.n - 1].tolist())
 
     def t_angles(self, index, *thetas) -> tuple[np.ndarray, ...]:
         """T_i(theta) as angles for each array in thetas, where index holds
         each row's 1-based i and broadcasts against every array."""
         k = np.asarray(index) - 1
-        a, c = self._coefficients[0][k], self._coefficients[1][k]
+        a, c = self.coefficients[0][k], self.coefficients[1][k]
         return tuple(moebius_angles(a, c, x) for x in thetas)
 
     @cached_property
-    def _vertex_products(self) -> tuple[tuple[MoebiusMap, ...], np.ndarray]:
-        """U_1..U_N with U_i = T_sigma(i-1) T_tau(i), and each one's distance
-        to T_sigma(i) T_{tau(i)-1}, the same map by the vertex relation."""
+    def vertex_products(self) -> tuple[np.ndarray, np.ndarray]:
+        """U_1..U_N with U_i = T_sigma(i-1) T_tau(i), as a read-only array laid
+        out like `coefficients`, and each one's distance to T_sigma(i)
+        T_{tau(i)-1}, the same map by the vertex relation.  Each U_i is one
+        scalar compose: composing on arrays moves the last bits of most U_i."""
         pairs = [
             (self.t(self.sigma(i - 1)) @ self.t(self.tau(i)), self.t(self.sigma(i)) @ self.t(self.tau(i) - 1))
             for i in range(1, self.n + 1)
         ]
-        return tuple(u for u, _ in pairs), np.array([u.distance_to(alt) for u, alt in pairs])
+        u = np.array([[m.a for m, _ in pairs], [m.c for m, _ in pairs]])
+        u.setflags(write=False)
+        return u, np.array([m.distance_to(alt) for m, alt in pairs])
 
     def u(self, i: int) -> MoebiusMap:
         """U_i = T_sigma(i-1) T_tau(i), read at i mod N like t."""
-        return self._vertex_products[0][i % self.n - 1]
+        return MoebiusMap(*self.vertex_products[0][:, i % self.n - 1].tolist())
 
     def check_u(self, tol: float = TOL):
         """Raise ContradictionError if the two products for some U_i differ by more than tol."""
-        bad = np.flatnonzero(self._vertex_products[1] > tol)
+        bad = np.flatnonzero(self.vertex_products[1] > tol)
         if len(bad):
             raise ContradictionError(f"the two expressions for U_{bad[0] + 1} disagree")
-
-    @cached_property
-    def p_angles(self) -> np.ndarray:
-        """The angles of P_1..P_N, for array lookups."""
-        return np.array([pt.angle for pt in self.P])
-
-    @cached_property
-    def q_angles(self) -> np.ndarray:
-        """The angles of Q_1..Q_N, for array lookups."""
-        return np.array([pt.angle for pt in self.Q])
 
     @cached_property
     def clipper(self) -> "GeodesicClipper":
@@ -282,17 +275,14 @@ class SurfaceGroup:
         """Center/radius of the circle extending side i (None for a diameter)."""
         return geodesic_circle(self.v(i), self.v(i + 1))
 
-    def boundary_points_in_order(self) -> list[CirclePoint]:
-        return [pt for pair in zip(self.P, self.Q) for pt in pair]
-
     def to_json(self) -> str:
         doc = {
             "genus": self.genus,
             "offset": self.offset,
-            "vertices": [[z.real, z.imag] for z in self.vertices],
+            "vertices": [[z.real, z.imag] for z in self.vertices.tolist()],
             "generators": [
-                {"a": [m.a.real, m.a.imag], "c": [m.c.real, m.c.imag]}
-                for m in self.generators
+                {"a": [a.real, a.imag], "c": [c.real, c.imag]}
+                for a, c in zip(*self.coefficients.tolist())
             ],
             "sigma": [self.sigma(i) for i in range(1, self.n + 1)],
             "tau": [self.tau(i) for i in range(1, self.n + 1)],
@@ -335,13 +325,13 @@ def assemble_surface(
     # Side i, extended backward and forward, ends at P_i and Q_{i+1}.
     ends = [geodesic_endpoints(vertices[i - 1], vertices[i % n]) for i in range(1, n + 1)]
     return SurfaceGroup(
-        genus=genus,
-        vertices=tuple(vertices),
-        P=tuple(p for p, _ in ends),
-        Q=tuple(q for _, q in ends[-1:] + ends[:-1]),
-        generators=tuple(generators),
-        maps=maps,
-        offset=offset,
+        genus,
+        np.array(vertices, dtype=complex),
+        np.array([p.angle for p, _ in ends]),
+        np.array([q.angle for _, q in ends[-1:] + ends[:-1]]),
+        np.array([[m.a for m in generators], [m.c for m in generators]], dtype=complex),
+        maps,
+        offset,
     )
 
 
@@ -473,23 +463,16 @@ def verify_group_relations(surface: SurfaceGroup, tol: float = TOL) -> RelationR
         r3 = surface.maps.rho(r2)
         word = surface.t(r3) @ surface.t(r2) @ surface.t(r1) @ surface.t(i)
         report.add(f"four-term relation at {i}", word.distance_to(ident))
-    for i in range(1, n + 1):
-        si = surface.sigma(i)
-        img_p = surface.t(i).apply(surface.p(i))
-        img_q = surface.t(i).apply(surface.q(i + 1))
-        report.add(
-            f"T_{i}(P_{i}) = Q_{surface.wrap(si + 1)}",
-            abs(math.remainder(img_p.angle - surface.q(si + 1).angle, TWO_PI)),
-        )
-        report.add(
-            f"T_{i}(Q_{surface.wrap(i + 1)}) = P_{si}",
-            abs(math.remainder(img_q.angle - surface.p(si).angle, TWO_PI)),
-        )
-    pts = surface.boundary_points_in_order()
-    base = pts[0].angle
-    gaps = [ccw_distance(base, pt.angle) for pt in pts]
-    order_ok = all(gaps[k] < gaps[k + 1] for k in range(len(gaps) - 1))
-    report.add("boundary order P_1,Q_1,P_2,Q_2,...", 0.0 if order_ok else 1.0)
+    p, q = surface.p_angles, surface.q_angles
+    sig = surface.maps.side_rows[0] - 1  # 0-based sigma(i)
+    with np.errstate(invalid="ignore"):  # corrupt coefficients give NaN deviations, which fail below
+        img_p, img_q = surface.t_angles(np.arange(1, n + 1), p, np.roll(q, -1))
+    dev_p, dev_q = angdiff_many(img_p, q[(sig + 1) % n]), angdiff_many(img_q, p[sig])
+    for i, si, dp, dq in zip(range(1, n + 1), sig.tolist(), dev_p.tolist(), dev_q.tolist()):
+        report.add(f"T_{i}(P_{i}) = Q_{surface.wrap(si + 2)}", dp)
+        report.add(f"T_{i}(Q_{surface.wrap(i + 1)}) = P_{si + 1}", dq)
+    gaps = ccw_distance_many(p[0], np.stack([p, q], axis=1).ravel())  # P_1, Q_1, P_2, Q_2, ...
+    report.add("boundary order P_1,Q_1,P_2,Q_2,...", 0.0 if (gaps[:-1] < gaps[1:]).all() else 1.0)
     for i in range(1, n + 1):
         report.add(
             f"interior angle at V_{i} = pi/2",

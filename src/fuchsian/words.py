@@ -56,10 +56,10 @@ class GroupWord:
         return surface.p(self.base.index) if self.base.kind == "P" else surface.q(self.base.index)
 
     def evaluate(self, surface: SurfaceGroup) -> CirclePoint:
-        x = self.base_point(surface)
+        x = [self.base_point(surface).angle]
         for k in reversed(self.letters):
-            x = surface.t(k).apply(x)
-        return x
+            (x,) = surface.t_angles(surface.wrap(k), x)
+        return CirclePoint(float(x[0]))
 
     def to_json(self) -> dict:
         return {"word": list(self.letters), "base": str(self.base)}
@@ -69,26 +69,26 @@ class GroupWord:
         return cls(tuple(int(k) for k in doc["word"]), BasePoint.parse(doc["base"]))
 
 
+# (base kind, (k - i + 1) mod N - 1) -> (image kind, offset from sigma(i)):
+# the absorption table above, for T_i applied to the base point of index k.
+ABSORPTION = {
+    ("P", -1): ("P", 1),
+    ("P", 0): ("Q", 1),
+    ("P", 1): ("P", -1),
+    ("Q", 0): ("Q", 2),
+    ("Q", 1): ("P", 0),
+    ("Q", 2): ("Q", 0),
+}
+
+
 def absorb_letter(maps: SideIndexMaps, letter: int, base: BasePoint) -> BasePoint | None:
     """Apply the endpoint-absorption table, or None when no rule matches."""
     i = maps.wrap(letter)
-    si = maps.sigma(i)
-    k = base.index
-    if base.kind == "P":
-        if k == maps.wrap(i - 1):
-            return BasePoint("P", maps.wrap(si + 1))
-        if k == i:
-            return BasePoint("Q", maps.wrap(si + 1))
-        if k == maps.wrap(i + 1):
-            return BasePoint("P", maps.wrap(si - 1))
-    else:
-        if k == i:
-            return BasePoint("Q", maps.wrap(si + 2))
-        if k == maps.wrap(i + 1):
-            return BasePoint("P", si)
-        if k == maps.wrap(i + 2):
-            return BasePoint("Q", si)
-    return None
+    rule = ABSORPTION.get((base.kind, (base.index - i + 1) % maps.n - 1))
+    if rule is None:
+        return None
+    kind, offset = rule
+    return BasePoint(kind, maps.wrap(maps.sigma(i) + offset))
 
 
 def _free_reduce(maps: SideIndexMaps, letters: list[int]) -> list[int]:

@@ -38,6 +38,7 @@ from fuchsian.errors import (
     BijectivityError,
     ContradictionError,
     DegeneratePointsError,
+    FuchsianError,
     MarkovError,
     NotDiskAutomorphismError,
     OutsideDomainError,
@@ -48,7 +49,7 @@ from fuchsian.words import BasePoint, GroupWord, prepend
 
 # -- arcs ----------------------------------------------------------------------
 #
-# The closed-arc reference that boundary._outside is tested against, and the
+# The closed-arc reference that circle.outside_arc is tested against, and the
 # half-open arcs of a DomainRect, which the library keeps as end angles.
 
 
@@ -106,6 +107,28 @@ def ccw(a: CirclePoint, b: CirclePoint, c: CirclePoint, tol: float = TOL) -> boo
     ):
         raise DegeneratePointsError("ccw of (nearly) coincident points")
     return ccw_distance(a.angle, b.angle) < ccw_distance(a.angle, c.angle)
+
+
+class SingularMapError(FuchsianError):
+    """A Moebius denominator vanished; the map data is corrupted."""
+
+
+def apply_complex(m: MoebiusMap, z: complex) -> complex:
+    """The scalar Moebius kernel that circle.moebius_angles is tested against."""
+    den = m.c * z + m.a.conjugate()
+    if abs(den) < TOL:
+        raise SingularMapError("Moebius denominator vanished; corrupted data")
+    return (m.a * z + m.c.conjugate()) / den
+
+
+def apply(m: MoebiusMap, x: CirclePoint) -> CirclePoint:
+    w = apply_complex(m, x.value)
+    return CirclePoint(cmath.phase(w))
+
+
+def apply_angle(m: MoebiusMap, theta: float) -> float:
+    w = apply_complex(m, cmath.exp(1j * theta))
+    return wrap_angle(cmath.phase(w))
 
 
 def inverse(m: MoebiusMap) -> MoebiusMap:
@@ -505,6 +528,25 @@ def apply_phi(
 ) -> tuple[CirclePoint, CirclePoint]:
     """The conjugacy: identity on the core, a vertex word on each bulge."""
     return reduce_geodesic(regions, u, w, tol)[:2]
+
+
+def phi_loop(regions: RegionTable, u_thetas, w_thetas, code, index):
+    """RegionTable.phi_many as one moebius_angles call per bulge kind and
+    index, each with the scalar coefficients of U_{tau(i)+1} (lower) or
+    U_tau(i) (upper)."""
+    s = regions.surface
+    u2 = np.array(u_thetas, dtype=float, copy=True)
+    w2 = np.array(w_thetas, dtype=float, copy=True)
+    for kind, tau_shift in ((1, 1), (2, 0)):
+        mask = code == kind
+        if not mask.any():
+            continue
+        for i in np.unique(index[mask]):
+            m = s.u(s.tau(int(i)) + tau_shift)
+            sel = mask & (index == i)
+            u2[sel] = moebius_angles(m.a, m.c, u2[sel])
+            w2[sel] = moebius_angles(m.a, m.c, w2[sel])
+    return u2, w2
 
 
 # -- the scalar coding loop ----------------------------------------------------

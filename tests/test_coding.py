@@ -32,15 +32,17 @@ from fuchsian.coding import (
     verify_conjugacy,
 )
 from fuchsian.errors import BijectivityError, MarkovError, OutsideDomainError
-from fuchsian.surface import GeodesicClipper, SurfaceGroup, build_regular_surface
+from fuchsian.surface import GeodesicClipper, build_regular_surface
 from oracles import (
     Arc,
+    apply,
     apply_phi,
     code_geodesic_loop,
     code_rows_reference,
     geo_step,
     locate_region,
     markov_loop,
+    phi_loop,
     polygon_status,
     reduce_geodesic,
     rect_domain,
@@ -255,16 +257,16 @@ class TestPhi:
         s = genus2
         for i in range(1, 13):
             u_map = s.u(s.tau(i) + 1)
-            assert u_map.apply(s.p(i)).close_to(s.q(s.tau(i) + 1), TOL)
-            assert u_map.apply(s.q(i + 1)).close_to(s.p(s.tau(i)), TOL)
-            assert u_map.apply(s.p(i + 1)).close_to(s.q(s.tau(i) + 2), TOL)
-            assert u_map.apply(s.q(i + 2)).close_to(s.p(s.tau(i) + 1), TOL)
+            assert apply(u_map, s.p(i)).close_to(s.q(s.tau(i) + 1), TOL)
+            assert apply(u_map, s.q(i + 1)).close_to(s.p(s.tau(i)), TOL)
+            assert apply(u_map, s.p(i + 1)).close_to(s.q(s.tau(i) + 2), TOL)
+            assert apply(u_map, s.q(i + 2)).close_to(s.p(s.tau(i) + 1), TOL)
 
     def test_vertex_word_carries_h_to_g(self, genus2, solved_example):
         s = genus2
         for i in range(1, 13):
             u_map = s.u(s.tau(i) + 1)
-            assert u_map.apply(solved_example.h(i + 1)).close_to(
+            assert apply(u_map, solved_example.h(i + 1)).close_to(
                 solved_example.g(s.tau(i)), TOL
             )
 
@@ -301,6 +303,23 @@ class TestPhi:
             checked += 1
         assert checked > 50
 
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_gather_is_the_per_index_loop(self, g):
+        # One gather of U per row gives the per-index loop's images bit for
+        # bit, on sampled pairs and on their geometric images.
+        surface = build_regular_surface(g)
+        solved = solve(surface, "PQ" * (surface.n // 2))
+        regions = RegionTable(solved, build_domain(solved))
+        u, w, exit_ = sample_curvilinear(regions, np.random.default_rng(g), 4000)
+        gu, gw = surface.t_angles(exit_, u, w)
+        for pu, pw in ((u, w), (gu, gw)):
+            code, index = regions.classify(pu, pw, surface.clipper.status_codes(pu, pw) == 1)
+            assert {1, 2} <= set(code.tolist())
+            got = regions.phi_many(pu, pw, code, index)
+            want = phi_loop(regions, pu, pw, code, index)
+            for x, y in zip(got, want):
+                assert np.array_equal(x.view(np.int64), y.view(np.int64))
+
     def test_reduce_identity_on_reduced(self, regions_example, domain_example):
         rng = np.random.default_rng(6)
         u, w = domain_example.sample(rng, 100)
@@ -335,8 +354,10 @@ class TestConjugacy:
 
     def test_fault_injection_fails(self, genus2, solved_example, domain_example, monkeypatch):
         # Every U_i read as U_{i+1}: the surface's vertex maps rolled by one.
-        u = SurfaceGroup.u
-        monkeypatch.setattr(SurfaceGroup, "u", lambda self, i: u(self, i + 1))
+        u2 = genus2.u(2)
+        rolled = tuple(np.roll(x, -1, axis=-1) for x in genus2.vertex_products)
+        monkeypatch.setitem(vars(genus2), "vertex_products", rolled)
+        assert solved_example.surface.u(1) == u2
         report = verify_conjugacy(solved_example, domain_example, samples=2000, seed=11)
         assert report.failures > 0
 
@@ -691,8 +712,7 @@ class TestMarkov:
     def test_wrong_generators_raise(self, genus2):
         # Generators rotated by one index no longer carry the interval ends
         # onto endpoints; the error names the first identity that fails.
-        g = genus2.generators
-        rotated = dataclasses.replace(genus2, generators=g[1:] + g[:1])
+        rotated = dataclasses.replace(genus2, coefficients=np.roll(genus2.coefficients, -1, axis=1))
         with pytest.raises(MarkovError, match=r"^endpoint image mismatch: T_1 Q_1 = Q_9 off by 1\.92$"):
             markov_transition_matrix(ExtremalParams(rotated, "PPPPQPQQPPQQ"))
 
@@ -722,7 +742,8 @@ class TestMarkov:
         else:
             rng = random.Random(g)
             words = ["".join(rng.choice("PQ") for _ in range(n)) for _ in range(300)]
-        broken = dataclasses.replace(surface, generators=surface.generators[:-1] + surface.generators[:1])
+        c = surface.coefficients
+        broken = dataclasses.replace(surface, coefficients=np.concatenate([c[:, :-1], c[:, :1]], axis=1))
         errors = set()
         for word in words:
             got, want = (build(ExtremalParams(surface, word)) for build in (markov_transition_matrix, markov_loop))

@@ -122,24 +122,20 @@ def test_inverse_step_many_keeps_the_traced_contract(solved_example, domain_exam
     assert (count == inverse_search_many(solved_example, domain_example, u, w)[3]).all()
 
 
-def test_scalar_apply_is_left_to_word_evaluation_and_relation_checks():
-    """Named-point identities run through t_angles; MoebiusMap.apply keeps two callers."""
+def test_no_scalar_moebius_kernel_in_src():
+    """Every Moebius map applied to circle points goes through moebius_angles:
+    no .apply, .apply_angle or .apply_complex call is left in src/, and
+    MoebiusMap is a group element only."""
+    from fuchsian.circle import MoebiusMap
+
+    names = {"apply", "apply_angle", "apply_complex"}
     calls = []
-
-    def visit(node, path, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, path, scope + [child.name])
-                continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "apply":
-                calls.append((path.name, ".".join(scope), child.lineno))
-            visit(child, path, scope)
-
     for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text()), path, [])
-    allowed = {("words.py", "GroupWord.evaluate"), ("surface.py", "verify_group_relations")}
-    assert [call for call in calls if call[:2] not in allowed] == []
-    assert {call[:2] for call in calls} == allowed
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in names:
+                calls.append((path.name, node.lineno))
+    assert calls == []
+    assert [name for name in names if hasattr(MoebiusMap, name)] == []
 
 
 def test_scalar_steps_are_one_row_calls():

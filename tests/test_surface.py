@@ -1,6 +1,7 @@
 """Index maps, regular polygon construction, and polygon intersection."""
 
 import cmath
+import dataclasses
 import json
 import math
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from fuchsian.boundary import build_domain, solve, verify_bijectivity
-from fuchsian.circle import TOL, TWO_PI, CirclePoint, MoebiusMap
+from fuchsian.circle import TOL, TWO_PI, CirclePoint, MoebiusMap, angdiff
 from fuchsian.errors import ConstructionError, ContradictionError, DegeneratePointsError
 from fuchsian.surface import (
     GeodesicClipper,
@@ -23,7 +24,7 @@ from fuchsian.surface import (
     tau,
     verify_group_relations,
 )
-from oracles import geodesic_intersects_polygon, point_in_polygon, polygon_status, trace_geodesic
+from oracles import apply, geodesic_intersects_polygon, point_in_polygon, polygon_status, trace_geodesic
 
 STATUS_CODE = {"inside": 1, "boundary": 0, "outside": -1}
 
@@ -102,10 +103,28 @@ class TestIndexTables:
         s = genus3
         for i in range(-2 * s.n, 3 * s.n):
             k = (i - 1) % s.n
-            assert s.p(i) is s.P[k]
-            assert s.q(i) is s.Q[k]
-            assert s.t(i) is s.generators[k]
-            assert s.v(i) is s.vertices[k]
+            assert s.p(i).angle == s.p_angles[k]
+            assert s.q(i).angle == s.q_angles[k]
+            assert (s.t(i).a, s.t(i).c) == (s.coefficients[0, k], s.coefficients[1, k])
+            assert s.u(i).a == s.vertex_products[0][0, k] and s.u(i).c == s.vertex_products[0][1, k]
+            assert s.v(i) == s.vertices[k]
+            assert {type(x) for x in (s.p(i).angle, s.t(i).a, s.t(i).c, s.u(i).a, s.v(i))} <= {float, complex}
+
+    def test_surface_arrays_are_read_only(self, genus2):
+        copy = dataclasses.replace(genus2, p_angles=genus2.p_angles.copy())
+        for s in (genus2, copy):
+            arrays = [s.vertices, s.p_angles, s.q_angles, s.coefficients, s.vertex_products[0]]
+            for x in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    x[0] = x[1]
+            with pytest.raises(ValueError, match="read-only"):
+                s.coefficients[1, 3] = 0.0
+            assert [x.shape for x in arrays] == [(12,)] * 3 + [(2, 12)] * 2
+
+    def test_surface_is_its_arrays(self, genus2):
+        fields = [f.name for f in dataclasses.fields(SurfaceGroup)]
+        assert fields == ["genus", "vertices", "p_angles", "q_angles", "coefficients", "maps", "offset"]
+        assert genus2 != build_regular_surface(2)  # eq=False: arrays are not compared
 
     def test_surface_binds_the_maps_lookups(self, genus2):
         for name in ("wrap", "sigma", "tau", "tau_sigma"):
@@ -139,17 +158,38 @@ class TestRegularSurface:
             assert abs(interior_angle(s, i) - math.pi / 2) < TOL
 
     def test_boundary_order(self, genus2):
-        pts = genus2.boundary_points_in_order()
+        pts = [pt for i in range(1, 13) for pt in (genus2.p(i), genus2.q(i))]
         base = pts[0].angle
         rel = [(p.angle - base) % TWO_PI for p in pts]
         assert all(rel[k] < rel[k + 1] for k in range(len(rel) - 1))
+
+    def test_boundary_order_failure_is_reported(self, genus2):
+        p = genus2.p_angles.copy()
+        p[[2, 3]] = p[[3, 2]]
+        swapped = dataclasses.replace(genus2, p_angles=p)
+        assert ("boundary order P_1,Q_1,P_2,Q_2,...", 1.0) in verify_group_relations(swapped).failures
 
     def test_endpoint_images(self, genus2):
         s = genus2
         for i in range(1, 13):
             si = s.sigma(i)
-            assert s.t(i).apply(s.p(i)).close_to(s.q(si + 1))
-            assert s.t(i).apply(s.q(i + 1)).close_to(s.p(si))
+            assert apply(s.t(i), s.p(i)).close_to(s.q(si + 1))
+            assert apply(s.t(i), s.q(i + 1)).close_to(s.p(si))
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_relation_entries_match_the_scalar_kernel(self, g):
+        # The endpoint images, checked in one t_angles call, keep their names
+        # and order, and deviate from the scalar kernel's by at most 1e-14.
+        s = build_regular_surface(g)
+        entries = dict(verify_group_relations(s).entries)
+        names = [name for name in entries if "(P_" in name or "(Q_" in name]
+        expected = []
+        for i in range(1, s.n + 1):
+            si = s.sigma(i)
+            expected.append((f"T_{i}(P_{i}) = Q_{s.wrap(si + 1)}", angdiff(apply(s.t(i), s.p(i)).angle, s.q(si + 1).angle)))
+            expected.append((f"T_{i}(Q_{s.wrap(i + 1)}) = P_{si}", angdiff(apply(s.t(i), s.q(i + 1)).angle, s.p(si).angle)))
+        assert names == [name for name, _ in expected]
+        assert max(abs(entries[name] - dev) for name, dev in expected) <= 1e-14
 
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_interval_image_endpoint_identities(self, g):
@@ -157,8 +197,8 @@ class TestRegularSurface:
         s = build_regular_surface(g)
         for j in range(1, s.n + 1):
             k = s.tau_sigma(j)
-            assert s.t(j + 1).apply(s.p(j)).close_to(s.p(k))
-            assert s.t(j + 1).apply(s.p(j + 1)).close_to(s.q(k))
+            assert apply(s.t(j + 1), s.p(j)).close_to(s.p(k))
+            assert apply(s.t(j + 1), s.p(j + 1)).close_to(s.q(k))
 
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_vertex_word_endpoint_images(self, g):
@@ -167,12 +207,12 @@ class TestRegularSurface:
         s = build_regular_surface(g)
         for i in range(1, s.n + 1):
             k = s.tau_sigma(i)
-            assert s.t(k + 1).apply(s.p(k + 1)).close_to(s.q(i))
-            assert s.t(k + 1).apply(s.p(k)).close_to(s.p(i))
+            assert apply(s.t(k + 1), s.p(k + 1)).close_to(s.q(i))
+            assert apply(s.t(k + 1), s.p(k)).close_to(s.p(i))
 
     def test_injected_fault_detected(self, genus2):
         s = genus2
-        gens = list(s.generators)
+        gens = [s.t(i) for i in range(1, s.n + 1)]
         gens[2] = MoebiusMap.identity()  # break T_3
         broken = assemble_surface(s.genus, s.vertices, gens, s.offset)
         report = verify_group_relations(broken)

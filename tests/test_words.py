@@ -5,6 +5,7 @@ import pytest
 from fuchsian.circle import TOL
 from fuchsian.surface import build_regular_surface
 from fuchsian.words import BasePoint, GroupWord, absorb_letter, prepend, simplify
+from oracles import apply
 
 
 @pytest.mark.parametrize("g", [2, 3, 4])
@@ -19,7 +20,19 @@ def test_absorption_table_is_numerically_exact(g):
             assert out is not None
             src = s.p(k) if kind == "P" else s.q(k)
             dst = s.p(out.index) if out.kind == "P" else s.q(out.index)
-            assert s.t(i).apply(src).close_to(dst, TOL), (i, str(base), str(out))
+            assert apply(s.t(i), src).close_to(dst, TOL), (i, str(base), str(out))
+
+
+def test_absorption_has_no_other_rule(genus2):
+    # Off the six endpoints next to the axis of T_i, no (kind, k) absorbs.
+    n = genus2.n
+    for i in range(1, n + 1):
+        rules = {("P", (i - 2) % n + 1), ("P", i), ("P", i % n + 1),
+                 ("Q", i), ("Q", i % n + 1), ("Q", (i + 1) % n + 1)}
+        for kind in "PQ":
+            for k in range(1, n + 1):
+                got = absorb_letter(genus2.maps, i, BasePoint(kind, k))
+                assert (got is not None) == ((kind, k) in rules), (i, kind, k)
 
 
 def test_absorption_misses_far_points(genus2):
