@@ -51,6 +51,10 @@ def _word_invocations() -> list[tuple[str, list[str]]]:
 EXAMPLE_ARGS = ["--genus", "2", "--params", EXAMPLE]
 
 INVOCATIONS: list[tuple[str, list[str]]] = _word_invocations() + [
+    *((f"example-{cmd}", CLI + [cmd] + EXAMPLE_ARGS) for cmd in ("solve", "omega", "dual")),
+    ("example-verify-markov",
+     CLI + ["verify", "markov"] + EXAMPLE_ARGS + ["--matrix-out", "matrix.txt", "--sofic-out", "sofic.json"]),
+    ("example-code", CLI + ["code"] + EXAMPLE_ARGS + ["--u", "0.3", "--w", "2.9", "--future", "10", "--past", "5"]),
     ("example-verify-conjugacy", CLI + ["verify", "conjugacy"] + EXAMPLE_ARGS + ["--samples", "10000"]),
     ("example-verify-duality", CLI + ["verify", "duality"] + EXAMPLE_ARGS + ["--seed", "7"]),
     ("example-attractor", CLI + ["attractor"] + EXAMPLE_ARGS + ["--iters", "50", "--samples", "10000"]),

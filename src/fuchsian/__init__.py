@@ -32,10 +32,9 @@ from .coding import (
     verify_conjugacy,
 )
 from .duality import (
-    DualParams,
     build_omega_dual,
     dual_family_check,
-    dual_params,
+    dual_word,
     verify_duality,
 )
 from .attractor import attractor_experiment
@@ -47,7 +46,6 @@ __all__ = [
     "BasePoint",
     "CirclePoint",
     "CodingSeq",
-    "DualParams",
     "ExtremalParams",
     "GroupWord",
     "MoebiusMap",
@@ -62,7 +60,7 @@ __all__ = [
     "build_regular_surface",
     "code_geodesic",
     "dual_family_check",
-    "dual_params",
+    "dual_word",
     "extension_step",
     "geodesic_endpoints",
     "inverse_step",

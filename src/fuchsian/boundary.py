@@ -284,7 +284,7 @@ def solve(surface: SurfaceGroup, word: str, tol: float = TOL) -> SolvedParams:
 def boundary_step_many(params, thetas) -> tuple[np.ndarray, np.ndarray]:
     """The circle map on angles: T_i(x) for x in arc i of params.partition; returns (images, i).
 
-    Like the extension steps, it runs the dual map when given a DualParams.
+    Like the extension steps, it runs the dual map when given a DualDomain.
     """
     i = params.partition.index_many(thetas)
     return params.surface.t_angles(i, thetas)[0], i
@@ -300,7 +300,7 @@ def extension_step_many(params, u_thetas, w_thetas):
     """The two-coordinate extension on angle arrays; the index is chosen by w.
 
     `params` is anything with a `surface` and a `partition`: an
-    ExtremalParams, or a DualParams for the dual extension.  Returns
+    ExtremalParams, or a DualDomain for the dual extension.  Returns
     (u', w', index).
     """
     i = params.partition.index_many(w_thetas)
@@ -481,6 +481,19 @@ def invariant_measure(rect: DomainRect) -> float:
 # -- the inverse step ---------------------------------------------------------
 
 
+def snap_named(named: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """thetas with each angle within TOL of an entry of the sorted array named set to that entry.
+
+    The image of a named point under a generator is another named point,
+    which t_angles misses by a few ulps; the snap puts it back onto the
+    table entry within TOL, the only one there.
+    """
+    k = np.searchsorted(named, thetas)
+    for near in (named[k - 1], named[k % len(named)]):
+        thetas = np.where(angdiff_many(thetas, near) <= TOL, near, thetas)
+    return thetas
+
+
 class PreimageTable:
     """How many preimages each point has under the extension map on a domain.
 
@@ -508,15 +521,10 @@ class PreimageTable:
         (img,) = s.t_angles(self.branch[:, None], ends)
         img[img >= TWO_PI] = 0.0  # np.remainder can round up to 2*pi
         # Each end is a named point, and the generator of its branch maps it
-        # onto another one, which t_angles misses by a few ulps: snap it onto
-        # the table entry within TOL, the only one there.  An end farther
-        # from every entry stays as computed, so a wrong domain still fails
-        # the Monte Carlo check.
-        named = np.unique(solved.angles)
-        k = np.searchsorted(named, img)
-        for near in (named[k - 1], named[k % len(named)]):
-            img = np.where(angdiff_many(img, near) <= TOL, near, img)
-        self.x0, self.x1, self.y0, self.y1 = img.T
+        # onto another one.  An end farther from every entry stays as
+        # computed, so a wrong domain still fails the Monte Carlo check.
+        self.named = np.unique(solved.angles)
+        self.x0, self.x1, self.y0, self.y1 = snap_named(self.named, img).T
         self.inverse = s.maps.side_rows[0][self.branch - 1]  # T_sigma(i) = T_i^-1
 
         self.cuts = np.unique(np.concatenate([[0.0], self.y0, self.y1]))
@@ -567,14 +575,16 @@ def inverse_step_many(solved: SolvedParams, domain: RectDomain, u_thetas, w_thet
     hit_count is the exact number of preimages of each (u, w) in the
     domain, read from the domain's PreimageTable.  Where it is 1, (u', w')
     is the preimage (T_sigma(i) u, T_sigma(i) w) and branch is i; the
-    other rows hold zeros.
+    other rows hold zeros.  A preimage coordinate within TOL of a named
+    point is snapped onto it, so a preimage of a point on a rectangle's
+    edge lands on the edge of its own rectangle, not ulps outside it.
     """
     table = domain.preimages(solved)
     count, k = table.lookup_many(u_thetas, w_thetas)
     one = count == 1
     k = np.where(one, k, 0)
     images = solved.surface.t_angles(table.inverse[k], u_thetas, w_thetas)
-    pu, pw = (np.where(one, x, 0.0) for x in images)
+    pu, pw = (np.where(one, snap_named(table.named, x), 0.0) for x in images)
     return pu, pw, np.where(one, table.branch[k], 0), count
 
 

@@ -163,8 +163,8 @@ def cmd_omega(args) -> int:
 def cmd_dual(args) -> int:
     _, solved = _prepare(args)
     dual_domain = build_omega_dual(solved)
-    doc = json.loads(dual_domain.dual.to_json())
-    doc["rectangles"] = _rects_json(dual_domain.rectangles())
+    doc = json.loads(dual_domain.to_json())
+    doc["rectangles"] = _rects_json(dual_domain.rects)
     _emit(json.dumps(doc, indent=2), args.out)
     return 0
 

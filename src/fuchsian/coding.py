@@ -318,17 +318,6 @@ class TransitionMatrix:
             for r in range(self.size)
         )
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "genus": self.genus,
-                "intervals": self.size,
-                "adjacency": {str(k): self.row_entries(k) for k in range(1, self.size + 1)},
-                "branch": list(self.branch),
-            },
-            indent=2,
-        )
-
 
 def markov_transition_matrix(
     solved_or_params: SolvedParams | ExtremalParams, tol: float = TOL

@@ -116,7 +116,7 @@ def omega_dual_spec(solved: SolvedParams, dual_domain: DualDomain) -> RenderSpec
         chart="torus",
         offset=s.offset,
         rects=tuple(
-            patches(dual_domain.rectangles(), {"wide": "#88aaff", "head": "#ffaa66", "tail": "#66cc99"})
+            patches(dual_domain.rects, {"wide": "#88aaff", "head": "#ffaa66", "tail": "#66cc99"})
         ),
         ticks=tuple(boundary_ticks(s)),
         surface=s,

@@ -237,9 +237,10 @@ class SurfaceGroup:
 
     def t_angles(self, index, *thetas) -> tuple[np.ndarray, ...]:
         """T_i(theta) as angles for each array in thetas, where index holds
-        each row's 1-based i and broadcasts against every array."""
+        each row's 1-based i, read mod N like t(i), and broadcasts against
+        every array."""
         k = np.asarray(index) - 1
-        a, c = self.coefficients[0][k], self.coefficients[1][k]
+        a, c = (row.take(k, mode="wrap") for row in self.coefficients)
         return tuple(moebius_angles(a, c, x) for x in thetas)
 
     @cached_property

@@ -33,7 +33,7 @@ from fuchsian.circle import (
     wrap_angle,
 )
 from fuchsian.coding import CodingSeq, RegionTable, TransitionMatrix
-from fuchsian.duality import dual_params
+from fuchsian.duality import build_omega_dual
 from fuchsian.errors import (
     BijectivityError,
     ContradictionError,
@@ -634,7 +634,7 @@ def duality_code_counts(solved, domain, cu, cw, depth, tol=TOL):
     """verify_duality step (c) one sample at a time: the primal past of each
     sample, from code_rows_reference, against the dual orbit of its first
     coordinate by boundary_step.  Returns (skipped, checked, failures)."""
-    dual = dual_params(solved)
+    dual = build_omega_dual(solved)
     _, pasts, truncated = code_rows_reference(solved, domain, cu, cw, 0, depth)
     skipped = checked = failures = 0
     for k in range(len(cu)):
@@ -783,12 +783,11 @@ def domain_loop(solved):
 def dual_domain_loop(solved):
     """build_omega_dual's horizontal rectangles, side by side: wide 1..N, then head, then tail."""
     s = solved.surface
-    dual = dual_params(solved)
     wide, head, tail = [], [], []
     for i in range(1, s.n + 1):
-        wide.append(_rect(s.q(i + 2), s.p(i - 1), dual.d(i), dual.d(i + 1), i, "wide"))
-        head.append(_rect(s.p(i - 1), s.p(i), solved.h(i), dual.d(i + 1), i, "head"))
-        tail.append(_rect(s.q(i + 1), s.q(i + 2), dual.d(i), solved.g(i), i, "tail"))
+        wide.append(_rect(s.q(i + 2), s.p(i - 1), solved.d(i), solved.d(i + 1), i, "wide"))
+        head.append(_rect(s.p(i - 1), s.p(i), solved.h(i), solved.d(i + 1), i, "head"))
+        tail.append(_rect(s.q(i + 1), s.q(i + 2), solved.d(i), solved.g(i), i, "tail"))
     return wide + head + tail
 
 
@@ -894,7 +893,7 @@ def analytic_loop(solved, tol=TOL):
 def dual_image_loop(solved, dual_domain, tol=TOL):
     """verify_dual_images through identity_failures_tuples."""
     s = solved.surface
-    angles = np.vstack([solved.angles[:4], dual_domain.dual.solved.angles[4:]])
+    angles = np.vstack([solved.angles[:4], dual_domain.solved.angles[4:]])
     rows = []
     for i in range(1, s.n + 1):
         j = s.sigma(i)

@@ -229,7 +229,7 @@ def test_criterion_7_property_suites(genus2, solved_example, domain_example):
     ww = rng.random(100_000) * TWO_PI
     decomp_ok = bool(
         (
-            dual_domain.contains_vertical_many(uu, ww)
+            domain_example.contains_many(ww, uu)
             == dual_domain.contains_horizontal_many(uu, ww)
         ).all()
     )

@@ -969,8 +969,8 @@ class TestNamedPointTable:
             solved = solve(surface, word)
             dual_domain = build_omega_dual(solved)
             assert fields(build_domain(solved).rects) == fields(domain_loop(solved))
-            assert fields(dual_domain.rectangles()) == fields(dual_domain_loop(solved))
-            got = dual_domain.dual.partition
+            assert fields(dual_domain.rects) == fields(dual_domain_loop(solved))
+            got = dual_domain.partition
             want = CirclePartition([solved.d(i).angle for i in range(1, n + 1)])
             assert got.base == want.base and got.labels.tolist() == want.labels.tolist()
             assert got.breaks.tobytes() == want.breaks.tobytes()
@@ -987,7 +987,7 @@ class TestNamedPointTable:
         built = []
         init = CirclePoint.__init__
         monkeypatch.setattr(CirclePoint, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k))
-        rects, dual_rects = domain.rects, dual_domain.rectangles()
+        rects, dual_rects = domain.rects, dual_domain.rects
         assert built == []
         for got, ends in ((rects, domain._ends), (dual_rects, dual_domain.ends.transpose(1, 0, 2).reshape(-1, 4))):
             assert len(got) == len(ends)

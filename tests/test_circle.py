@@ -23,7 +23,7 @@ from fuchsian.circle import (
     half_turn,
     moebius_angles,
 )
-from fuchsian.duality import dual_params
+from fuchsian.duality import build_omega_dual
 from fuchsian.errors import DegeneratePointsError, NotDiskAutomorphismError
 from oracles import (
     Arc,
@@ -166,8 +166,8 @@ def partition_case(request):
         params = ExtremalParams(surface, word)
         angles = params.a_angles
     else:
-        params = dual_params(solve(surface, word))
-        angles = [params.d(i).angle for i in range(1, surface.n + 1)]
+        params = build_omega_dual(solve(surface, word))
+        angles = [params.solved.d(i).angle for i in range(1, surface.n + 1)]
     return np.array(angles), params.partition
 
 

@@ -1,6 +1,7 @@
 """Dual parameters, dual domain, and the inverse-conjugation identity."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -11,12 +12,13 @@ from fuchsian.circle import TOL, TWO_PI, CirclePoint
 from fuchsian.duality import (
     build_omega_dual,
     dual_family_check,
-    dual_params,
+    dual_word,
     family_words,
     verify_dual_images,
     verify_duality,
 )
 from fuchsian.errors import ConstructionError
+from fuchsian.words import GroupWord
 from fuchsian.surface import build_regular_surface
 from oracles import Arc, duality_code_counts, rect_arcs, with_points
 
@@ -34,73 +36,68 @@ def dual_example(solved_example):
     return build_omega_dual(solved_example)
 
 
-class TestDualParams:
-    def test_worked_example_words(self, solved_example):
-        dual = dual_params(solved_example)
-        assert [str(dual.d_word(i)) for i in range(1, 13)] == EXPECTED_D
+class TestDualChoice:
+    def test_worked_example_words(self, solved_example, dual_example):
+        doc = json.loads(dual_example.to_json())
+        assert [str(GroupWord.from_json(d)) for d in doc["dual"]] == EXPECTED_D
 
     def test_all_p_dual_is_all_q(self, genus2, solved_all_p):
-        assert dual_params(solved_all_p).extremal_word() == "Q" * 12
+        assert dual_word(solved_all_p) == "Q" * 12
 
     def test_alternating_dual_flips(self, genus2):
         solved = solve(genus2, "PQ" * 6)
-        assert dual_params(solved).extremal_word() == "QP" * 6
+        assert dual_word(solved) == "QP" * 6
 
     def test_example_dual_is_not_extremal(self, solved_example):
-        assert dual_params(solved_example).extremal_word() is None
+        assert dual_word(solved_example) is None
 
     def test_points_stay_in_their_gaps(self, genus2, solved_example):
-        dual = dual_params(solved_example)
         for i in range(1, 13):
-            assert Arc(genus2.p(i), genus2.q(i), True, True).contains(dual.d(i), TOL)
+            assert Arc(genus2.p(i), genus2.q(i), True, True).contains(solved_example.d(i), TOL)
 
-    def test_json_carries_provenance(self, solved_example):
-        import json
-
-        doc = json.loads(dual_params(solved_example).to_json())
+    def test_json_carries_provenance(self, solved_example, dual_example):
+        doc = json.loads(dual_example.to_json())
         assert doc["source_params"] == EXAMPLE_WORD
         assert len(doc["dual"]) == 12
+        assert [d["angle"] for d in doc["dual"]] == solved_example.angles[4].tolist()
 
 
 class TestDualDomain:
     def test_rectangle_count_and_flags(self, genus2, solved_example, dual_example):
-        assert len(dual_example.rectangles()) == 36
+        assert len(dual_example.rects) == 36
         word = solved_example.params.word
-        rects = dual_example.rectangles()
+        rects = dual_example.rects
         for i in range(1, 13):
             head = rects[12 + i - 1]
             tail = rects[24 + i - 1]
             assert head.degenerate == (word[genus2.sigma(i) % 12] == "P")
             assert tail.degenerate == (word[genus2.sigma(i) - 1] == "Q")
 
-    def test_flip_membership_samples(self, solved_example, domain_example, dual_example):
+    def test_flipped_domain_samples_are_dual_members(self, domain_example, dual_example):
+        # The horizontal strips hold every flipped sample of the primal
+        # domain away from its edges.
         rng = np.random.default_rng(21)
         u, w = domain_example.sample(rng, 10_000)
         ok = domain_example.boundary_distance_many(u, w) > 1e-8
-        flipped = dual_example.contains_vertical_many(w, u)
-        assert flipped[ok].all()
-        du, dw = dual_example.sample(rng, 10_000)
-        ok2 = dual_example.vertical.boundary_distance_many(dw, du) > 1e-8
-        back = domain_example.contains_many(dw, du)
-        assert back[ok2].all()
+        assert dual_example.contains_horizontal_many(w, u)[ok].all()
 
-    def test_vertical_horizontal_agreement_bulk(self, dual_example):
+    def test_vertical_horizontal_agreement_bulk(self, domain_example, dual_example):
         rng = np.random.default_rng(22)
         u = rng.random(100_000) * TWO_PI
         w = rng.random(100_000) * TWO_PI
-        v_in = dual_example.contains_vertical_many(u, w)
+        v_in = domain_example.contains_many(w, u)
         h_in = dual_example.contains_horizontal_many(u, w)
         assert (v_in == h_in).all()
 
-    def test_membership_is_a_partition(self, dual_example):
+    def test_membership_is_a_partition(self, domain_example, dual_example):
         # Each member pair sits in exactly one rectangle under the
         # half-open convention.
         rng = np.random.default_rng(23)
-        u, w = dual_example.sample(rng, 500)
+        w, u = domain_example.sample(rng, 500)
         for k in range(500):
             pu, pw = CirclePoint(u[k]), CirclePoint(w[k])
             hits = []
-            for r in dual_example.rectangles():
+            for r in dual_example.rects:
                 x_arc, y_arc = rect_arcs(r)
                 if not r.degenerate and x_arc.contains(pu, 0.0) and y_arc.contains(pw, 0.0):
                     hits.append(r)
@@ -125,9 +122,9 @@ class TestDualStep:
         ],
     )
     def test_image_failure_messages(self, solved_example, dual_example, name, shift, expected):
-        # D is read from the dual domain's DualParams, so it carries the move.
+        # D is read from the dual domain's table, so it carries the move.
         broken = with_points(solved_example, name, solved_example.angles[NAMED.index(name), 4] + shift, [5])
-        moved = dataclasses.replace(dual_example, dual=dual_params(broken))
+        moved = dataclasses.replace(dual_example, solved=broken)
         assert verify_dual_images(broken, moved) == expected
 
     @pytest.mark.parametrize("side", range(1, 13))
@@ -139,9 +136,9 @@ class TestDualStep:
         assert any(f"{name}_{side} " in f and f.endswith("off by nan") for f in fails)
 
     def test_step_branch_is_left_closed(self, solved_example, dual_example):
-        dual = dual_example.dual
         for i in range(1, 13):
-            _, _, idx = extension_step(dual, CirclePoint(dual.d(i).angle + 2.0), dual.d(i))
+            d = solved_example.d(i)
+            _, _, idx = extension_step(dual_example, CirclePoint(d.angle + 2.0), d)
             assert idx == i
 
 
@@ -172,7 +169,7 @@ class TestVerifyDuality:
             got.append((report.skipped - without_c.skipped, report.code_checked, report.code_failures))
             # Replay the draws of steps (a) and (b), then step (c)'s samples.
             rng = np.random.default_rng(seed)
-            domain.sample(rng, 2000), dual_domain.sample(rng, 2000), domain.sample(rng, 2000)
+            domain.sample(rng, 2000), domain.sample(rng, 2000), domain.sample(rng, 2000)
             cu, cw = domain.sample(rng, code_samples)
             want.append(duality_code_counts(solved, domain, cu, cw, 6, tol))
         assert got == want
@@ -223,8 +220,6 @@ class TestFamilies:
 
         surface = build_regular_surface(g)
         for word in family_words(g).values():
-            dual = dual_params(solve(surface, word))
-            dword = dual.extremal_word()
+            dword = dual_word(solve(surface, word))
             assert dword is not None
-            back = dual_params(solve(surface, dword)).extremal_word()
-            assert back == word
+            assert dual_word(solve(surface, dword)) == word

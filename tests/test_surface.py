@@ -176,6 +176,16 @@ class TestRegularSurface:
             assert apply(s.t(i), s.p(i)).close_to(s.q(si + 1))
             assert apply(s.t(i), s.q(i + 1)).close_to(s.p(si))
 
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_t_angles_reads_the_index_mod_n(self, g):
+        # Like t(i), t_angles reads index i as entry (i - 1) mod N.
+        s = build_regular_surface(g)
+        x = np.linspace(0.0, TWO_PI, 7, endpoint=False)
+        assert s.t_angles(s.n + 1, x)[0].tobytes() == s.t_angles(1, x)[0].tobytes()
+        assert s.t_angles(0, x)[0].tobytes() == s.t_angles(s.n, x)[0].tobytes()
+        index = np.arange(1, s.n + 1)
+        assert s.t_angles(index + s.n, x[0])[0].tobytes() == s.t_angles(index, x[0])[0].tobytes()
+
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_relation_entries_match_the_scalar_kernel(self, g):
         # The endpoint images, checked in one t_angles call, keep their names
