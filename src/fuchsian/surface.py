@@ -25,6 +25,7 @@ import numpy as np
 from .circle import (
     TOL,
     TWO_PI,
+    CirclePartition,
     CirclePoint,
     MoebiusMap,
     angdiff_many,
@@ -483,118 +484,95 @@ def verify_group_relations(surface: SurfaceGroup, tol: float = TOL) -> RelationR
 
 
 # -- geodesic vs polygon ----------------------------------------------------
-#
-# The fundamental polygon is the set of disk points lying outside every
-# side circle (the circles extending the sides are orthogonal to the unit
-# circle and, by the extension condition, never cross the polygon
-# interior).  A geodesic crosses each side circle at most once inside the
-# disk: both circles are orthogonal to the unit circle, so their radical
-# line passes through the origin and their two intersection points are
-# inverses through the unit circle, leaving at most one interior crossing.
-# Clipping by all sides therefore yields a single feasible parameter
-# interval [lo, hi]; its length decides inside/boundary/outside and the
-# binding constraints name the entry and exit sides.  A geodesic whose
-# circle is a side circle (P_i -> Q_{i+1} or back) runs along side i: that
-# side cuts nothing, and the geodesic only touches the polygon.
 
 
 class GeodesicClipper:
-    """Vectorized membership/exit-side computation for many boundary pairs.
+    """Where many geodesics u -> w cross the polygon, from their end angles alone.
 
-    Antipodal pairs (true diameters) are nudged by 1e-11 so a single
-    circle-arc code path serves every sample; the induced endpoint error is
-    below the package tolerance and the nudged set has measure zero.
+    Side k, extended, is the geodesic (P_k, Q_{k+1}); it cuts off the
+    half-plane over the arc [P_k, Q_{k+1}), which holds Q_k and P_{k+1},
+    and the polygon is what the N half-planes leave.  The arcs are read on
+    the circle alone, so nothing assumes where the origin lies.  Cut at
+    P_1, Q_1, P_2, Q_2, ..., the circle falls into 2N pieces, piece 2k-1
+    starting at P_k, and the arc of side k is pieces 2k-1, 2k and 2k+1.
+    So a point lies in at most two arcs: those of sides i and i-1 for a
+    point of [P_i, P_{i+1}).
+
+    A geodesic with both ends in one arc lies in that half-plane and
+    misses the polygon.  One with exactly one end in the arc of side k
+    crosses side k's geodesic (a, b) once, entering the polygon's side of
+    it if u is in the arc and leaving it if w is.  Map u to 0 and w to
+    infinity in the upper half-plane, z -> (z - e^{iu}) / (z - e^{iw}) up
+    to a rotation: the geodesic becomes the imaginary axis, on which
+    log(height) is the hyperbolic position, and (a, b) becomes the
+    semicircle over a', b', which meets the axis at height sqrt|a'b'|.  As
+    |e^{ia} - e^{iu}| = 2|sin((a-u)/2)|, the crossing sits at
+
+        t = 1/2 log| sin((a-u)/2) sin((b-u)/2) / (sin((a-w)/2) sin((b-w)/2)) |,
+
+    a cross-ratio of u, w, a, b, increasing toward w.  The sides that can
+    cut a row are those whose arcs hold u or w: at most 4 of them.  The
+    chord is [lo, hi], lo the last entry and hi the first exit, and
+    hi - lo is its hyperbolic length, the same in every frame.
     """
 
     def __init__(self, surface: SurfaceGroup):
         self.surface = surface
-        n = surface.n
-        self.centers = np.empty(n, dtype=complex)
-        self.radii = np.empty(n)
-        for i in range(1, n + 1):
-            c, r = surface.side_circle(i)  # type: ignore[misc]
-            self.centers[i - 1] = c
-            self.radii[i - 1] = r
+        p, q = surface.p_angles, surface.q_angles
+        self.pieces = CirclePartition(np.stack([p, q], axis=1).ravel())  # P_1, Q_1, P_2, ...
+        self.half_ends = 0.5 * np.stack([p, np.roll(q, -1)])  # halves of side k's (P_k, Q_{k+1})
 
     def clip(self, u_angles, w_angles):
-        """Feasible interval [lo, hi] plus entry/exit sides (1-based, 0 = none).
+        """Chord [lo, hi] in hyperbolic position plus entry/exit sides (1-based, 0 = none).
 
         Returns (lo, hi, entry, exit, lo_ties, hi_ties); ties count how many
-        sides achieve the binding parameter within 1e-9 (2+ means a vertex).
-        A geodesic that misses the polygon gets hi = lo and no sides; one
-        whose circle is a side circle (centre and radius within 1e-7) gets
-        hi = lo and keeps the sides that cut it at the side's vertices.
+        sides achieve the binding position within 1e-9 (2+ means a vertex).
+        A geodesic with both ends in one side's arc gets lo = hi = 0 and no
+        sides; any other that misses the polygon has hi < lo.  One that
+        runs along side k, with ends within 1e-9 of P_k and Q_{k+1} in
+        either order, is not cut by side k; it gets hi = lo and keeps the
+        sides that cut it at the side's vertices.
         """
-        u_angles = np.asarray(u_angles, dtype=float)
-        w_angles = np.asarray(w_angles, dtype=float)
-        gap = np.remainder(w_angles - u_angles, TWO_PI)
-        w_angles = np.where(np.abs(gap - math.pi) < 1e-11, w_angles + 1e-11, w_angles)
-        u = np.exp(1j * u_angles)
-        w = np.exp(1j * w_angles)
+        u = np.asarray(u_angles, dtype=float)
+        w = np.asarray(w_angles, dtype=float)
+        n = self.surface.n
+        piece_u, piece_w = self.pieces.index_many(u) - 1, self.pieces.index_many(w) - 1  # 0-based
+        # Slots 0, 1 hold the 0-based sides whose arcs may hold u, slots 2, 3 those for w.
+        k = np.stack([piece_u // 2, piece_u // 2 - 1, piece_w // 2, piece_w // 2 - 1], axis=1) % n
+        in_u = (piece_u[:, None] - 2 * k) % (2 * n) <= 2
+        in_w = (piece_w[:, None] - 2 * k) % (2 * n) <= 2
+        # |sin((end - x)/2)| for each slot's side ends, one array each.
+        sines = []
+        for x in (u, w):
+            for end in self.half_ends:
+                s = end[k]
+                s -= 0.5 * x[:, None]
+                sines.append(np.abs(np.sin(s, out=s), out=s))
+        ua, ub, wa, wb = sines
+        near = math.sin(0.5e-9)  # |sin(d/2)| <= sin(tol/2) iff the angles are within tol
+        side = ((ua <= near) & (wb <= near)) | ((ub <= near) & (wa <= near))
+        with np.errstate(divide="ignore", invalid="ignore"):  # an end on a side's end gives +-inf
+            ua *= ub
+            wa *= wb
+            ua /= wa
+            t = np.log(ua, out=ua)
+        t *= 0.5
+        enter = (in_u & ~in_w & ~side)[:, :2]
+        leave = (in_w & ~in_u & ~side)[:, 2:]
+        dead = (in_u & in_w & ~side)[:, :2].any(axis=1)
 
-        det = u.real * w.imag - w.real * u.imag
-        det = np.where(np.abs(det) < 1e-300, 1e-300, det)
-        center = (w.imag - u.imag) / det + 1j * ((u.real - w.real) / det)
-        rad = np.sqrt(np.maximum(np.abs(center) ** 2 - 1.0, 1e-300))
-
-        phi_u = np.angle(u - center)
-        phi_w = np.angle(w - center)
-        delta = np.remainder(phi_w - phi_u + math.pi, TWO_PI) - math.pi
-        delta = np.where(delta == 0.0, 1e-300, delta)
-
-        m = len(u)
-        lo = np.zeros(m)
-        hi = np.ones(m)
-        entry = np.zeros(m, dtype=np.int64)
-        exit_ = np.zeros(m, dtype=np.int64)
-        dead = np.zeros(m, dtype=bool)
-        on_side = np.zeros(m, dtype=bool)
-
-        cross_list = []
-        s_list = []
-        bad_left_list = []
-        for k in range(len(self.centers)):
-            c = self.centers[k]
-            r = self.radii[k]
-            d = c - center
-            abs_d = np.maximum(np.abs(d), 1e-300)
-            # Rows whose geodesic extends this side: it neither cuts them nor marks them dead.
-            same = (abs_d <= 1e-7) & (np.abs(rad - r) <= 1e-7)
-            on_side |= same
-            e = 1j * d / abs_d
-            b = (np.conj(e) * c).real
-            disc = b * b - 1.0
-            has_root = disc > 0.0
-            root = np.sqrt(np.maximum(disc, 0.0))
-            t = b - np.copysign(root, b)
-            cross = has_root & (np.abs(t) < 1.0) & ~same
-            z = t * e
-            s = (np.remainder(np.angle(z - center) - phi_u + math.pi, TWO_PI) - math.pi) / delta
-            inside_u = (np.conj(u) * c).real > 1.0
-            inside_w = (np.conj(w) * c).real > 1.0
-            bad_left = np.where(s > 0.5, inside_u, ~inside_w)
-            dead |= ~cross & inside_u & inside_w & ~same
-
-            raise_lo = cross & bad_left & (s > lo)
-            lo = np.where(raise_lo, s, lo)
-            entry = np.where(raise_lo, k + 1, entry)
-            lower_hi = cross & ~bad_left & (s < hi)
-            hi = np.where(lower_hi, s, hi)
-            exit_ = np.where(lower_hi, k + 1, exit_)
-
-            cross_list.append(cross)
-            s_list.append(s)
-            bad_left_list.append(bad_left)
-
-        lo_ties = np.zeros(m, dtype=np.int64)
-        hi_ties = np.zeros(m, dtype=np.int64)
-        for cross, s, bad_left in zip(cross_list, s_list, bad_left_list):
-            lo_ties += (cross & bad_left & (np.abs(s - lo) <= 1e-9)).astype(np.int64)
-            hi_ties += (cross & ~bad_left & (np.abs(s - hi) <= 1e-9)).astype(np.int64)
-
-        entry = np.where(dead, 0, entry)
-        exit_ = np.where(dead, 0, exit_)
-        hi = np.where(dead | on_side, lo, hi)
+        t_in = np.where(enter, t[:, :2], -np.inf)
+        t_out = np.where(leave, t[:, 2:], np.inf)
+        first_in, first_out = t_in.argmax(axis=1), t_out.argmin(axis=1)
+        rows = np.arange(len(u))
+        lo, hi = t_in[rows, first_in], t_out[rows, first_out]
+        with np.errstate(invalid="ignore"):  # inf - inf on a row without that kind of cut
+            lo_ties = (np.abs(t_in - lo[:, None]) <= 1e-9).sum(axis=1)
+            hi_ties = (np.abs(t_out - hi[:, None]) <= 1e-9).sum(axis=1)
+        entry = np.where(dead, 0, k[rows, first_in] + 1)
+        exit_ = np.where(dead, 0, k[rows, 2 + first_out] + 1)
+        lo = np.where(dead, 0.0, lo)
+        hi = np.where(dead | side.any(axis=1), lo, hi)
         return lo, hi, entry, exit_, lo_ties, hi_ties
 
     def status_codes(self, u_angles, w_angles, tol: float = TOL) -> np.ndarray:
@@ -603,4 +581,3 @@ class GeodesicClipper:
         inside = (hi - lo > tol) & (entry > 0) & (exit_ > 0)
         touched = (entry > 0) | (exit_ > 0)
         return np.where(inside, 1, np.where(np.abs(hi - lo) <= tol, np.where(touched, 0, -1), -1))
-

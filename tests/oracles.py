@@ -43,7 +43,7 @@ from fuchsian.errors import (
     NotDiskAutomorphismError,
     OutsideDomainError,
 )
-from fuchsian.surface import SurfaceGroup
+from fuchsian.surface import SurfaceGroup, assemble_surface
 from fuchsian.words import BasePoint, GroupWord, prepend
 
 
@@ -133,6 +133,20 @@ def apply_angle(m: MoebiusMap, theta: float) -> float:
 
 def inverse(m: MoebiusMap) -> MoebiusMap:
     return MoebiusMap(m.a.conjugate(), -m.c)
+
+
+def frame_map(z0: complex) -> MoebiusMap:
+    """The disk isometry M(z) = (z + z0) / (1 + conj(z0) z), which takes 0 to z0."""
+    return MoebiusMap(1.0 + 0.0j, complex(z0).conjugate()).normalized()
+
+
+def moved(surface: SurfaceGroup, z0: complex) -> SurfaceGroup:
+    """The same surface in another frame: conjugated by frame_map(z0) = M.
+    Its vertices are M(V_i) and its generators M T_i M^-1."""
+    m = frame_map(z0)
+    vertices = [apply_complex(m, v) for v in surface.vertices.tolist()]
+    gens = [m @ surface.t(i) @ inverse(m) for i in range(1, surface.n + 1)]
+    return assemble_surface(surface.genus, vertices, gens, surface.offset)
 
 
 def trace(m: MoebiusMap) -> float:
@@ -294,8 +308,11 @@ def dense_domain_distance(domain, u_thetas, w_thetas):
 
 # -- the scalar geodesic tracer ------------------------------------------------
 #
-# One geodesic at a time, the clip that `GeodesicClipper` does on arrays
-# (the comment above it in surface.py gives the geometry).
+# The independent Euclidean reference for `GeodesicClipper`, one geodesic at
+# a time: it intersects the geodesic's circle with every side circle and
+# takes the polygon to be the points outside all of them, which holds while
+# the origin lies in the polygon.  Its lo and hi are fractions of the
+# geodesic's Euclidean arc; _GeodesicParam.point turns them into points.
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Geometric map, conjugacy, symbol sequences, Markov and sofic structure."""
 
+import cmath
 import dataclasses
 import itertools
 import math
@@ -42,6 +43,7 @@ from oracles import (
     geo_step,
     locate_region,
     markov_loop,
+    moved,
     phi_loop,
     polygon_status,
     reduce_geodesic,
@@ -351,6 +353,16 @@ class TestConjugacy:
         assert report.passed, report.to_json()
         assert report.checked >= 9_000
         assert report.max_deviation < TOL
+
+    def test_identity_holds_in_a_moved_frame(self, genus2):
+        # The origin lies outside the polygon moved to 0.7 e^{0.7i}; a clipper
+        # that takes each side circle's inside for the outside of the polygon
+        # reads most geometric images as outside there and checks 36 samples.
+        moved_surface = moved(genus2, 0.7 * cmath.exp(0.7j))
+        solved = solve(moved_surface, EXAMPLE_WORD)
+        report = verify_conjugacy(solved, build_domain(solved), samples=3000, seed=0)
+        assert report.passed, report.to_json()
+        assert report.checked == 3000
 
     def test_fault_injection_fails(self, genus2, solved_example, domain_example, monkeypatch):
         # Every U_i read as U_{i+1}: the surface's vertex maps rolled by one.

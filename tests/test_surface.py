@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fuchsian.boundary import build_domain, solve, verify_bijectivity
-from fuchsian.circle import TOL, TWO_PI, CirclePoint, MoebiusMap, angdiff
+from fuchsian.circle import TOL, TWO_PI, CirclePartition, CirclePoint, MoebiusMap, angdiff, moebius_angles
 from fuchsian.errors import ConstructionError, ContradictionError, DegeneratePointsError
 from fuchsian.surface import (
     GeodesicClipper,
@@ -24,7 +24,16 @@ from fuchsian.surface import (
     tau,
     verify_group_relations,
 )
-from oracles import apply, geodesic_intersects_polygon, point_in_polygon, polygon_status, trace_geodesic
+from oracles import (
+    _GeodesicParam,
+    apply,
+    frame_map,
+    geodesic_intersects_polygon,
+    moved,
+    point_in_polygon,
+    polygon_status,
+    trace_geodesic,
+)
 
 STATUS_CODE = {"inside": 1, "boundary": 0, "outside": -1}
 
@@ -394,12 +403,13 @@ class TestPolygonIntersection:
         with pytest.raises(DegeneratePointsError):
             geodesic_intersects_polygon(genus2, CirclePoint(1.0), CirclePoint(1.0))
 
-    @pytest.mark.parametrize("g", [2, 3, 4])
+    @pytest.mark.parametrize("g", [2, 3, 4, 8])
     def test_status_codes_match_oracle(self, g):
         s = build_regular_surface(g)
         rng = np.random.default_rng(10 + g)
-        u = rng.uniform(0, TWO_PI, 20000)
-        w = rng.uniform(0, TWO_PI, 20000)
+        rows = 3000 if g == 8 else 20000  # the scalar oracle cuts every one of the 60 sides at g = 8
+        u = rng.uniform(0, TWO_PI, rows)
+        w = rng.uniform(0, TWO_PI, rows)
         codes = s.clipper.status_codes(u, w)
         expected = np.array(
             [STATUS_CODE[polygon_status(s, CirclePoint(a), CirclePoint(b))] for a, b in zip(u, w)]
@@ -421,3 +431,71 @@ class TestPolygonIntersection:
         ends = [(s.p(i).angle, s.q(i + 1).angle) for i in range(1, s.n + 1)]
         eu, ew = np.array(ends + [(b, a) for a, b in ends]).T
         assert list(s.clipper.status_codes(eu, ew)) == [0] * (2 * s.n)
+
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_a_point_lies_in_at_most_two_side_arcs(self, g):
+        # The clipper's candidate rule: a point of [P_i, P_{i+1}) can only lie
+        # in the arcs (P_i, Q_{i+1}) and (P_{i-1}, Q_i), breakpoints included.
+        s = build_regular_surface(g)
+        rng = np.random.default_rng(40 + g)
+        x = np.concatenate([rng.uniform(0, TWO_PI, 4000), s.p_angles, s.q_angles])
+        a, b = s.p_angles, np.roll(s.q_angles, -1)  # side k's arc, 0-based k
+        offset = np.remainder(x[:, None] - a, TWO_PI)
+        length = np.remainder(b - a, TWO_PI)
+        closed = offset <= length
+        open_ = (offset > 0) & (offset < length)
+        assert closed.sum(axis=1).max() <= 2
+        assert open_.sum(axis=1).min() >= 1
+        i = CirclePartition(s.p_angles).index_many(x) - 1  # 0-based
+        candidate = np.zeros_like(closed)
+        candidate[np.arange(len(x)), i] = candidate[np.arange(len(x)), (i - 1) % s.n] = True
+        assert not (closed & ~candidate).any()
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_chord_length_is_the_hyperbolic_distance(self, g):
+        # hi - lo against the distance between the scalar tracer's Euclidean
+        # entry and exit points, 2 artanh|(z1 - z2) / (1 - conj(z1) z2)|.
+        s = build_regular_surface(g)
+        rng = np.random.default_rng(50 + g)
+        u = rng.uniform(0, TWO_PI, 400)
+        w = rng.uniform(0, TWO_PI, 400)
+        lo, hi, _, _, _, _ = s.clipper.clip(u, w)
+        checked = 0
+        for k in range(len(u)):
+            cu, cw = CirclePoint(u[k]), CirclePoint(w[k])
+            trace = trace_geodesic(s, cu, cw)
+            if trace.status != "inside":
+                continue
+            par = _GeodesicParam(cu, cw)
+            z1, z2 = par.point(trace.lo), par.point(trace.hi)
+            length = 2.0 * math.atanh(abs((z1 - z2) / (1.0 - z1.conjugate() * z2)))
+            assert abs(hi[k] - lo[k] - length) < 1e-10, (u[k], w[k], hi[k] - lo[k], length)
+            checked += 1
+        assert checked > 100
+
+
+class TestFrames:
+    """The surface moved by a disk isometry M is the same surface: the clip
+    of M(u) -> M(w) has the same verdict, sides and chord length."""
+
+    @pytest.mark.parametrize("g", [2, 3])
+    @pytest.mark.parametrize("radius", [0.5, 0.7])
+    @pytest.mark.parametrize("toward", ["side", "vertex"])
+    def test_clip_is_frame_independent(self, g, radius, toward):
+        s = build_regular_surface(g)
+        z0 = radius * cmath.exp(1j * (math.pi / s.n if toward == "side" else 0.0))  # side 1's midpoint or V_1
+        t = moved(s, z0)
+        assert verify_group_relations(t).passed
+        m = frame_map(z0)
+        rng = np.random.default_rng(60 + g)
+        u = rng.uniform(0, TWO_PI, 20000)
+        w = rng.uniform(0, TWO_PI, 20000)
+        mu, mw = moebius_angles(m.a, m.c, u), moebius_angles(m.a, m.c, w)
+        codes = s.clipper.status_codes(u, w)
+        assert np.array_equal(codes, t.clipper.status_codes(mu, mw))
+        lo, hi, entry, exit_, _, _ = s.clipper.clip(u, w)
+        mlo, mhi, mentry, mexit, _, _ = t.clipper.clip(mu, mw)
+        assert np.array_equal(entry, mentry) and np.array_equal(exit_, mexit)
+        inside = codes == 1
+        assert inside.sum() > 10_000
+        assert np.abs((hi - lo) - (mhi - mlo))[inside].max() < 1e-10
